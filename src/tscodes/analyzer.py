@@ -1,10 +1,12 @@
 """Assemble subsystem codes from hypergraphs and verify the parameter theory.
 
-The gauge span comes from the derived-graph link operators; the stabilizer is
-the center of the gauge span, computed by GF(2) elimination.  The pipelines
-run the two closed-form families (vertex-face promotion of a blown-up seed,
-and the same after a medial-dual detour) and check every computed parameter
-against its closed form.
+The gauge span G comes from the derived-graph link operators.  Once G is
+checked to be the centralizer of the cycle-operator span L, the stabilizer
+(the center of G, whose test oracle is ``pauli.center``) is G intersected
+with L, by one GF(2) elimination.  The pipelines run the two closed-form
+families (vertex-face promotion of a blown-up seed, and the same after a
+medial-dual detour) and check every computed parameter against its closed
+form.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ def _completion_loops(
 def build_code(h: Hypergraph) -> SubsystemCode:
     """Gauge, stabilizer and (n, k, r, s) for a colored H1-H4 hypergraph.
 
-    Asserts the over-determined parameter identities and that the gauge span
-    equals the centralizer of the cycle-operator span.
+    Checks that the gauge span equals the centralizer of the cycle-operator
+    span, takes the stabilizer as their intersection and checks the
+    over-determined parameter identities.
     """
     rep = hypergraph.validate_H(h)
     if not rep.all_ok:
@@ -162,27 +165,26 @@ def build_code(h: Hypergraph) -> SubsystemCode:
         )
     n = h.num_vertices
     dg = hypergraph.derived_graph(h)
-    gauge = PauliSpan(n)
-    for lk in dg.links:
-        gauge.add(pauli.link_operator(lk.vertices, lk.color, n))
+    links = [pauli.link_operator(lk.vertices, lk.color, n) for lk in dg.links]
+    gauge = PauliSpan(n, links)
     cycles = hypergraph.cycle_space(h)
     ws = [pauli.cycle_operator(h, sigma) for sigma in cycles.basis]
     lspan = PauliSpan(n, ws)
     if lspan.dim != cycles.dim:
         raise GaugeMismatch("cycle operators are not independent")
     # Gauge group = centralizer of the cycle-operator span.
-    for lk in dg.links:
-        p = pauli.link_operator(lk.vertices, lk.color, n)
-        for w in ws:
-            if not pauli.commutes(p, w):
-                raise GaugeMismatch(
-                    f"link {lk.origin} anticommutes with a cycle operator"
-                )
+    for lk, mask in zip(dg.links, pauli.anticommuting_masks(links, ws)):
+        if mask:
+            raise GaugeMismatch(
+                f"link {lk.origin} anticommutes with a cycle operator"
+            )
     if gauge.dim != 2 * n - lspan.dim:
         raise GaugeMismatch(
             f"dim gauge = {gauge.dim} != 2n - dim L = {2 * n - lspan.dim}"
         )
-    stab = pauli.center(gauge)
+    # G = C(L) makes C(G) = L, so the center of G is G intersected with L.
+    common = gf2.intersection(gauge.basis, lspan.basis.rows)
+    stab = PauliSpan(n, (Pauli.from_vec(n, v) for v in common))
     s = stab.dim
     if (gauge.dim - s) % 2 or (lspan.dim - s) % 2:
         raise GaugeMismatch("parameter identities have no integer solution")

@@ -29,14 +29,8 @@ class TwoColex:
     edge_color: Tuple[str, ...]
     parentage: Optional[Tuple[Tuple[str, int], ...]] = None
 
-    def faces_of_color(self, color: str) -> List[int]:
-        return [f for f, c in enumerate(self.face_color) if c == color]
-
     def face_vertex_cycle(self, fid: int) -> List[int]:
         return [self.graph.dart_vertex(d) for d in self.graph.faces[fid]]
-
-    def face_edge_cycle(self, fid: int) -> List[int]:
-        return [e for (e, _) in self.graph.faces[fid]]
 
 
 def _edge_colors_from_faces(

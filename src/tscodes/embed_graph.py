@@ -61,11 +61,6 @@ class EmbeddedGraph:
                 out[d] = fid
         return out
 
-    def edge_faces(self, e: int) -> Tuple[int, int]:
-        """The two faces flanking edge e, in dart-side order."""
-        fod = self.face_of_dart()
-        return fod[(e, 0)], fod[(e, 1)]
-
     def neighbors(self, v: int) -> List[int]:
         return [self.other_end(d) for d in self.rotation[v]]
 

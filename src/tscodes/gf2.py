@@ -7,7 +7,7 @@ desk-scale problems (a few hundred coordinates).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 
 def parity(x: int) -> int:
@@ -17,6 +17,16 @@ def parity(x: int) -> int:
 def dot(a: int, b: int) -> int:
     """Inner product of two bit vectors over GF(2)."""
     return (a & b).bit_count() & 1
+
+
+def bits(v: int) -> List[int]:
+    """Indices of the set bits of v, ascending."""
+    out: List[int] = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
 
 class Basis:
@@ -71,6 +81,21 @@ def rank(rows: Iterable[int]) -> int:
     return Basis(rows).dim
 
 
+def intersection(a: Basis, b: Iterable[int]) -> List[int]:
+    """A basis of span(a) intersected with span(b), by Zassenhaus: with w
+    the bit width, rows (u << w) | u for u in a (already reduced, so they
+    enter as they are) and v << w for v in b share one echelon basis, whose
+    rows with a zero high half span the intersection."""
+    b = list(b)
+    w = max((v.bit_length() for v in a.rows + b), default=0)
+    work = Basis()
+    work.rows = [(u << w) | u for u in a.rows]
+    work.pivots = [p + w for p in a.pivots]
+    for v in b:
+        work.add(v << w)
+    return [r for r in work.rows if r >> w == 0]
+
+
 def kernel(rows: List[int], ncols: int) -> List[int]:
     """Basis of {x : M x = 0} where M has the given rows as bit vectors.
 
@@ -106,41 +131,6 @@ def kernel(rows: List[int], ncols: int) -> List[int]:
                 v |= 1 << pcol
         basis.append(v)
     return basis
-
-
-def solve(rows: List[int], ncols: int, target_bits: int) -> Optional[int]:
-    """One solution x of M x = b, or None.
-
-    ``rows`` are the rows of M as bit vectors over ncols columns and
-    ``target_bits`` holds b with bit i = b_i.
-    """
-    aug = [r | (((target_bits >> i) & 1) << ncols) for i, r in enumerate(rows)]
-    work = aug[:]
-    pivot_of_col: dict[int, int] = {}
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        pivot_of_col[col] = row_idx
-        row_idx += 1
-    mask = (1 << ncols) - 1
-    for r in work:
-        if (r & mask) == 0 and (r >> ncols) & 1:
-            return None
-    x = 0
-    for col, prow in pivot_of_col.items():
-        if (work[prow] >> ncols) & 1:
-            x |= 1 << col
-    return x
 
 
 def span_vectors(basis_rows: List[int]) -> List[int]:

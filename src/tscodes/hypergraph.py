@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import embed_graph, gf2
+from . import embed_graph, gf2, pauli
 from .colex import COLORS, TwoColex
 from .embed_graph import EmbeddedGraph
-from .errors import BadFaceSize, MixedColorF, UnclassifiedFace
+from .errors import BadFaceSize, GaugeMismatch, MixedColorF, UnclassifiedFace
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,43 @@ class Hypergraph:
         return m
 
     def incident_edges(self, v: int) -> List[int]:
-        return [i for i, e in enumerate(self.edges) if v in e.vertices]
+        return gf2.bits(self._incidence_rows[v])
 
-    def incidence_rows(self) -> List[int]:
+    def incidence_rows(self) -> Tuple[int, ...]:
         """Vertex-edge incidence matrix rows as edge bitmasks."""
+        return self._incidence_rows
+
+    # Indices derived once per (frozen, so never stale) hypergraph.
+    @cached_property
+    def _incidence_rows(self) -> Tuple[int, ...]:
         rows = [0] * self.num_vertices
         for i, e in enumerate(self.edges):
             for v in e.vertices:
                 rows[v] |= 1 << i
-        return rows
+        return tuple(rows)
+
+    @cached_property
+    def edge_masks(self) -> Tuple[Tuple[int, Optional[Tuple[int, int]]], ...]:
+        """Per edge, its vertex bitmask and the (x, z) masks of its link
+        operator, None for a rank-2 edge without a color."""
+        out = []
+        for e in self.edges:
+            link = None
+            if e.rank == 3 or e.color in pauli.LINK_PAULI:
+                p = pauli.link_operator(e.vertices, e.color, self.num_vertices)
+                link = (p.x, p.z)
+            out.append((sum(1 << v for v in set(e.vertices)), link))
+        return tuple(out)
+
+    @cached_property
+    def faces_of_edge(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per edge, the faces whose boundary walk uses it, ascending and
+        with repeats; empty without face structure."""
+        out: List[List[int]] = [[] for _ in self.edges]
+        for fid, rec in enumerate(self.faces or ()):
+            for e in rec.boundary:
+                out[e].append(fid)
+        return tuple(tuple(fs) for fs in out)
 
     def triangle_of_vertex(self) -> Dict[int, Triangle]:
         out: Dict[int, Triangle] = {}
@@ -370,10 +399,7 @@ def three_edge_color(h: Hypergraph) -> Optional[Tuple[str, ...]]:
     """Proper 3-edge-coloring with all rank-3 edges colored "b", by exact
     backtracking with smallest-domain-first ordering; None if impossible."""
     ne = h.num_edges
-    inc: List[List[int]] = [[] for _ in range(h.num_vertices)]
-    for i, e in enumerate(h.edges):
-        for v in e.vertices:
-            inc[v].append(i)
+    inc = [h.incident_edges(v) for v in range(h.num_vertices)]
     neighbors: List[set] = [set() for _ in range(ne)]
     for lst in inc:
         for a in lst:
@@ -436,7 +462,8 @@ def cycle_space(h: Hypergraph) -> HypercycleSpace:
     rows = h.incidence_rows()
     basis = gf2.kernel(rows, h.num_edges)
     rk = gf2.rank(rows)
-    assert len(basis) == h.num_edges - rk
+    if len(basis) != h.num_edges - rk:
+        raise GaugeMismatch(f"cycle space dim {len(basis)} != |E| - rank {rk}")
     return HypercycleSpace(tuple(basis), len(basis), rk)
 
 
@@ -454,13 +481,12 @@ class FaceCycles:
 
 
 def _other_face(h: Hypergraph, edge_id: int, fid: int) -> Optional[int]:
-    for f2, rec in enumerate(h.faces):
-        if f2 != fid and edge_id in rec.boundary:
+    faces = h.faces_of_edge[edge_id]
+    for f2 in faces:
+        if f2 != fid:
             return f2
     # A face may be adjacent to itself through an edge appearing twice.
-    if h.faces[fid].boundary.count(edge_id) > 1:
-        return fid
-    return None
+    return fid if faces.count(fid) > 1 else None
 
 
 def canonical_face_cycles(h: Hypergraph, fid: int) -> FaceCycles:

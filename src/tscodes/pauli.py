@@ -9,10 +9,10 @@ echelon bases of 2n-bit vectors laid out as x | (z << n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .errors import ColorMissing, NotACycle, SizeMismatch
+from .errors import ColorMissing, GaugeMismatch, NotACycle, SizeMismatch
 
 _CHAR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _CHAR.items()}
@@ -165,17 +165,42 @@ def link_operator(edge: Sequence[int], color: Optional[str], n: int) -> Pauli:
 
 def cycle_operator(h, sigma: int) -> Pauli:
     """W(sigma): the product of link operators over the edges of a
-    hypercycle (mod phase)."""
-    rows = h.incidence_rows()
-    for row in rows:
-        if gf2.dot(row, sigma):
-            raise NotACycle("odd incidence at a vertex")
-    p = Pauli.identity(h.num_vertices)
-    for i in range(h.num_edges):
-        if (sigma >> i) & 1:
-            e = h.edges[i]
-            p = p.mul(link_operator(e.vertices, e.color, h.num_vertices))
-    return p
+    hypercycle (mod phase), from the per-edge masks cached on ``h``."""
+    edges = gf2.bits(sigma & ((1 << h.num_edges) - 1))
+    odd = 0
+    for i in edges:
+        odd ^= h.edge_masks[i][0]
+    if odd:
+        raise NotACycle("odd incidence at a vertex")
+    x = z = 0
+    for i in edges:
+        link = h.edge_masks[i][1]
+        if link is None:
+            raise ColorMissing(f"rank-2 edge {h.edges[i].vertices} has no color")
+        x ^= link[0]
+        z ^= link[1]
+    return Pauli(h.num_vertices, x, z)
+
+
+def anticommuting_masks(ops: Sequence[Pauli], against: Sequence[Pauli]) -> List[int]:
+    """For each op, the bitmask of the entries of ``against`` it
+    anticommutes with.
+
+    Column masks over the symplectically swapped ``against`` (z | x << n)
+    cost each op one XOR per set bit of its x | z << n vector instead of one
+    symplectic product per pair.
+    """
+    cols: Dict[int, int] = {}
+    for j, q in enumerate(against):
+        for b in gf2.bits(q.z | (q.x << q.n)):
+            cols[b] = cols.get(b, 0) ^ (1 << j)
+    out: List[int] = []
+    for p in ops:
+        mask = 0
+        for b in gf2.bits(p.vec()):
+            mask ^= cols.get(b, 0)
+        out.append(mask)
+    return out
 
 
 def symplectic_rows(span: PauliSpan) -> List[int]:
@@ -197,13 +222,18 @@ def centralizer(span: PauliSpan, n: Optional[int] = None) -> PauliSpan:
     out = PauliSpan(n)
     for v in basis:
         out.add(Pauli.from_vec(n, v))
-    assert out.dim == 2 * n - span.dim
+    if out.dim != 2 * n - span.dim:
+        raise GaugeMismatch(f"dim centralizer {out.dim} != 2n - dim span {span.dim}")
     return out
 
 
 def center(span: PauliSpan) -> PauliSpan:
     """span(gen) intersected with its centralizer: the radical of the
-    symplectic form restricted to the span."""
+    symplectic form restricted to the span.
+
+    Builds the full Gram matrix of the span, so it serves as the test oracle
+    for ``analyzer.build_code``, which intersects the gauge span with the
+    cycle-operator span instead."""
     rows = span.basis.rows
     k = len(rows)
     n = span.n

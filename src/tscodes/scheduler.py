@@ -227,9 +227,6 @@ class MeasurementSchedule:
     per_stabilizer: Tuple[Tuple[int, ...], ...]  # ordered link ids
     signs: Tuple[int, ...]  # +-1 sign of each generator's ordered product
 
-    def ordered_links(self) -> List[int]:
-        return [sl.link for rnd in self.rounds for sl in rnd]
-
 
 def build_schedule(
     code: SubsystemCode, model: str = "relaxed"

@@ -27,6 +27,20 @@ def test_parameter_identities(pipeline_codes, honeycomb_code):
         assert code.stabilizer.dim == code.s
 
 
+def test_stabilizer_equals_center_oracle(pipeline_codes, honeycomb_code, honeycomb33_colex):
+    # build_code intersects the gauge span with the cycle-operator span; the
+    # Gram-matrix radical pauli.center must give the same reduced basis.
+    codes = dict(pipeline_codes)
+    tri = lattices.triangular_torus(2, 2)
+    codes["th2_tri22"] = analyzer.theorem2_pipeline(tri)
+    codes["th3_tri22"] = analyzer.theorem3_pipeline(tri)
+    codes["bombin_hc33"] = analyzer.bombin_pipeline(honeycomb33_colex)
+    codes["colex_hc33"] = honeycomb_code
+    for name, code in codes.items():
+        oracle = pauli.center(code.gauge)
+        assert sorted(code.stabilizer.basis.rows) == sorted(oracle.basis.rows), name
+
+
 def test_gauge_is_centralizer_of_cycles(th2_22):
     cent = pauli.centralizer(th2_22.gauge)
     # dim C(G) = 2k + s, and every cycle operator lands inside it.

@@ -298,3 +298,19 @@ def test_incidence_rank_against_numpy_oracle(grid22):
     ]
     assert hg.incidence_rank(h) == numpy_gf2_rank(dense) == 46
     assert hg.cycle_space(h).dim == h.num_edges - 46
+
+
+def test_other_face_uses_edge_face_index():
+    # Edge 0 appears twice on face 0 (self-adjacency), edge 1 borders faces
+    # 0 and 1, edge 2 borders face 0 only.
+    edges = tuple(HEdge((0, 1), "r", ("x", i)) for i in range(3))
+    faces = (
+        hg.FaceRec("plain", (0, 1, 0, 2), (0, 1, 0, 1)),
+        hg.FaceRec("plain", (1,), (0,)),
+    )
+    h = Hypergraph(2, edges, 2, None, faces)
+    assert h.faces_of_edge == ((0, 0), (0, 1), (0,))
+    assert hg._other_face(h, 0, 0) == 0
+    assert hg._other_face(h, 1, 0) == 1
+    assert hg._other_face(h, 1, 1) == 0
+    assert hg._other_face(h, 2, 0) is None

@@ -4,6 +4,7 @@ import pytest
 
 from tscodes import colex, gf2, hypergraph as hg, lattices, pauli
 from tscodes.errors import ColorMissing, NotACycle, SizeMismatch
+from tscodes.hypergraph import HEdge, Hypergraph
 from tscodes.pauli import Pauli, PauliSpan
 
 
@@ -77,6 +78,21 @@ def test_cycle_operator_rejects_non_cycle(grid22):
     h = _th2(grid22)
     with pytest.raises(NotACycle):
         pauli.cycle_operator(h, 1)  # a single edge has odd incidence
+
+
+def test_cycle_operator_uncolored_edge():
+    edges = tuple(
+        HEdge(tuple(sorted(e)), None, ("x", i))
+        for i, e in enumerate([(0, 1), (1, 2), (2, 3), (3, 0)])
+    )
+    h = Hypergraph(4, edges, 4)
+    with pytest.raises(ColorMissing):
+        pauli.cycle_operator(h, 0b1111)
+    # Odd incidence is reported first, as before any link is looked up.
+    with pytest.raises(NotACycle):
+        pauli.cycle_operator(h, 0b0001)
+    colored = h.recolored(["r", "b", "r", "b"])
+    assert pauli.cycle_operator(colored, 0b1111).to_string() == "YYYY"
 
 
 def test_promoted_sigma1_weight(grid22):

@@ -143,3 +143,36 @@ def test_theorem2_closed_form_on_random_grids(mn):
         4 * e,
         2 * seed.num_vertices + 2 * seed.num_faces - 1 - delta,
     )
+
+
+
+@st.composite
+def pauli_list_pairs(draw):
+    n = draw(st.integers(1, 8))
+    op = st.builds(
+        pauli.Pauli, st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)
+    )
+    return draw(st.lists(op, max_size=12)), draw(st.lists(op, max_size=12))
+
+
+@given(pauli_list_pairs())
+@settings(max_examples=100, deadline=None)
+def test_anticommuting_masks_match_pairwise_commutes(pair):
+    ops, against = pair
+    masks = pauli.anticommuting_masks(ops, against)
+    assert len(masks) == len(ops)
+    for p, mask in zip(ops, masks):
+        want = sum(1 << j for j, q in enumerate(against) if not pauli.commutes(p, q))
+        assert mask == want
+
+
+vectors = st.lists(st.integers(0, 2**7 - 1), max_size=6)
+
+
+@given(vectors, vectors)
+@settings(max_examples=100, deadline=None)
+def test_intersection_is_the_common_subspace(a, b):
+    common = gf2.intersection(gf2.Basis(a), b)
+    ua, ub = gf2.span_vectors(gf2.Basis(a).rows), gf2.span_vectors(gf2.Basis(b).rows)
+    assert gf2.rank(common) == len(common)
+    assert set(gf2.span_vectors(common)) == set(ua) & set(ub)
