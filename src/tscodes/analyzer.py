@@ -86,7 +86,7 @@ def _generator_kind(h: Hypergraph, fid: int, which: int) -> str:
         return "sigma1_fprime" if which == 1 else "sigma2_promoted"
     if which == 1:
         return "sigma1_boundary"
-    tov = h.triangle_of_vertex()
+    tov = h.triangle_of_vertex
     if all(v in tov for v in rec.boundary_vertices):
         return "sigma2_necklace"
     return "sigma2_bridged"

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import embed_graph, gf2, pauli
 from .colex import COLORS, TwoColex
@@ -127,23 +128,25 @@ class Hypergraph:
                 out[e].append(fid)
         return tuple(tuple(fs) for fs in out)
 
-    def triangle_of_vertex(self) -> Dict[int, Triangle]:
+    @cached_property
+    def triangle_of_vertex(self) -> Mapping[int, Triangle]:
+        """Read-only map from each triangle vertex to its triangle."""
         out: Dict[int, Triangle] = {}
-        if self.faces is None:
-            return out
-        for rec in self.faces:
+        for rec in self.faces or ():
             for t in rec.triangles:
                 out[t.u_first] = t
                 out[t.u_second] = t
                 out[t.w] = t
-        return out
+        return MappingProxyType(out)
 
-    def fprime_by_wpair(self) -> Dict[frozenset, int]:
+    @cached_property
+    def fprime_by_wpair(self) -> Mapping[frozenset, int]:
+        """Read-only map from an inner-face edge's vertex pair to its id."""
         out: Dict[frozenset, int] = {}
         for i, e in enumerate(self.edges):
             if e.provenance and e.provenance[0] == "fprime":
                 out[frozenset(e.vertices)] = i
-        return out
+        return MappingProxyType(out)
 
     def recolored(self, colors: Sequence[Optional[str]]) -> "Hypergraph":
         new_edges = tuple(
@@ -527,7 +530,7 @@ def canonical_face_cycles(h: Hypergraph, fid: int) -> FaceCycles:
 
 def _plain_sigma2(h: Hypergraph, fid: int) -> Optional[int]:
     rec = h.faces[fid]
-    tov = h.triangle_of_vertex()
+    tov = h.triangle_of_vertex
     verts = rec.boundary_vertices
     if len(set(verts)) != len(verts):
         return None  # self-touching faces are out of scope here
@@ -539,13 +542,13 @@ def _plain_sigma2(h: Hypergraph, fid: int) -> Optional[int]:
 
 
 def _necklace_sigma2(
-    h: Hypergraph, fid: int, tov: Dict[int, Triangle]
+    h: Hypergraph, fid: int, tov: Mapping[int, Triangle]
 ) -> Optional[int]:
     """Every boundary vertex carries a triangle: chain them with the paired
     surviving edges of the broken 4-gons and one inner edge per promoted
     neighbor."""
     rec = h.faces[fid]
-    wpair = h.fprime_by_wpair()
+    wpair = h.fprime_by_wpair
     sigma = 0
     for v in set(rec.boundary_vertices):
         sigma ^= 1 << tov[v].edge_id
@@ -607,8 +610,8 @@ class BridgedStructure:
 
 def bridged_structure(h: Hypergraph, fid: int) -> Optional[BridgedStructure]:
     rec = h.faces[fid]
-    tov = h.triangle_of_vertex()
-    wpair = h.fprime_by_wpair()
+    tov = h.triangle_of_vertex
+    wpair = h.fprime_by_wpair
     corners: List[Tuple[int, Triangle, Triangle]] = []
     for e in rec.boundary:
         partner = _other_face(h, e, fid)
@@ -732,8 +735,10 @@ class DerivedGraph:
     num_vertices: int
     links: Tuple[DLink, ...]
 
-    def link_index(self) -> Dict[Tuple[int, Optional[int]], int]:
-        return {lk.origin: i for i, lk in enumerate(self.links)}
+    @cached_property
+    def link_index(self) -> Mapping[Tuple[int, Optional[int]], int]:
+        """Read-only map from link origin to link id."""
+        return MappingProxyType({lk.origin: i for i, lk in enumerate(self.links)})
 
 
 def derived_embedding(h: Hypergraph) -> EmbeddedGraph:

@@ -7,21 +7,25 @@ the next operator.  The schedule measures the full gauge generator set: in
 the relaxed model the three color rounds suffice (links sharing a qubit in
 the b round commute); in the exclusive model the b round splits in two so no
 qubit is touched twice in a time step.
+
+Schedules are checked on a column-major stabilizer tableau: a measurement
+finds its anticommuting rows from the columns on its operator's support.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import hypergraph, pauli
+from . import gf2, hypergraph, pauli
 from .analyzer import Generator, SubsystemCode
 from .errors import (
+    BadParams,
     InconsistentOutcome,
     NoValidDecomposition,
     ScheduleConflict,
+    SizeMismatch,
 )
 from .pauli import Pauli
 
@@ -33,8 +37,8 @@ class _Decomposer:
         self.code = code
         self.h = code.hypergraph
         self.dg = code.derived
-        self.index = self.dg.link_index()
-        self.tov = self.h.triangle_of_vertex()
+        self.index = self.dg.link_index
+        self.tov = self.h.triangle_of_vertex
 
     def link(self, hyperedge: int) -> int:
         return self.index[(hyperedge, None)]
@@ -333,19 +337,26 @@ def _check_conflicts(
 
 
 class Tableau:
-    """Stabilizer tableau with destabilizers and sign tracking.
+    """Stabilizer tableau with destabilizers and sign tracking, stored by
+    column (Aaronson-Gottesman's transposed layout).
 
-    Rows are stored as raw (x, z) int pairs; only stabilizer signs matter
-    for outcomes, so destabilizer phases are not tracked.
+    cx[q] / cz[q] masks the stabilizer rows with an X / Z part on qubit q;
+    d[q] holds the same two masks for the destabilizers, X in the low n bits
+    and Z above them; neg masks the stabilizers with sign -1.  A measurement
+    XORs the columns on its operator's support to find the anticommuting
+    rows.  Stabilizer rows are also kept as (x, z) ints for the pivot and for
+    deterministic products; destabilizer phases are not tracked.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
+        self.half = (1 << n) - 1  # selects the X part of a column of d
         self.sx: List[int] = [0] * n
         self.sz: List[int] = [1 << i for i in range(n)]
-        self.dx: List[int] = [1 << i for i in range(n)]
-        self.dz: List[int] = [0] * n
-        self.sign: List[int] = [0] * n  # i-exponent (0 or 2) per stabilizer
+        self.cx: List[int] = [0] * n
+        self.cz: List[int] = [1 << q for q in range(n)]
+        self.d: List[int] = [1 << q for q in range(n)]
+        self.neg = 0
 
     @property
     def stab(self) -> List[Pauli]:
@@ -353,84 +364,112 @@ class Tableau:
 
     @property
     def destab(self) -> List[Pauli]:
-        return [Pauli(self.n, x, z) for x, z in zip(self.dx, self.dz)]
+        rows = [[0, 0] for _ in range(self.n)]
+        for q, col in enumerate(self.d):
+            for i in gf2.bits(col):
+                rows[i % self.n][i // self.n] |= 1 << q
+        return [Pauli(self.n, x, z) for x, z in rows]
 
     def apply_h(self, q: int) -> None:
-        bit = 1 << q
-        for xs, zs, track in ((self.sx, self.sz, True), (self.dx, self.dz, False)):
-            for i in range(self.n):
-                xb, zb = xs[i] & bit, zs[i] & bit
-                if xb and zb and track:
-                    self.sign[i] ^= 2
-                if bool(xb) != bool(zb):
-                    xs[i] ^= bit
-                    zs[i] ^= bit
+        cx, cz, bit = self.cx, self.cz, 1 << q
+        self.neg ^= cx[q] & cz[q]
+        for i in gf2.bits(cx[q] ^ cz[q]):
+            self.sx[i] ^= bit
+            self.sz[i] ^= bit
+        cx[q], cz[q] = cz[q], cx[q]
+        self.d[q] = (self.d[q] >> self.n) | ((self.d[q] & self.half) << self.n)
 
     def apply_s(self, q: int) -> None:
-        bit = 1 << q
-        for xs, zs, track in ((self.sx, self.sz, True), (self.dx, self.dz, False)):
-            for i in range(self.n):
-                if xs[i] & bit:
-                    if zs[i] & bit and track:
-                        self.sign[i] ^= 2
-                    zs[i] ^= bit
+        cx, cz, bit = self.cx, self.cz, 1 << q
+        self.neg ^= cx[q] & cz[q]
+        for i in gf2.bits(cx[q]):
+            self.sz[i] ^= bit
+        cz[q] ^= cx[q]
+        self.d[q] ^= (self.d[q] & self.half) << self.n
 
     def apply_cnot(self, c: int, t: int) -> None:
-        cb, tb = 1 << c, 1 << t
-        for xs, zs, track in ((self.sx, self.sz, True), (self.dx, self.dz, False)):
-            for i in range(self.n):
-                xc, zc = xs[i] & cb, zs[i] & cb
-                xt, zt = xs[i] & tb, zs[i] & tb
-                if track and xc and zt and (bool(xt) == bool(zc)):
-                    self.sign[i] ^= 2
-                if xc:
-                    xs[i] ^= tb
-                if zt:
-                    zs[i] ^= cb
+        cx, cz, d = self.cx, self.cz, self.d
+        self.neg ^= cx[c] & cz[t] & ~(cx[t] ^ cz[c])
+        for i in gf2.bits(cx[c]):
+            self.sx[i] ^= 1 << t
+        for i in gf2.bits(cz[t]):
+            self.sz[i] ^= 1 << c
+        cx[t] ^= cx[c]
+        cz[c] ^= cz[t]
+        d[t] ^= d[c] & self.half
+        d[c] ^= d[t] & ~self.half
 
     def measure(self, op: Pauli, sign: int, rng: random.Random) -> int:
         """Measure (+-1) * op; returns the outcome bit (0 for the +1
-        projector)."""
-        ox, oz = op.x, op.z
-        sx, sz = self.sx, self.sz
-        anti = [
-            i
-            for i in range(self.n)
-            if ((sx[i] & oz).bit_count() ^ (sz[i] & ox).bit_count()) & 1
-        ]
+        projector).  InconsistentOutcome leaves the tableau unusable."""
+        if op.n != self.n:
+            raise SizeMismatch(f"{op.n}-qubit operator on a {self.n}-qubit tableau")
+        if sign not in (1, -1):
+            raise BadParams(f"measurement sign must be 1 or -1, not {sign!r}")
+        flip = 0 if sign == 1 else 1
+        n, ox, oz = self.n, op.x, op.z
+        sx, sz, cx, cz, d = self.sx, self.sz, self.cx, self.cz, self.d
+        xs, zs = gf2.bits(ox), gf2.bits(oz)
+        anti = dx = dz = 0  # stabilizer rows anticommuting with op
+        for q in xs:
+            anti ^= cz[q]
+            dz ^= d[q]
+        for q in zs:
+            anti ^= cx[q]
+            dx ^= d[q]
+        danti = (dx ^ (dz >> n)) & self.half  # the same for destabilizers
         if anti:
-            p0 = anti[0]
+            low = anti & -anti
+            p0 = low.bit_length() - 1
             px, pz = sx[p0], sz[p0]
-            for i in anti[1:]:
-                ph = pauli._phase_exponent(sx[i], sz[i], px, pz)
-                self.sign[i] = (self.sign[i] + self.sign[p0] + ph) % 4
+            rest = anti ^ low
+            # The pivot replaces destabilizer p0 and multiplies the others.
+            keep = ~(low | (low << n))
+            self.d = d = [col & keep for col in d]
+            dm = danti | low
+            # Per pivot qubit: count i-exponents of row * pivot in bit-sliced
+            # lo/hi counters (XY, YZ, ZX add 1; YX, ZY, XZ subtract 1).
+            lo = hi = 0
+            for q in gf2.bits(px | pz):
+                x, z = cx[q] & rest, cz[q] & rest
+                bx, bz = (px >> q) & 1, (pz >> q) & 1
+                if not bz:  # pivot X
+                    up, down = z & ~x, x & z
+                elif not bx:  # pivot Z
+                    up, down = x & z, x & ~z
+                else:  # pivot Y
+                    up, down = x & ~z, z & ~x
+                hi ^= (lo & up) | (~lo & down)
+                lo ^= up | down
+                if bx:
+                    cx[q] ^= anti
+                    d[q] ^= dm
+                if bz:
+                    cz[q] ^= anti
+                    d[q] ^= dm << n
+            if lo:
+                raise InconsistentOutcome("stabilizer rows do not commute")
+            self.neg ^= hi ^ (rest if (self.neg >> p0) & 1 else 0)
+            for i in gf2.bits(rest):
                 sx[i] ^= px
                 sz[i] ^= pz
-            dx, dz = self.dx, self.dz
-            for i in range(self.n):
-                if i != p0 and ((dx[i] & oz).bit_count() ^ (dz[i] & ox).bit_count()) & 1:
-                    dx[i] ^= px
-                    dz[i] ^= pz
-            dx[p0], dz[p0] = px, pz
             outcome = rng.randrange(2)
             sx[p0], sz[p0] = ox, oz
-            self.sign[p0] = (2 * outcome + (0 if sign == 1 else 2)) % 4
+            for q in xs:
+                cx[q] ^= low
+            for q in zs:
+                cz[q] ^= low
+            self.neg = (self.neg & keep) | (low if outcome ^ flip else 0)
             return outcome
-        acc_x = acc_z = 0
-        phase = 0
-        for i in range(self.n):
-            if ((self.dx[i] & oz).bit_count() ^ (self.dz[i] & ox).bit_count()) & 1:
-                phase = (
-                    phase
-                    + pauli._phase_exponent(acc_x, acc_z, sx[i], sz[i])
-                    + self.sign[i]
-                ) % 4
-                acc_x ^= sx[i]
-                acc_z ^= sz[i]
+        acc_x = acc_z = phase = 0
+        for i in gf2.bits(danti):
+            phase += pauli._phase_exponent(acc_x, acc_z, sx[i], sz[i])
+            phase += 2 * ((self.neg >> i) & 1)
+            acc_x ^= sx[i]
+            acc_z ^= sz[i]
         if acc_x != ox or acc_z != oz or phase % 2 != 0:
             raise InconsistentOutcome("deterministic measurement mismatch")
-        value = 0 if phase % 4 == 0 else 1
-        return value ^ (0 if sign == 1 else 1)
+        return ((phase >> 1) & 1) ^ flip
 
     def randomize(self, rng: random.Random, depth: int = 3) -> None:
         for _ in range(depth * self.n):
@@ -561,7 +600,3 @@ def schedule_json_dict(schedule: MeasurementSchedule) -> dict:
         ],
         "per_stabilizer": [list(seq) for seq in schedule.per_stabilizer],
     }
-
-
-def schedule_json(schedule: MeasurementSchedule) -> str:
-    return json.dumps(schedule_json_dict(schedule), indent=2, sort_keys=True)

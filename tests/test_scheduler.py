@@ -226,3 +226,34 @@ def test_broken_schedule_reports_witnesses(th2_22):
     rep = sch.simulate_syndrome(th2_22, broken, trials=40, seed=7, strict=False)
     assert rep.failures
     assert all(gid == target for gid, _ in rep.failures)
+
+
+def test_simulation_golden(th2_22):
+    # Pinned outputs of the row-major tableau: any change to the order in
+    # which the tableau draws random numbers shows up here.
+    for model in ("relaxed", "exclusive"):
+        sched = sch.build_schedule(th2_22, model)
+        rep = sch.simulate_syndrome(th2_22, sched, trials=40, seed=7)
+        assert (rep.agreement, rep.direct_agreement) == (1.0, 1.0)
+        assert (rep.idempotent, rep.varying_links) == (True, 80)
+    good = sch.build_schedule(th2_22, "relaxed")
+    target = next(
+        gid
+        for gid, gen in enumerate(th2_22.generators)
+        if gen.kind == "sigma2_promoted"
+    )
+    broken_stabs = list(good.per_stabilizer)
+    seq = list(broken_stabs[target])
+    broken_stabs[target] = tuple([seq[-1]] + seq[:-1])
+    broken = MeasurementSchedule(
+        model=good.model,
+        time_steps=good.time_steps,
+        rounds=good.rounds,
+        per_stabilizer=tuple(broken_stabs),
+        signs=good.signs,
+    )
+    rep = sch.simulate_syndrome(th2_22, broken, trials=40, seed=7, strict=False)
+    trials = (0, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20,
+              22, 23, 25, 26, 28, 31, 32, 38, 39)
+    assert rep.failures == tuple((1, t) for t in trials)
+    assert (rep.agreement, rep.direct_agreement) == (0.975, 0.978125)

@@ -1,0 +1,92 @@
+"""The column-mask tableau against the row-major reference tableau."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reference_tableau import ReferenceTableau
+from tscodes import pauli
+from tscodes.errors import BadParams, SizeMismatch
+from tscodes.pauli import Pauli
+from tscodes.scheduler import Tableau
+
+
+@st.composite
+def programs(draw):
+    """A qubit count, a random seed and a list of gates and measurements of
+    random Hermitian Paulis with random signs."""
+    n = draw(st.integers(1, 8))
+    qubit = st.integers(0, n - 1)
+    vec = st.integers(0, (1 << n) - 1)
+    steps = [
+        st.tuples(st.just("h"), qubit),
+        st.tuples(st.just("s"), qubit),
+        st.tuples(st.just("measure"), vec, vec, st.sampled_from((1, -1))),
+    ]
+    if n > 1:  # control and target differ: shift the target by 1..n-1
+        steps.append(
+            st.tuples(st.just("cnot"), qubit, st.integers(1, n - 1)).map(
+                lambda g: (g[0], g[1], (g[1] + g[2]) % n)
+            )
+        )
+    step = st.one_of(steps)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, seed, draw(st.booleans()), draw(st.lists(step, max_size=40))
+
+
+def _run(tab, steps, rng, randomize):
+    if randomize:
+        tab.randomize(rng)
+    outcomes = []
+    for step in steps:
+        if step[0] == "h":
+            tab.apply_h(step[1])
+        elif step[0] == "s":
+            tab.apply_s(step[1])
+        elif step[0] == "cnot":
+            tab.apply_cnot(step[1], step[2])
+        else:
+            _, x, z, sign = step
+            outcomes.append(tab.measure(Pauli(tab.n, x, z), sign, rng))
+    return outcomes
+
+
+@given(programs())
+@settings(max_examples=300, deadline=None)
+def test_tableau_matches_reference(program):
+    n, seed, randomize, steps = program
+    fast, ref = Tableau(n), ReferenceTableau(n)
+    rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+    outcomes = _run(fast, steps, rng_fast, randomize)
+    assert outcomes == _run(ref, steps, rng_ref, randomize)
+    assert fast.stab == ref.stab
+    assert [2 * ((fast.neg >> i) & 1) for i in range(n)] == ref.sign
+    assert fast.destab == ref.destab
+    assert rng_fast.getstate() == rng_ref.getstate()
+
+
+def test_tableau_row_invariants_after_measurements():
+    n = 12
+    rng = random.Random(21)
+    t = Tableau(n)
+    t.randomize(rng)
+    for _ in range(50):
+        op = Pauli(n, rng.getrandbits(n), rng.getrandbits(n))
+        t.measure(op, rng.choice((1, -1)), rng)
+    stab, destab = t.stab, t.destab
+    for i in range(n):
+        for j in range(n):
+            assert pauli.commutes(stab[i], stab[j])
+            assert pauli.commutes(destab[i], stab[j]) == (i != j)
+
+
+def test_measure_rejects_wrong_size_operator():
+    with pytest.raises(SizeMismatch):
+        Tableau(3).measure(Pauli.from_string("ZZ"), 1, random.Random(0))
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 1j, "1"])
+def test_measure_rejects_bad_sign(sign):
+    with pytest.raises(BadParams):
+        Tableau(2).measure(Pauli.from_string("ZI"), sign, random.Random(0))
