@@ -74,7 +74,9 @@ class SubsystemCode:
     pipeline: Optional[PipelineData] = None
 
     def trivial_basis(self) -> gf2.Basis:
-        return gf2.Basis(g.cycle for g in self.generators)
+        """The span of the generator cycles, from the reduced rows that
+        ``build_code`` kept in ``cycles.trivial_basis``."""
+        return gf2.Basis(self.cycles.trivial_basis)
 
     def params(self) -> Tuple[int, int, int, int]:
         return (self.n, self.k, self.r, self.s)

@@ -279,12 +279,11 @@ class _MutableMap:
         self.rot[u] = spliced
         del self.rot[v]
         del self.edges[e]
-        for eid, (a, b) in list(self.edges.items()):
-            if a == v:
-                a = u
-            if b == v:
-                b = u
-            self.edges[eid] = (a, b)
+        # The darts at v are exactly rv; move each one's side to u.
+        for eid, side in rv:
+            if eid != e:
+                a, b = self.edges[eid]
+                self.edges[eid] = (u, b) if side == 0 else (a, u)
         return u
 
     def delete_edge(self, e: int) -> None:

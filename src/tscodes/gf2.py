@@ -1,13 +1,15 @@
 """GF(2) linear algebra on int bitsets.
 
 Vectors are Python ints read as little-endian bit vectors (bit i = coordinate
-i).  Matrices are lists of row ints.  Everything here is dense and meant for
-desk-scale problems (a few hundred coordinates).
+i).  Matrices are lists of row ints.  There is one elimination routine, the
+pivot-keyed echelon ``Basis``; ``rank``, ``intersection`` and ``kernel`` all
+run on it.  A reduction costs one XOR per pivot it hits, on ints as wide as
+the vectors.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 
 def parity(x: int) -> int:
@@ -30,27 +32,53 @@ def bits(v: int) -> List[int]:
 
 
 class Basis:
-    """Maintains a reduced (echelon) basis of a GF(2) subspace.
+    """Echelon basis of a GF(2) subspace, keyed by pivot.
 
-    Vectors are reduced against the basis on insert; pivots are recorded so
-    membership tests and reductions are O(dim).
+    ``top`` maps each pivot (highest set bit) to its row and ``mask`` has
+    the pivots set.  ``reduce`` XORs in the row of the highest pivot still
+    set until none is, so it touches only the pivots it hits, and ``add``
+    stores the result with no back-substitution.  ``rows`` is the reduced
+    echelon form in pivot insertion order, unique for the span and that
+    order; it is built on first read after an ``add`` by one ascending-pivot
+    pass, which replaces the stored rows.  The list is shared: read only.
     """
 
     def __init__(self, vectors: Iterable[int] = ()) -> None:
-        self.rows: List[int] = []
-        self.pivots: List[int] = []
+        self.top: Dict[int, int] = {}
+        self.mask = 0
+        self._rows: Optional[List[int]] = []
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.top)
+
+    @property
+    def pivots(self) -> List[int]:
+        return list(self.top)
+
+    @property
+    def rows(self) -> List[int]:
+        if self._rows is None:
+            top, mask = self.top, self.mask
+            for piv in sorted(top):
+                row = top[piv]
+                # The lower rows are reduced already: one XOR per pivot bit.
+                for q in bits(row & mask ^ (1 << piv)):
+                    row ^= top[q]
+                top[piv] = row
+            self._rows = list(top.values())
+        return self._rows
 
     def reduce(self, v: int) -> int:
-        """Reduce v against the basis; zero iff v is in the span."""
-        for row, piv in zip(self.rows, self.pivots):
-            if (v >> piv) & 1:
-                v ^= row
+        """Reduce v against the basis: the unique representative of v + span
+        with no pivot bit set; zero iff v is in the span."""
+        top, mask = self.top, self.mask
+        hit = v & mask
+        while hit:
+            v ^= top[hit.bit_length() - 1]
+            hit = v & mask
         return v
 
     def add(self, v: int) -> bool:
@@ -59,12 +87,9 @@ class Basis:
         if v == 0:
             return False
         piv = v.bit_length() - 1
-        # Back-substitute to keep the basis fully reduced.
-        for i, row in enumerate(self.rows):
-            if (row >> piv) & 1:
-                self.rows[i] = row ^ v
-        self.rows.append(v)
-        self.pivots.append(piv)
+        self.top[piv] = v
+        self.mask |= 1 << piv
+        self._rows = None
         return True
 
     def contains(self, v: int) -> bool:
@@ -72,8 +97,7 @@ class Basis:
 
     def copy(self) -> "Basis":
         b = Basis()
-        b.rows = list(self.rows)
-        b.pivots = list(self.pivots)
+        b.top, b.mask, b._rows = dict(self.top), self.mask, self._rows
         return b
 
 
@@ -83,54 +107,33 @@ def rank(rows: Iterable[int]) -> int:
 
 def intersection(a: Basis, b: Iterable[int]) -> List[int]:
     """A basis of span(a) intersected with span(b), by Zassenhaus: with w
-    the bit width, rows (u << w) | u for u in a (already reduced, so they
-    enter as they are) and v << w for v in b share one echelon basis, whose
-    rows with a zero high half span the intersection."""
+    the bit width, rows (u << w) | u for u in a and v << w for v in b share
+    one echelon basis, whose rows with a pivot below w (a zero high half)
+    span the intersection.  Returned in reduced echelon form."""
     b = list(b)
-    w = max((v.bit_length() for v in a.rows + b), default=0)
-    work = Basis()
-    work.rows = [(u << w) | u for u in a.rows]
-    work.pivots = [p + w for p in a.pivots]
+    w = max([a.mask.bit_length()] + [v.bit_length() for v in b])
+    work = Basis((u << w) | u for u in a.top.values())
     for v in b:
         work.add(v << w)
-    return [r for r in work.rows if r >> w == 0]
+    return Basis(r for piv, r in work.top.items() if piv < w).rows
 
 
 def kernel(rows: List[int], ncols: int) -> List[int]:
     """Basis of {x : M x = 0} where M has the given rows as bit vectors.
 
     M maps GF(2)^ncols -> GF(2)^len(rows); row_i . x is a parity of an AND.
+    Runs the echelon core on the bit-reversed rows, so pivots are the lowest
+    set columns; each free column c, ascending, gets 1 << c plus the pivot
+    column of every reduced row with bit c set.
     """
-    work = [r for r in rows]
-    pivot_of_col: dict[int, int] = {}
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        pivot_of_col[col] = row_idx
-        row_idx += 1
-        if row_idx == len(work):
-            # Remaining columns are all free.
-            break
-    basis: List[int] = []
-    for col in range(ncols):
-        if col in pivot_of_col:
-            continue
-        v = 1 << col
-        for pcol, prow in pivot_of_col.items():
-            if (work[prow] >> col) & 1:
-                v |= 1 << pcol
-        basis.append(v)
-    return basis
+    last, full = ncols - 1, (1 << ncols) - 1
+    ech = Basis(int(f"{r & full:0{ncols}b}"[::-1], 2) for r in rows)
+    fill: Dict[int, int] = {}
+    for piv, row in zip(ech.pivots, ech.rows):
+        for b in bits(row ^ (1 << piv)):
+            fill[last - b] = fill.get(last - b, 0) | (1 << (last - piv))
+    pivot_cols = {last - piv for piv in ech.pivots}
+    return [(1 << c) | fill.get(c, 0) for c in range(ncols) if c not in pivot_cols]
 
 
 def span_vectors(basis_rows: List[int]) -> List[int]:

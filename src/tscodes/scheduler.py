@@ -388,6 +388,8 @@ class Tableau:
         self.d[q] ^= (self.d[q] & self.half) << self.n
 
     def apply_cnot(self, c: int, t: int) -> None:
+        if c == t:
+            raise BadParams(f"CNOT control and target are both qubit {c}")
         cx, cz, d = self.cx, self.cz, self.d
         self.neg ^= cx[c] & cz[t] & ~(cx[t] ^ cz[c])
         for i in gf2.bits(cx[c]):

@@ -1,0 +1,67 @@
+"""The pivot-keyed GF(2) core against the row-scan reference elimination."""
+
+from functools import reduce
+from operator import xor
+
+from hypothesis import given, settings, strategies as st
+
+import reference_gf2
+from tscodes import gf2
+
+
+@st.composite
+def programs(draw):
+    """A width, a list of add / reduce / rows / copy steps over sparse
+    (1-4 set bits) or dense vectors of that width, a second row set, one
+    more vector and a kernel column count up to the width."""
+    w = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        vec = st.lists(st.integers(0, w - 1), min_size=1, max_size=4).map(
+            lambda bs: reduce(xor, (1 << b for b in bs), 0)
+        )
+    else:
+        vec = st.integers(0, (1 << w) - 1)
+    step = st.one_of(
+        st.tuples(st.just("add"), vec),
+        st.tuples(st.just("reduce"), vec),
+        st.just(("rows",)),
+        st.just(("copy",)),
+    )
+    steps = draw(st.lists(step, max_size=60))
+    other = draw(st.lists(vec, max_size=20))
+    return w, steps, other, draw(vec), draw(st.integers(0, w))
+
+
+@given(programs())
+@settings(max_examples=300, deadline=None)
+def test_basis_matches_reference(program):
+    w, steps, other, extra, ncols = program
+    fast, ref = gf2.Basis(), reference_gf2.Basis()
+    added, copies = [], []
+    for step in steps:
+        if step[0] == "add":
+            assert fast.add(step[1]) == ref.add(step[1])
+            added.append(step[1])
+        elif step[0] == "reduce":
+            assert fast.reduce(step[1]) == ref.reduce(step[1])
+            assert fast.contains(step[1]) == ref.contains(step[1])
+        elif step[0] == "rows":
+            assert fast.rows == ref.rows
+        else:
+            copies.append((fast.copy(), ref.copy()))
+        assert fast.dim == ref.dim
+        assert fast.pivots == ref.pivots
+    assert fast.rows == ref.rows
+    assert gf2.rank(added) == ref.dim
+    assert gf2.kernel(added, w) == reference_gf2.kernel(added, w)
+    # Bits at or above ncols are ignored: the reference never pivots on them.
+    assert gf2.kernel(added, ncols) == reference_gf2.kernel(added, ncols)
+    assert gf2.intersection(fast, other) == reference_gf2.intersection(ref, other)
+    rows, pivots = list(fast.rows), fast.pivots
+    for fast_copy, ref_copy in copies:
+        # Later adds to the original left the copy alone, and vice versa.
+        assert (fast_copy.rows, fast_copy.pivots) == (ref_copy.rows, ref_copy.pivots)
+        assert fast_copy.add(extra) == ref_copy.add(extra)
+        assert (fast_copy.rows, fast_copy.pivots) == (ref_copy.rows, ref_copy.pivots)
+        assert (fast.rows, fast.pivots) == (rows, pivots)
+

@@ -90,3 +90,15 @@ def test_measure_rejects_wrong_size_operator():
 def test_measure_rejects_bad_sign(sign):
     with pytest.raises(BadParams):
         Tableau(2).measure(Pauli.from_string("ZI"), sign, random.Random(0))
+
+
+def test_cnot_rejects_equal_control_and_target():
+    # H(0), CNOT(0, 1), CNOT(0, 0) on 2 qubits: an unguarded CNOT(0, 0)
+    # zeroes qubit 0's columns and leaves anticommuting stabilizers IX, IZ.
+    t = Tableau(2)
+    t.apply_h(0)
+    t.apply_cnot(0, 1)
+    before = (t.stab, t.destab, t.neg)
+    with pytest.raises(BadParams):
+        t.apply_cnot(0, 0)
+    assert (t.stab, t.destab, t.neg) == before
