@@ -38,11 +38,15 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise UnknownFormat(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnknownFormat(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UnknownFormat(f"{path}: not valid JSON ({exc})")
 
 
 def _sniff(data: dict) -> str:
+    if not isinstance(data, dict):
+        raise UnknownFormat("input JSON is not an object")
     if "rank2" in data or "rank3" in data:
         return "hypergraph"
     if "face_color" in data:

@@ -3,7 +3,10 @@
 Two ways in: construct_A blows up an arbitrary embedded graph (each vertex,
 edge and face of the seed becomes a face of the colex), construct_1 expands
 the dual of a bipartite graph.  validate_colex 3-colors the faces of any
-trivalent embedding by exact backtracking.
+trivalent embedding with ``_backtrack_color``, the package's one exact
+colorer (hypergraph.three_edge_color runs it on hyperedges).  The
+constructions read the seed's cached rotation successor/predecessor maps and
+number its darts with ``embed_graph.dart_index``.
 
 Color conventions are fixed: construct_A assigns f-faces "r", e-faces "g",
 v-faces "b"; an edge always carries the color missing from its two faces.
@@ -13,11 +16,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import embed_graph
-from .embed_graph import Dart, EmbeddedGraph
-from .errors import MalformedRotation, MissingParentage, NotBipartite
+from .embed_graph import Dart, EmbeddedGraph, dart_index
+from .errors import (
+    MalformedRotation,
+    MissingParentage,
+    NotBipartite,
+    UnknownFormat,
+)
 
 COLORS = ("r", "g", "b")
 
@@ -39,10 +47,12 @@ def _edge_colors_from_faces(
     fod = g.face_of_dart()
     out: List[str] = []
     for e in range(g.num_edges):
-        c0 = face_color[fod[(e, 0)]]
-        c1 = face_color[fod[(e, 1)]]
+        f0, f1 = fod[(e, 0)], fod[(e, 1)]
+        c0, c1 = face_color[f0], face_color[f1]
         if c0 == c1:
-            raise MalformedRotation(f"edge {e} has equal-colored faces")
+            raise MalformedRotation(
+                f"faces {f0} and {f1} across edge {e} are both {c0!r}"
+            )
         out.append(next(c for c in COLORS if c not in (c0, c1)))
     return tuple(out)
 
@@ -59,52 +69,71 @@ def validate_colex(g: EmbeddedGraph) -> Optional[TwoColex]:
             return None
         adj[f0].add(f1)
         adj[f1].add(f0)
-    coloring = _three_color(adj)
+    coloring = _backtrack_color(
+        adj, [{0} if f == 0 else {0, 1, 2} for f in range(g.num_faces)]
+    )
     if coloring is None:
         return None
     face_color = tuple(COLORS[c] for c in coloring)
     return TwoColex(g, face_color, _edge_colors_from_faces(g, face_color))
 
 
-def _three_color(adj: List[set]) -> Optional[List[int]]:
-    """Exact 3-coloring by backtracking, smallest-domain-first."""
+def _backtrack_color(
+    adj: Sequence[Set[int]], domains: List[Set[int]]
+) -> Optional[List[int]]:
+    """Color node v from domains[v] so that neighbors differ; None if
+    impossible.
+
+    Exact backtracking: color the uncolored node with the smallest domain
+    (lowest id on ties), try its colors in ascending order, and drop the
+    color from the neighbors' domains, backing out when one empties.  The
+    search keeps its own stack, so its depth is not bounded by Python's
+    recursion limit, and it narrows ``domains`` in place.
+    """
     n = len(adj)
     color = [-1] * n
-    domains = [set(range(3)) for _ in range(n)]
+    above = 1 + max((len(d) for d in domains), default=0)
 
     def pick() -> int:
-        best, best_size = -1, 4
+        best, best_size = -1, above
         for v in range(n):
             if color[v] == -1 and len(domains[v]) < best_size:
                 best, best_size = v, len(domains[v])
         return best
 
-    def run() -> bool:
-        v = pick()
-        if v == -1:
-            return True
-        for c in sorted(domains[v]):
-            color[v] = c
-            removed = []
-            ok = True
-            for w in adj[v]:
-                if color[w] == -1 and c in domains[w]:
-                    domains[w].discard(c)
-                    removed.append(w)
-                    if not domains[w]:
-                        ok = False
-            if ok and run():
-                return True
-            color[v] = -1
-            for w in removed:
-                domains[w].add(c)
-        return False
+    def frame(v: int) -> Tuple[int, List[int], List[int]]:
+        # (node, colors left to try, descending; nodes the trial pruned)
+        return v, sorted(domains[v], reverse=True), []
 
-    if n:
-        color[0] = 0
-        for w in adj[0]:
-            domains[w].discard(0)
-    return color if run() else None
+    v = pick()
+    if v == -1:
+        return color
+    stack = [frame(v)]
+    while stack:
+        v, todo, removed = stack[-1]
+        if color[v] != -1:  # back out of the previous trial
+            for w in removed:
+                domains[w].add(color[v])
+            removed.clear()
+            color[v] = -1
+        if not todo:
+            stack.pop()
+            continue
+        c = color[v] = todo.pop()
+        ok = True
+        for w in adj[v]:
+            if color[w] == -1 and c in domains[w]:
+                domains[w].discard(c)
+                removed.append(w)
+                if not domains[w]:
+                    ok = False
+                    break
+        if ok:
+            nxt = pick()
+            if nxt == -1:
+                return color
+            stack.append(frame(nxt))
+    return None
 
 
 def construct_A(seed: EmbeddedGraph) -> TwoColex:
@@ -113,57 +142,39 @@ def construct_A(seed: EmbeddedGraph) -> TwoColex:
     Every seed vertex u becomes a 2 deg(u)-gon v-face, every seed edge a
     4-gon e-face, every seed face f a 2|f|-gon f-face.
     """
+    succ, pred = seed.succ, seed.pred
     darts = [(e, s) for e in range(seed.num_edges) for s in (0, 1)]
-    did = {d: i for i, d in enumerate(darts)}
-    succ: Dict[Dart, Dart] = {}
-    for circ in seed.rotation:
-        k = len(circ)
-        for i, d in enumerate(circ):
-            succ[d] = circ[(i + 1) % k]
-    pred = {succ[d]: d for d in succ}
+    nd = len(darts)
 
-    # Colex vertices: for each seed dart d, R(d) = 2*did, L(d) = 2*did + 1.
+    # Colex vertices: for each seed dart d, R(d) = 2 i and L(d) = 2 i + 1 with
+    # i = dart_index(d).
     def R(d: Dart) -> int:
-        return 2 * did[d]
+        return 2 * dart_index(d)
 
     def L(d: Dart) -> int:
-        return 2 * did[d] + 1
+        return R(d) + 1
 
-    edges: List[Tuple[int, int]] = []
-    ve = {}
-    for d in darts:
-        ve[d] = len(edges)
-        edges.append((R(d), L(d)))
-    corner = {}
-    for d in darts:
-        corner[d] = len(edges)
-        edges.append((L(d), R(succ[d])))
-    ef = {}
-    for d in darts:
-        ef[d] = len(edges)
-        edges.append((L(d), R((d[0], 1 - d[1]))))
-
+    # Colex edges of dart index i: i joins R-L ("ve"), nd + i is the corner
+    # from L(d) to R(succ d) ("vf"), 2 nd + i crosses to the reversed dart
+    # ("ef").
+    edges: List[Tuple[int, int]] = [(R(d), L(d)) for d in darts]
+    edges += [(L(d), R(succ[d])) for d in darts]
+    edges += [(L(d), R((d[0], 1 - d[1]))) for d in darts]
     rotation: List[List[Dart]] = [[] for _ in range(4 * seed.num_edges)]
-    for d in darts:
-        rotation[L(d)] = [(ve[d], 1), (ef[d], 0), (corner[d], 0)]
-        rev = (d[0], 1 - d[1])
-        rotation[R(d)] = [(ve[d], 0), (corner[pred[d]], 1), (ef[rev], 1)]
+    for i, d in enumerate(darts):
+        rotation[L(d)] = [(i, 1), (2 * nd + i, 0), (nd + i, 0)]
+        rev = 2 * nd + (i ^ 1)  # "ef" edge of the reversed dart
+        rotation[R(d)] = [(i, 0), (nd + dart_index(pred[d]), 1), (rev, 1)]
     g = embed_graph.build(4 * seed.num_edges, edges, rotation)
 
     # Classify the traced faces by the edge families they use.
-    kind_of_edge: Dict[int, Tuple[str, Dart]] = {}
-    for d in darts:
-        kind_of_edge[ve[d]] = ("ve", d)
-        kind_of_edge[corner[d]] = ("vf", d)
-        kind_of_edge[ef[d]] = ("ef", d)
     seed_fod = seed.face_of_dart()
     parentage: List[Tuple[str, int]] = []
     face_color: List[str] = []
     for walk in g.faces:
         by_kind: Dict[str, Dart] = {}
         for (e, _) in walk:
-            k, d = kind_of_edge[e]
-            by_kind.setdefault(k, d)
+            by_kind.setdefault(("ve", "vf", "ef")[e // nd], darts[e % nd])
         kinds = set(by_kind)
         if kinds == {"ve", "vf"}:
             parentage.append(("v", seed.dart_vertex(by_kind["ve"])))
@@ -221,30 +232,18 @@ def construct_1(seed: EmbeddedGraph) -> TwoColex:
     dstar = embed_graph.dual(seed)
     face_to_vertex = _dual_face_to_seed_vertex(seed, dstar)
 
-    darts = [(e, s) for e in range(dstar.num_edges) for s in (0, 1)]
-    did = {d: i for i, d in enumerate(darts)}
-    succ: Dict[Dart, Dart] = {}
-    for circ in dstar.rotation:
-        k = len(circ)
-        for i, d in enumerate(circ):
-            succ[d] = circ[(i + 1) % k]
-    pred = {succ[d]: d for d in succ}
-    edges: List[Tuple[int, int]] = []
-    orig = {}
-    for e in range(dstar.num_edges):
-        orig[e] = len(edges)
-        edges.append((did[(e, 0)], did[(e, 1)]))
-    cyc = {}
-    for d in darts:
-        cyc[d] = len(edges)
-        edges.append((did[d], did[succ[d]]))
-    rotation: List[List[Dart]] = [[] for _ in range(len(darts))]
-    for d in darts:
-        rotation[did[d]] = [
-            (orig[d[0]], d[1]),
-            (cyc[d], 0),
-            (cyc[pred[d]], 1),
-        ]
+    # Colex vertex i is the dual dart with dart_index i; colex edge e < ne is
+    # dual edge e, and edge ne + i is the expansion-cycle edge from dart i to
+    # its rotation successor.
+    ne = dstar.num_edges
+    darts = [(e, s) for e in range(ne) for s in (0, 1)]
+    succ, pred = dstar.succ, dstar.pred
+    edges: List[Tuple[int, int]] = [(2 * e, 2 * e + 1) for e in range(ne)]
+    edges += [(i, dart_index(succ[d])) for i, d in enumerate(darts)]
+    rotation = [
+        [d, (ne + i, 0), (ne + dart_index(pred[d]), 1)]
+        for i, d in enumerate(darts)
+    ]
     g = embed_graph.build(len(darts), edges, rotation)
 
     # Faces: the expansion cycles (parent: a dual vertex, i.e. a seed face)
@@ -253,14 +252,14 @@ def construct_1(seed: EmbeddedGraph) -> TwoColex:
     face_color: List[str] = []
     for walk in g.faces:
         eids = {e for (e, _) in walk}
-        if all(e >= dstar.num_edges for e in eids):  # cycle edges only
-            d0 = next(d for d in darts if cyc[d] in eids)
+        if all(e >= ne for e in eids):  # cycle edges only
+            d0 = darts[min(eids) - ne]
             parentage.append(("dualvertex", dstar.dart_vertex(d0)))
             face_color.append("b")
         else:
-            e0 = next(e for e in eids if e < dstar.num_edges)
             # Which dual face did this come from?  Use the dual dart.
-            s0 = next(s for (e, s) in walk if e == orig[e0])
+            e0 = next(e for e in eids if e < ne)
+            s0 = next(s for (e, s) in walk if e == e0)
             dual_face = dstar.face_of_dart()[(e0, s0)]
             v_seed = face_to_vertex[dual_face]
             parentage.append((f"class{klass[v_seed]}", v_seed))
@@ -346,16 +345,47 @@ def to_json_dict(colex: TwoColex) -> dict:
     return data
 
 
+def _json_entries(data: dict, key: str, count: int) -> list:
+    """Entries "0" .. count - 1 of the JSON map ``data[key]``, in order."""
+    table = data.get(key)
+    if not isinstance(table, dict):
+        raise UnknownFormat(f"colex JSON has no {key!r} map")
+    missing = [i for i in range(count) if str(i) not in table]
+    if missing:
+        raise MalformedRotation(f"{key} has no entry for {missing[0]}")
+    return [table[str(i)] for i in range(count)]
+
+
 def from_json_dict(data: dict) -> TwoColex:
+    """Rebuild a colex from its JSON form, checking its colors.
+
+    Every face color must be one of COLORS, faces across an edge must
+    differ, and every edge color must be the one its two faces leave;
+    otherwise MalformedRotation names the face or edge.
+    """
     g = embed_graph.from_json_dict(data)
-    face_color = tuple(data["face_color"][str(f)] for f in range(g.num_faces))
-    edge_color = tuple(data["edge_color"][str(e)] for e in range(g.num_edges))
+    face_color = tuple(_json_entries(data, "face_color", g.num_faces))
+    for f, c in enumerate(face_color):
+        if c not in COLORS:
+            raise MalformedRotation(f"face {f} has color {c!r}, not r, g or b")
+    edge_color = _edge_colors_from_faces(g, face_color)
+    for e, c in enumerate(_json_entries(data, "edge_color", g.num_edges)):
+        if c != edge_color[e]:
+            raise MalformedRotation(
+                f"edge {e} has color {c!r}, but its faces give {edge_color[e]!r}"
+            )
     parentage = None
     if "parentage" in data:
-        parentage = tuple(
-            (data["parentage"][str(f)][0], data["parentage"][str(f)][1])
-            for f in range(g.num_faces)
-        )
+        entries = _json_entries(data, "parentage", g.num_faces)
+        for f, p in enumerate(entries):
+            if not (
+                isinstance(p, list)
+                and len(p) == 2
+                and isinstance(p[0], str)
+                and type(p[1]) is int
+            ):
+                raise MalformedRotation(f"parentage of face {f} is {p!r}")
+        parentage = tuple((k, i) for k, i in entries)
     return TwoColex(g, face_color, edge_color, parentage)
 
 

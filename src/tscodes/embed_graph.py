@@ -2,8 +2,10 @@
 
 An embedding is a rotation system: at every vertex, a cyclic order of the
 incident edge-ends.  An edge-end ("dart") is a pair ``(edge_id, side)`` with
-``edges[edge_id][side]`` the vertex it sits at.  Faces are the orbits of
-``dart -> rotation-successor of the reversed dart`` and are derived on build.
+``edges[edge_id][side]`` the vertex it sits at; dart (e, s) has index
+2 e + s.  Faces are the orbits of ``dart -> rotation-successor of the
+reversed dart``.  The rotation successor and predecessor maps, the faces and
+the dart -> face map are derived once per (frozen, so never stale) graph.
 
 Loops are forbidden; parallel edges are allowed (duals and medials need them).
 """
@@ -11,8 +13,10 @@ Loops are forbidden; parallel edges are allowed (duals and medials need them).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ContractionDisconnects,
@@ -21,9 +25,15 @@ from .errors import (
     LoopEdge,
     MalformedRotation,
     OddChi,
+    UnknownFormat,
 )
 
 Dart = Tuple[int, int]  # (edge id, side in {0, 1})
+
+
+def dart_index(d: Dart) -> int:
+    """The dense id 2 e + s of dart (e, s)."""
+    return 2 * d[0] + d[1]
 
 
 @dataclass(frozen=True)
@@ -31,7 +41,6 @@ class EmbeddedGraph:
     num_vertices: int
     edges: Tuple[Tuple[int, int], ...]
     rotation: Tuple[Tuple[Dart, ...], ...]
-    faces: Tuple[Tuple[Dart, ...], ...] = field(compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -54,42 +63,54 @@ class EmbeddedGraph:
     def other_end(self, d: Dart) -> int:
         return self.edges[d[0]][1 - d[1]]
 
-    def face_of_dart(self) -> Dict[Dart, int]:
-        out: Dict[Dart, int] = {}
-        for fid, walk in enumerate(self.faces):
-            for d in walk:
-                out[d] = fid
-        return out
+    def face_of_dart(self) -> Mapping[Dart, int]:
+        """Read-only map from each dart to the face whose walk uses it."""
+        return self._face_of_dart
 
     def neighbors(self, v: int) -> List[int]:
         return [self.other_end(d) for d in self.rotation[v]]
 
+    @cached_property
+    def succ(self) -> Mapping[Dart, Dart]:
+        """Read-only map from each dart to the next dart around its vertex."""
+        out: Dict[Dart, Dart] = {}
+        for circ in self.rotation:
+            k = len(circ)
+            for i, d in enumerate(circ):
+                out[d] = circ[(i + 1) % k]
+        return MappingProxyType(out)
 
-def _trace_faces(
-    edges: Sequence[Tuple[int, int]],
-    rotation: Sequence[Sequence[Dart]],
-) -> Tuple[Tuple[Dart, ...], ...]:
-    succ: Dict[Dart, Dart] = {}
-    for circ in rotation:
-        k = len(circ)
-        for i, d in enumerate(circ):
-            succ[d] = circ[(i + 1) % k]
-    faces: List[Tuple[Dart, ...]] = []
-    seen: set[Dart] = set()
-    for circ in rotation:
-        for d0 in circ:
-            if d0 in seen:
-                continue
-            walk: List[Dart] = []
-            d = d0
-            while True:
-                walk.append(d)
-                seen.add(d)
-                d = succ[(d[0], 1 - d[1])]
-                if d == d0:
-                    break
-            faces.append(tuple(walk))
-    return tuple(faces)
+    @cached_property
+    def pred(self) -> Mapping[Dart, Dart]:
+        """Read-only inverse of ``succ``."""
+        return MappingProxyType({b: a for a, b in self.succ.items()})
+
+    @cached_property
+    def faces(self) -> Tuple[Tuple[Dart, ...], ...]:
+        """Face walks, each starting at its first dart in rotation order."""
+        succ = self.succ
+        faces: List[Tuple[Dart, ...]] = []
+        seen: set[Dart] = set()
+        for circ in self.rotation:
+            for d0 in circ:
+                if d0 in seen:
+                    continue
+                walk: List[Dart] = []
+                d = d0
+                while True:
+                    walk.append(d)
+                    seen.add(d)
+                    d = succ[(d[0], 1 - d[1])]
+                    if d == d0:
+                        break
+                faces.append(tuple(walk))
+        return tuple(faces)
+
+    @cached_property
+    def _face_of_dart(self) -> Mapping[Dart, int]:
+        return MappingProxyType(
+            {d: fid for fid, walk in enumerate(self.faces) for d in walk}
+        )
 
 
 def build(
@@ -101,6 +122,8 @@ def build(
 
     Raises LoopEdge, MalformedRotation or DisconnectedGraph on bad input.
     """
+    if num_vertices < 1:
+        raise MalformedRotation("a graph needs at least one vertex")
     edges = [tuple(e) for e in edges]
     for eid, (u, v) in enumerate(edges):
         if u == v:
@@ -124,29 +147,26 @@ def build(
         missing = 2 * len(edges) - len(seen)
         raise MalformedRotation(f"{missing} edge-end(s) missing from rotation")
     # Connectivity.
-    if num_vertices > 0:
-        stack = [0]
-        reach = {0}
-        adj: List[List[int]] = [[] for _ in range(num_vertices)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        if len(reach) != num_vertices:
-            raise DisconnectedGraph(
-                f"only {len(reach)} of {num_vertices} vertices reachable"
-            )
-    faces = _trace_faces(edges, rotation)
+    stack = [0]
+    reach = {0}
+    adj: List[List[int]] = [[] for _ in range(num_vertices)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if len(reach) != num_vertices:
+        raise DisconnectedGraph(
+            f"only {len(reach)} of {num_vertices} vertices reachable"
+        )
     g = EmbeddedGraph(
         num_vertices=num_vertices,
         edges=tuple(edges),
         rotation=tuple(tuple(c) for c in rotation),
-        faces=faces,
     )
     if g.chi % 2 != 0:
         raise OddChi(f"chi = {g.chi} is odd")  # unreachable for valid maps
@@ -192,27 +212,20 @@ def medial_with_origin(
     together with its rotation successor).  Each medial face comes from either
     a vertex of g or a face of g; tags are ("vertex", v) / ("face", f).
     """
-    succ: Dict[Dart, Dart] = {}
-    for circ in g.rotation:
-        k = len(circ)
-        for i, d in enumerate(circ):
-            succ[d] = circ[(i + 1) % k]
+    succ, pred = g.succ, g.pred
     darts = [(e, s) for e in range(g.num_edges) for s in (0, 1)]
-    corner_id = {d: i for i, d in enumerate(darts)}
     m_edges = [(d[0], succ[d][0]) for d in darts]
     # Rotation at medial vertex m(e): corners at the two ends of e, ordered so
-    # that the faces of the medial alternate vertex-type and face-type.
-    m_rot: List[List[Dart]] = [[] for _ in range(g.num_edges)]
-    pred = {succ[d]: d for d in succ}
+    # that the faces of the medial alternate vertex-type and face-type.  The
+    # corner (d, succ d) is medial edge dart_index(d).
+    m_rot: List[List[Dart]] = []
     for e in range(g.num_edges):
         circ: List[Dart] = []
         for s in (0, 1):
-            d = (e, s)
-            c_out = corner_id[d]          # corner (d, succ d): medial edge side 0
-            c_in = corner_id[pred[d]]     # corner (pred d, d): side 1
-            circ.append((c_out, 0))
-            circ.append((c_in, 1))
-        m_rot[e] = circ
+            # Corner (d, succ d) on side 0, corner (pred d, d) on side 1.
+            circ.append((2 * e + s, 0))
+            circ.append((dart_index(pred[(e, s)]), 1))
+        m_rot.append(circ)
     m = build(g.num_edges, m_edges, m_rot)
     # Tag medial faces.  A corner (d, succ d) lies at vertex dart_vertex(d);
     # within the seed it belongs to the face containing dart succ(d).
@@ -436,12 +449,44 @@ def to_json_dict(g: EmbeddedGraph) -> dict:
     }
 
 
+def _json_list(data: dict, key: str) -> list:
+    """``data[key]``, which must be a JSON list."""
+    value = data.get(key)
+    if not isinstance(value, list):
+        raise UnknownFormat(f"input JSON has no {key!r} list")
+    return value
+
+
+def _json_ints(x: object, size: int, what: str) -> Tuple[int, ...]:
+    """``x``, which must be a JSON list of ``size`` integers, as a tuple."""
+    if not (
+        isinstance(x, list)
+        and len(x) == size
+        and all(type(i) is int for i in x)
+    ):
+        raise MalformedRotation(f"{what} {x!r} is not a list of {size} integers")
+    return tuple(x)
+
+
 def from_json_dict(data: dict) -> EmbeddedGraph:
-    n = len(data["vertices"])
-    edges = [tuple(e) for e in data["edges"]]
-    rotation = [
-        [tuple(d) for d in data["rotation"][str(v)]] for v in range(n)
-    ]
+    """Rebuild a graph from its JSON form.
+
+    Raises UnknownFormat or MalformedRotation, naming the bad entry, on
+    malformed input, besides what ``build`` raises.
+    """
+    n = len(_json_list(data, "vertices"))
+    edges = [_json_ints(e, 2, "edge") for e in _json_list(data, "edges")]
+    table = data.get("rotation")
+    if not isinstance(table, dict):
+        raise UnknownFormat("input JSON has no 'rotation' map")
+    rotation = []
+    for v in range(n):
+        circ = table.get(str(v))
+        if not isinstance(circ, list):
+            raise MalformedRotation(f"rotation of vertex {v} is not a list")
+        rotation.append(
+            [_json_ints(d, 2, f"vertex {v}'s edge-end") for d in circ]
+        )
     return build(n, edges, rotation)
 
 

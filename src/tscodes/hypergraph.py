@@ -21,9 +21,16 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import embed_graph, gf2, pauli
-from .colex import COLORS, TwoColex
+from .colex import COLORS, TwoColex, _backtrack_color
 from .embed_graph import EmbeddedGraph
-from .errors import BadFaceSize, GaugeMismatch, MixedColorF, UnclassifiedFace
+from .errors import (
+    BadFaceSize,
+    GaugeMismatch,
+    MalformedRotation,
+    MixedColorF,
+    UnclassifiedFace,
+    UnknownFormat,
+)
 
 
 @dataclass(frozen=True)
@@ -359,10 +366,7 @@ def validate_H(h: Hypergraph) -> HReport:
         if e.rank not in (2, 3):
             h1 = ConditionReport(False, (i,))
             break
-    inc: List[List[int]] = [[] for _ in range(h.num_vertices)]
-    for i, e in enumerate(h.edges):
-        for v in e.vertices:
-            inc[v].append(i)
+    inc = [h.incident_edges(v) for v in range(h.num_vertices)]
     h2 = ConditionReport(True)
     for v, lst in enumerate(inc):
         if len(lst) != 3:
@@ -394,57 +398,29 @@ def validate_H(h: Hypergraph) -> HReport:
     mono = ConditionReport(True)
     r3cols = {h.edges[i].color for i in h.rank3_ids()}
     if len(r3cols) > 1:
-        mono = ConditionReport(False, tuple(sorted(r3cols)))
+        mono = ConditionReport(False, tuple(sorted(r3cols, key=str)))
     return HReport(h1, h2, h3, h4, proper, mono)
 
 
 def three_edge_color(h: Hypergraph) -> Optional[Tuple[str, ...]]:
-    """Proper 3-edge-coloring with all rank-3 edges colored "b", by exact
-    backtracking with smallest-domain-first ordering; None if impossible."""
-    ne = h.num_edges
-    inc = [h.incident_edges(v) for v in range(h.num_vertices)]
-    neighbors: List[set] = [set() for _ in range(ne)]
-    for lst in inc:
+    """Proper 3-edge-coloring with all rank-3 edges colored "b"; None if
+    impossible.
+
+    Runs colex's exact backtracking colorer on the edge-adjacency sets, with
+    rank-3 domains pinned to "b" and colors tried in the order "b", "g", "r".
+    """
+    neighbors: List[set] = [set() for _ in range(h.num_edges)]
+    for v in range(h.num_vertices):
+        lst = h.incident_edges(v)
         for a in lst:
-            for b in lst:
-                if a != b:
-                    neighbors[a].add(b)
-    domains: List[set] = []
-    for i, e in enumerate(h.edges):
-        domains.append({"b"} if e.rank == 3 else {"r", "g", "b"})
-    color: List[Optional[str]] = [None] * ne
-
-    def propagate(i: int, c: str, removed: List[Tuple[int, str]]) -> bool:
-        for j in neighbors[i]:
-            if color[j] is None and c in domains[j]:
-                domains[j].discard(c)
-                removed.append((j, c))
-                if not domains[j]:
-                    return False
-        return True
-
-    def pick() -> int:
-        best, size = -1, 4
-        for i in range(ne):
-            if color[i] is None and len(domains[i]) < size:
-                best, size = i, len(domains[i])
-        return best
-
-    def run() -> bool:
-        i = pick()
-        if i == -1:
-            return True
-        for c in sorted(domains[i]):
-            color[i] = c
-            removed: List[Tuple[int, str]] = []
-            if propagate(i, c, removed) and run():
-                return True
-            color[i] = None
-            for j, c2 in removed:
-                domains[j].add(c2)
-        return False
-
-    return tuple(color) if run() else None  # type: ignore[arg-type]
+            neighbors[a].update(lst)
+            neighbors[a].discard(a)
+    coloring = _backtrack_color(
+        neighbors, [{0} if e.rank == 3 else {0, 1, 2} for e in h.edges]
+    )
+    if coloring is None:
+        return None
+    return tuple(("b", "g", "r")[c] for c in coloring)
 
 
 @dataclass(frozen=True)
@@ -776,17 +752,13 @@ def derived_embedding(h: Hypergraph) -> EmbeddedGraph:
     def dart_at(eid: int, v: int) -> Tuple[int, int]:
         return (eid, 0 if edges[eid][0] == v else 1)
 
-    promoted_ids = set(tri_sides)
+    tov = h.triangle_of_vertex
     for v in range(g.num_vertices):
         circ: List[Tuple[int, int]] = []
         for (ce, s) in g.rotation[v]:
-            if ce in promoted_ids:
-                t = next(
-                    t
-                    for rec in h.faces
-                    for t in rec.triangles
-                    if t.edge_id == ce
-                )
+            if ce in tri_sides:
+                # Rank-3 edges are disjoint (H4): v lies on one triangle only.
+                t = tov[v]
                 sides = tri_sides[ce]
                 # The promoted face's walk leaves u_first along this edge, so
                 # the triangle sits in the corner before it there and in the
@@ -943,19 +915,29 @@ def to_json_dict(h: Hypergraph) -> dict:
 
 
 def from_json_dict(data: dict) -> Hypergraph:
-    """Rebuild a bare hypergraph (no colex backing) from its JSON form."""
-    rank2 = [tuple(e) for e in data["rank2"]]
-    rank3 = [tuple(e) for e in data["rank3"]]
-    nv = len(data["vertices"])
+    """Rebuild a bare hypergraph (no colex backing) from its JSON form.
+
+    Raises UnknownFormat or MalformedRotation, naming the bad entry, unless
+    every hyperedge joins distinct known vertices and every color is one of
+    COLORS.
+    """
+    nv = len(embed_graph._json_list(data, "vertices"))
     colors = data.get("colors", {})
+    if not isinstance(colors, dict):
+        raise UnknownFormat("hypergraph 'colors' is not a map")
     edges: List[HEdge] = []
-    idx = 0
-    for group in (rank2, rank3):
-        for e in group:
-            edges.append(
-                HEdge(tuple(sorted(e)), colors.get(str(idx)), ("json", idx))
-            )
-            idx += 1
+    for rank in (2, 3):
+        for e in embed_graph._json_list(data, f"rank{rank}"):
+            vs = embed_graph._json_ints(e, rank, f"rank-{rank} edge")
+            if len(set(vs)) != rank or not all(0 <= v < nv for v in vs):
+                raise MalformedRotation(
+                    f"hyperedge {e} needs {rank} distinct vertices below {nv}"
+                )
+            idx = len(edges)
+            color = colors.get(str(idx))
+            if color is not None and color not in COLORS:
+                raise MalformedRotation(f"hyperedge {idx} has color {color!r}")
+            edges.append(HEdge(tuple(sorted(vs)), color, ("json", idx)))
     return Hypergraph(nv, tuple(edges), nv, None, None)
 
 

@@ -1,6 +1,8 @@
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscodes import cli
 
@@ -185,3 +187,136 @@ def test_build_custom_from_hypergraph_json(tmp_path):
     data = json.loads(rep.read_text())
     # Same code, rebuilt from the bare hypergraph: parameters agree.
     assert (data["n"], data["k"], data["r"], data["s"]) == (48, 2, 32, 14)
+
+
+def _grid_json():
+    from tscodes import embed_graph, lattices
+
+    return embed_graph.to_json_dict(lattices.torus_grid(2, 2))
+
+
+def _without_rotation_of_vertex_0():
+    data = _grid_json()
+    del data["rotation"]["0"]
+    return data
+
+
+def _with_three_int_dart():
+    data = _grid_json()
+    data["rotation"]["0"][0] = data["rotation"]["0"][0] + [0]
+    return data
+
+
+@pytest.mark.parametrize(
+    "pipeline, make, error",
+    [
+        ("custom", lambda: {"vertices": [0, 1, 2], "rank2": [[0, 1]]}, "UnknownFormat"),
+        ("custom", lambda: {"vertices": [0, 1], "rank2": [[0, 5]], "rank3": []},
+         "MalformedRotation"),
+        ("theorem2", _without_rotation_of_vertex_0, "MalformedRotation"),
+        ("theorem2", _with_three_int_dart, "MalformedRotation"),
+        ("theorem2", lambda: {"vertices": [], "edges": [], "rotation": {}},
+         "MalformedRotation"),
+    ],
+    ids=["no-rank3", "vertex-out-of-range", "rotation-missing-vertex",
+         "three-int-dart", "empty-graph"],
+)
+def test_build_malformed_input_exits_2(tmp_path, capsys, pipeline, make, error):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(make()))
+    assert run(["build", str(path), "--pipeline", pipeline]) == 2
+    assert f"error: {error}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, witness",
+    [
+        (lambda d: d["face_color"].update({"0": "q"}), "face 0 has color 'q'"),
+        (lambda d: d["face_color"].update({"0": d["face_color"]["1"]}),
+         "across edge"),
+        (lambda d: d["edge_color"].update(
+            {"0": {"r": "g", "g": "b", "b": "r"}[d["edge_color"]["0"]]}),
+         "edge 0 has color"),
+    ],
+    ids=["unknown-face-color", "equal-adjacent-faces", "wrong-edge-color"],
+)
+def test_bombin_rejects_inconsistent_colex_colors(tmp_path, capsys, mutate, witness):
+    path = tmp_path / "hc.json"
+    assert run(["gen", "honeycomb-torus", "3", "3", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    assert run(["build", str(path), "--pipeline", "bombin"]) == 2
+    err = capsys.readouterr().err
+    assert "error: MalformedRotation:" in err and witness in err
+
+
+def test_build_unreadable_input_exits_2(tmp_path, capsys):
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        assert run(["build", str(path)]) == 2
+        assert "error: UnknownFormat: cannot read" in capsys.readouterr().err
+
+
+@lru_cache(maxsize=None)
+def _fixture_json():
+    """(pipeline, JSON text) of a graph, a colex and a hypergraph input."""
+    from tscodes import analyzer, colex, embed_graph, hypergraph, lattices
+
+    grid = embed_graph.to_json(lattices.torus_grid(2, 2))
+    hc = colex.to_json(colex.validate_colex(lattices.honeycomb_torus(3, 3)))
+    code = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2))
+    return (
+        ("theorem2", grid),
+        ("custom", grid),
+        ("bombin", hc),
+        ("custom", hc),
+        ("custom", hypergraph.to_json(code.hypergraph)),
+    )
+
+
+def _paths(x, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(x, (dict, list)):
+        for k, v in x.items() if isinstance(x, dict) else enumerate(x):
+            yield from _paths(v, prefix + (k,))
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 50),
+    st.floats(0, 2),
+    st.sampled_from("rgbq"),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.sampled_from([{}, {"0": 1}]),
+)
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A fixture input with one entry deleted or replaced by junk."""
+    pipeline, text = draw(st.sampled_from(_fixture_json()))
+    data = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(data))))
+    parent = data
+    for k in path[:-1]:
+        parent = parent[k]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JUNK)
+    return pipeline, data
+
+
+@given(mutated_inputs())
+@settings(max_examples=60, deadline=None)
+def test_build_mutated_input_never_escapes(tmp_path_factory, case):
+    # Every mutation either leaves a valid input or is bad input (exit 2);
+    # none may escape as a traceback or read as a failed check (exit 1).
+    pipeline, data = case
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(data))
+    assert run(["build", str(path), "--pipeline", pipeline, "--out", str(path)]) in (0, 2)

@@ -1,15 +1,17 @@
 """Golden sha256 digests of `tscodes build` and `verify` reports.
 
 Identical inputs must give byte-identical reports; a change to any report
-below shows up here.  The digests were taken from the CLI before the
-pivot-keyed GF(2) core replaced the row-scan elimination.
+below shows up here.  The GOLDEN digests were taken from the CLI before the
+pivot-keyed GF(2) core replaced the row-scan elimination, the GEN_GOLDEN
+and custom-pipeline digests before the face and edge colorers were merged
+and the rotation maps were cached on the graph.
 """
 
 import hashlib
 
 import pytest
 
-from tscodes import cli
+from tscodes import cli, embed_graph, lattices
 
 # (family, gen params, pipeline, command, exit code, sha256 of the report)
 GOLDEN = [
@@ -63,3 +65,38 @@ def test_report_digest(tmp_path, family, params, pipeline, command, exit_code, d
     argv = [command, str(graph), "--pipeline", pipeline, "--out", str(report)]
     assert cli.main(argv) == exit_code
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+# (family, gen params, sha256 of the generated JSON).  honeycomb-torus runs
+# validate_colex's face coloring, the lattices run construct_A.
+GEN_GOLDEN = [
+    ("honeycomb-torus", (3, 3),
+     "dd9115b172fa2dadaeabd58350a0c4cd8317b02f7c4254772ff9c206f699ef2d"),
+    ("lattice-4-8", (2, 2),
+     "f8a47ba613a0c9c40bbc7c79c45a6088bcb2157fa45f8a2142a8eaea75f51cb6"),
+    ("lattice-4-6-12", (2, 2),
+     "dce929904239ebf3b43d6659d79151838c1647a8ae425d27c4223e08e0b7fed7"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, digest",
+    GEN_GOLDEN,
+    ids=[f"gen-{g[0]}-{g[1][0]}x{g[1][1]}" for g in GEN_GOLDEN],
+)
+def test_gen_digest(tmp_path, family, params, digest):
+    out = tmp_path / "out.json"
+    assert cli.main(["gen", family, *map(str, params), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_custom_uncolored_honeycomb_digest(tmp_path):
+    """`verify --pipeline custom` on a plain graph runs three_edge_color."""
+    graph, report = tmp_path / "in.json", tmp_path / "report.json"
+    graph.write_text(embed_graph.to_json(lattices.honeycomb_torus(6, 6)))
+    argv = ["verify", str(graph), "--pipeline", "custom", "--out", str(report)]
+    assert cli.main(argv) == 0
+    assert (
+        hashlib.sha256(report.read_bytes()).hexdigest()
+        == "8635245df5c5d98a74f17a1a6b5fedf56331c91173f17b758ceba1183b4faa1b"
+    )

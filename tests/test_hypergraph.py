@@ -314,3 +314,12 @@ def test_other_face_uses_edge_face_index():
     assert hg._other_face(h, 1, 0) == 1
     assert hg._other_face(h, 1, 1) == 0
     assert hg._other_face(h, 2, 0) is None
+
+
+def test_validate_H_with_one_uncolored_rank3_edge(grid22):
+    h, _ = th2_hypergraph(grid22)
+    colors = [e.color for e in h.edges]
+    colors[h.rank3_ids()[0]] = None
+    rep = hg.validate_H(h.recolored(colors))
+    assert rep.all_ok and not rep.coloring_proper.ok
+    assert rep.rank3_monochrome == hg.ConditionReport(False, (None, "b"))
