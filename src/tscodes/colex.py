@@ -14,6 +14,7 @@ v-faces "b"; an edge always carries the color missing from its two faces.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -88,18 +89,29 @@ def _backtrack_color(
     (lowest id on ties), try its colors in ascending order, and drop the
     color from the neighbors' domains, backing out when one empties.  The
     search keeps its own stack, so its depth is not bounded by Python's
-    recursion limit, and it narrows ``domains`` in place.
+    recursion limit, and it narrows ``domains`` in place.  Uncolored nodes
+    wait in one min-heap per domain size; a node is pushed again whenever
+    its domain size changes or it loses its color, and entries that no
+    longer match are dropped when they reach the top.
     """
     n = len(adj)
     color = [-1] * n
-    above = 1 + max((len(d) for d in domains), default=0)
+    buckets: List[List[int]] = [
+        [] for _ in range(1 + max((len(d) for d in domains), default=0))
+    ]
+    for v in range(n):  # ascending ids: each bucket starts as a valid heap
+        buckets[len(domains[v])].append(v)
+
+    def push(v: int) -> None:
+        heapq.heappush(buckets[len(domains[v])], v)
 
     def pick() -> int:
-        best, best_size = -1, above
-        for v in range(n):
-            if color[v] == -1 and len(domains[v]) < best_size:
-                best, best_size = v, len(domains[v])
-        return best
+        for size, heap in enumerate(buckets):
+            while heap and (color[heap[0]] != -1 or len(domains[heap[0]]) != size):
+                heapq.heappop(heap)
+            if heap:
+                return heap[0]
+        return -1
 
     def frame(v: int) -> Tuple[int, List[int], List[int]]:
         # (node, colors left to try, descending; nodes the trial pruned)
@@ -114,8 +126,10 @@ def _backtrack_color(
         if color[v] != -1:  # back out of the previous trial
             for w in removed:
                 domains[w].add(color[v])
+                push(w)
             removed.clear()
             color[v] = -1
+            push(v)
         if not todo:
             stack.pop()
             continue
@@ -125,6 +139,7 @@ def _backtrack_color(
             if color[w] == -1 and c in domains[w]:
                 domains[w].discard(c)
                 removed.append(w)
+                push(w)
                 if not domains[w]:
                     ok = False
                     break

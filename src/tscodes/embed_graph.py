@@ -124,25 +124,38 @@ def build(
     """
     if num_vertices < 1:
         raise MalformedRotation("a graph needs at least one vertex")
-    edges = [tuple(e) for e in edges]
-    for eid, (u, v) in enumerate(edges):
+    edges = list(edges)
+    for eid, edge in enumerate(edges):
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise MalformedRotation(f"edge {eid} is not a pair: {edge!r}") from None
+        if type(u) is not int or type(v) is not int:
+            raise MalformedRotation(f"edge {eid} is not a pair of ints: {edge!r}")
         if u == v:
             raise LoopEdge(f"edge {eid} is a loop at vertex {u}")
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise MalformedRotation(f"edge {eid} references unknown vertex")
+        edges[eid] = (u, v)
     if len(rotation) != num_vertices:
         raise MalformedRotation("rotation must list every vertex")
     seen: set[Dart] = set()
     for v, circ in enumerate(rotation):
         for d in circ:
-            e, s = d
-            if not (0 <= e < len(edges)) or s not in (0, 1):
-                raise MalformedRotation(f"bad edge-end {d} at vertex {v}")
-            if edges[e][s] != v:
-                raise MalformedRotation(f"edge-end {d} is not at vertex {v}")
-            if d in seen:
-                raise MalformedRotation(f"edge-end {d} appears twice")
-            seen.add(d)
+            try:
+                e, s = d
+                if not (0 <= e < len(edges)) or s not in (0, 1):
+                    raise MalformedRotation(f"bad edge-end {d!r} at vertex {v}")
+                if edges[e][s] != v:
+                    raise MalformedRotation(f"edge-end {d!r} is not at vertex {v}")
+                if d in seen:
+                    raise MalformedRotation(f"edge-end {d!r} appears twice")
+                seen.add(d)
+            except (TypeError, ValueError):
+                raise MalformedRotation(
+                    f"edge-end {d!r} at vertex {v} is not an (edge, side) "
+                    "tuple of ints"
+                ) from None
     if len(seen) != 2 * len(edges):
         missing = 2 * len(edges) - len(seen)
         raise MalformedRotation(f"{missing} edge-end(s) missing from rotation")

@@ -96,8 +96,9 @@ class Hypergraph:
             m |= 1 << i
         return m
 
-    def incident_edges(self, v: int) -> List[int]:
-        return gf2.bits(self._incidence_rows[v])
+    def incident_edges(self, v: int) -> Tuple[int, ...]:
+        """Ids of the edges at vertex v, ascending."""
+        return self._incident[v]
 
     def incidence_rows(self) -> Tuple[int, ...]:
         """Vertex-edge incidence matrix rows as edge bitmasks."""
@@ -111,6 +112,10 @@ class Hypergraph:
             for v in e.vertices:
                 rows[v] |= 1 << i
         return tuple(rows)
+
+    @cached_property
+    def _incident(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(tuple(gf2.bits(row)) for row in self._incidence_rows)
 
     @cached_property
     def edge_masks(self) -> Tuple[Tuple[int, Optional[Tuple[int, int]]], ...]:

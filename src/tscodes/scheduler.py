@@ -10,6 +10,11 @@ qubit is touched twice in a time step.
 
 Schedules are checked on a column-major stabilizer tableau: a measurement
 finds its anticommuting rows from the columns on its operator's support.
+Destabilizer rows live in renamed slots of 2n-bit columns, so a random
+measurement costs O(|op| + |pivot|) column XORs plus the stabilizer row
+updates of its anticommuting rows, and not a pass over all n columns; the
+dead slots it leaves are freed by one O(n) pass per n + 1 random
+measurements.
 """
 
 from __future__ import annotations
@@ -341,22 +346,35 @@ class Tableau:
     column (Aaronson-Gottesman's transposed layout).
 
     cx[q] / cz[q] masks the stabilizer rows with an X / Z part on qubit q;
-    d[q] holds the same two masks for the destabilizers, X in the low n bits
-    and Z above them; neg masks the stabilizers with sign -1.  A measurement
-    XORs the columns on its operator's support to find the anticommuting
-    rows.  Stabilizer rows are also kept as (x, z) ints for the pivot and for
-    deterministic products; destabilizer phases are not tracked.
+    neg masks the stabilizers with sign -1.  Stabilizer rows are also kept
+    as (x, z) ints for the pivot and for deterministic products.
+
+    Destabilizer row i lives in slot[i], a bit position of the 2n-bit masks
+    dX[q] / dZ[q] (row_of maps a slot back to its row).  Slots in `live`
+    hold the n rows; `free` slots are zero in every column; the rest are
+    dead and hold stale bits.  A random measurement moves the pivot's
+    destabilizer to the lowest free slot and kills its old one, so it costs
+    O(|pivot|) column XORs instead of clearing a row from all n columns.
+    When no slot is free, one pass masks every column with `live`, which
+    frees the n + 1 dead slots (`recycles` counts these passes): one O(n)
+    pass per n + 1 random measurements, and no column grows past 2n bits.
+    Destabilizer phases are not tracked.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.half = (1 << n) - 1  # selects the X part of a column of d
         self.sx: List[int] = [0] * n
         self.sz: List[int] = [1 << i for i in range(n)]
         self.cx: List[int] = [0] * n
         self.cz: List[int] = [1 << q for q in range(n)]
-        self.d: List[int] = [1 << q for q in range(n)]
         self.neg = 0
+        self.dX: List[int] = [1 << q for q in range(n)]
+        self.dZ: List[int] = [0] * n
+        self.slot: List[int] = list(range(n))
+        self.row_of: List[int] = list(range(n)) * 2
+        self.live = (1 << n) - 1
+        self.free = self.live << n
+        self.recycles = 0  # passes that freed the dead slots
 
     @property
     def stab(self) -> List[Pauli]:
@@ -365,9 +383,10 @@ class Tableau:
     @property
     def destab(self) -> List[Pauli]:
         rows = [[0, 0] for _ in range(self.n)]
-        for q, col in enumerate(self.d):
-            for i in gf2.bits(col):
-                rows[i % self.n][i // self.n] |= 1 << q
+        for part, cols in enumerate((self.dX, self.dZ)):
+            for q, col in enumerate(cols):
+                for s in gf2.bits(col & self.live):
+                    rows[self.row_of[s]][part] |= 1 << q
         return [Pauli(self.n, x, z) for x, z in rows]
 
     def apply_h(self, q: int) -> None:
@@ -377,7 +396,7 @@ class Tableau:
             self.sx[i] ^= bit
             self.sz[i] ^= bit
         cx[q], cz[q] = cz[q], cx[q]
-        self.d[q] = (self.d[q] >> self.n) | ((self.d[q] & self.half) << self.n)
+        self.dX[q], self.dZ[q] = self.dZ[q], self.dX[q]
 
     def apply_s(self, q: int) -> None:
         cx, cz, bit = self.cx, self.cz, 1 << q
@@ -385,12 +404,12 @@ class Tableau:
         for i in gf2.bits(cx[q]):
             self.sz[i] ^= bit
         cz[q] ^= cx[q]
-        self.d[q] ^= (self.d[q] & self.half) << self.n
+        self.dZ[q] ^= self.dX[q]
 
     def apply_cnot(self, c: int, t: int) -> None:
         if c == t:
             raise BadParams(f"CNOT control and target are both qubit {c}")
-        cx, cz, d = self.cx, self.cz, self.d
+        cx, cz = self.cx, self.cz
         self.neg ^= cx[c] & cz[t] & ~(cx[t] ^ cz[c])
         for i in gf2.bits(cx[c]):
             self.sx[i] ^= 1 << t
@@ -398,8 +417,8 @@ class Tableau:
             self.sz[i] ^= 1 << c
         cx[t] ^= cx[c]
         cz[c] ^= cz[t]
-        d[t] ^= d[c] & self.half
-        d[c] ^= d[t] & ~self.half
+        self.dX[t] ^= self.dX[c]
+        self.dZ[c] ^= self.dZ[t]
 
     def measure(self, op: Pauli, sign: int, rng: random.Random) -> int:
         """Measure (+-1) * op; returns the outcome bit (0 for the +1
@@ -409,26 +428,36 @@ class Tableau:
         if sign not in (1, -1):
             raise BadParams(f"measurement sign must be 1 or -1, not {sign!r}")
         flip = 0 if sign == 1 else 1
-        n, ox, oz = self.n, op.x, op.z
-        sx, sz, cx, cz, d = self.sx, self.sz, self.cx, self.cz, self.d
+        ox, oz = op.x, op.z
+        sx, sz, cx, cz, dX, dZ = self.sx, self.sz, self.cx, self.cz, self.dX, self.dZ
         xs, zs = gf2.bits(ox), gf2.bits(oz)
-        anti = dx = dz = 0  # stabilizer rows anticommuting with op
+        anti = danti = 0  # stabilizer rows / destabilizer slots anticommuting with op
         for q in xs:
             anti ^= cz[q]
-            dz ^= d[q]
+            danti ^= dZ[q]
         for q in zs:
             anti ^= cx[q]
-            dx ^= d[q]
-        danti = (dx ^ (dz >> n)) & self.half  # the same for destabilizers
+            danti ^= dX[q]
         if anti:
             low = anti & -anti
             p0 = low.bit_length() - 1
             px, pz = sx[p0], sz[p0]
             rest = anti ^ low
-            # The pivot replaces destabilizer p0 and multiplies the others.
-            keep = ~(low | (low << n))
-            self.d = d = [col & keep for col in d]
-            dm = danti | low
+            # The pivot replaces destabilizer p0, moved to a fresh slot, and
+            # multiplies the other anticommuting destabilizers.
+            self.live ^= 1 << self.slot[p0]
+            if not self.free:
+                live = self.live
+                self.dX = dX = [col & live for col in dX]
+                self.dZ = dZ = [col & live for col in dZ]
+                self.free = ((1 << 2 * self.n) - 1) ^ live
+                self.recycles += 1
+            new = self.free & -self.free
+            s = new.bit_length() - 1
+            self.free ^= new
+            self.live |= new
+            self.slot[p0], self.row_of[s] = s, p0
+            dm = (danti & self.live) | new
             # Per pivot qubit: count i-exponents of row * pivot in bit-sliced
             # lo/hi counters (XY, YZ, ZX add 1; YX, ZY, XZ subtract 1).
             lo = hi = 0
@@ -445,10 +474,10 @@ class Tableau:
                 lo ^= up | down
                 if bx:
                     cx[q] ^= anti
-                    d[q] ^= dm
+                    dX[q] ^= dm
                 if bz:
                     cz[q] ^= anti
-                    d[q] ^= dm << n
+                    dZ[q] ^= dm
             if lo:
                 raise InconsistentOutcome("stabilizer rows do not commute")
             self.neg ^= hi ^ (rest if (self.neg >> p0) & 1 else 0)
@@ -461,10 +490,12 @@ class Tableau:
                 cx[q] ^= low
             for q in zs:
                 cz[q] ^= low
-            self.neg = (self.neg & keep) | (low if outcome ^ flip else 0)
+            self.neg = (self.neg & ~low) | (low if outcome ^ flip else 0)
             return outcome
         acc_x = acc_z = phase = 0
-        for i in gf2.bits(danti):
+        row_of = self.row_of
+        for s in gf2.bits(danti & self.live):
+            i = row_of[s]
             phase += pauli._phase_exponent(acc_x, acc_z, sx[i], sz[i])
             phase += 2 * ((self.neg >> i) & 1)
             acc_x ^= sx[i]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tscodes import embed_graph as eg
@@ -43,6 +45,24 @@ def test_duplicate_edge_end_rejected():
             [(0, 1), (0, 1)],
             [[(0, 0), (1, 0), (0, 0)], [(0, 1), (1, 1)]],
         )
+
+
+@pytest.mark.parametrize(
+    "edges, rotation, entry",
+    [
+        ([(0, 1)], [[(0, 0, 0)], [(0, 1)]], "(0, 0, 0)"),  # three-int dart
+        ([(0, 1)], [[0], [(0, 1)]], "0"),  # dart that is not a pair
+        ([(0, 1)], [[("0", 0)], [(0, 1)]], "('0', 0)"),  # non-int edge id
+        ([(0, 1)], [[(0, 0.0)], [(0, 1)]], "(0, 0.0)"),  # non-int side
+        ([(0, 1)], [[[0, 0]], [(0, 1)]], "[0, 0]"),  # unhashable dart
+        ([(0.0, 1)], [[(0, 0)], [(0, 1)]], "(0.0, 1)"),  # non-int vertex
+        ([(0, 1, 2)], [[(0, 0)], [(0, 1)]], "(0, 1, 2)"),  # three-vertex edge
+        ([5], [[(0, 0)], [(0, 1)]], "5"),  # edge that is not a pair
+    ],
+)
+def test_malformed_entry_rejected_and_named(edges, rotation, entry):
+    with pytest.raises(MalformedRotation, match=re.escape(entry)):
+        eg.build(2, edges, rotation)
 
 
 def test_disconnected_rejected():

@@ -4,14 +4,17 @@ Identical inputs must give byte-identical reports; a change to any report
 below shows up here.  The GOLDEN digests were taken from the CLI before the
 pivot-keyed GF(2) core replaced the row-scan elimination, the GEN_GOLDEN
 and custom-pipeline digests before the face and edge colorers were merged
-and the rotation maps were cached on the graph.
+and the rotation maps were cached on the graph.  SIM_GOLDEN pins
+`simulate_syndrome` runs, down to every measurement outcome.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from tscodes import cli, embed_graph, lattices
+from tscodes import analyzer, cli, embed_graph, lattices
+from tscodes import scheduler as sch
 
 # (family, gen params, pipeline, command, exit code, sha256 of the report)
 GOLDEN = [
@@ -100,3 +103,91 @@ def test_custom_uncolored_honeycomb_digest(tmp_path):
         hashlib.sha256(report.read_bytes()).hexdigest()
         == "8635245df5c5d98a74f17a1a6b5fedf56331c91173f17b758ceba1183b4faa1b"
     )
+
+
+# (code, model, seed, sha256 of the SyndromeReport fields as JSON, sha256 of
+# the outcome bits of every Tableau.measure call of the run).  The seven
+# codes of the syndrome benchmark workload, four trials each, taken before
+# the destabilizer columns moved to renamed slots.
+SIM_GOLDEN = [
+    ("th2_22", "relaxed", 11,
+     "53de15e74d4e07d4a96cfbdb46700a7577853968c338c2fdd182037bdfb53fb8",
+     "592713b3a7f5dd36f5f486d200fe9f268d3f171589793c85c66daa94ee3b5633"),
+    ("th2_22", "exclusive", 11,
+     "53de15e74d4e07d4a96cfbdb46700a7577853968c338c2fdd182037bdfb53fb8",
+     "592713b3a7f5dd36f5f486d200fe9f268d3f171589793c85c66daa94ee3b5633"),
+    ("th3_22", "relaxed", 12,
+     "8cecff6db1abc7ed4c8fc0736f21eced55a98e129ae4ddce5638dfa04b406b5a",
+     "43630bae82e78d97d6579271ca3bb590ac1abfbb36cb8b1feebd64a76af15b34"),
+    ("th3_22", "exclusive", 12,
+     "f2ee2385ae9cf65ac0c24de6afaaa77a6b1d102e8a366405bb470404bb87f7ce",
+     "effd0f6c5681951f3f0d599f7df81cbe72f3ad0128eeb3c71f5b1e7efde69a29"),
+    ("th2_33", "relaxed", 13,
+     "b2155fbe1519a7440f3786e69ccfb6ba38649efab7db96dc6372c12cb9b4bdb3",
+     "acfa08952df371cdef49f7e4b49364f12d06fe01a25021b981b623bb17cf837e"),
+    ("th2_33", "exclusive", 13,
+     "b2155fbe1519a7440f3786e69ccfb6ba38649efab7db96dc6372c12cb9b4bdb3",
+     "acfa08952df371cdef49f7e4b49364f12d06fe01a25021b981b623bb17cf837e"),
+    ("th3_33", "relaxed", 14,
+     "a4a103423c26fb55db72483fc4d07dd00ea8c8030d51559adeffb384115bbd56",
+     "b366b5ce8e2f4871dd2faca4ff48b62df315e7417f3011b8b10932ac182246d0"),
+    ("th3_33", "exclusive", 14,
+     "2216538ad7e9302b4968fa73ee933c9d493d8f30b41fd3fe6a52609e652a1ebb",
+     "14a2082dfd508df004fef107029dc675bfc98257d2a5e16a2a3ce0f35f830803"),
+    ("th2_tri22", "relaxed", 15,
+     "1be9aa74f8724ae5a0c62988364325c8ccc54082160e80a207098c594f4a5fcd",
+     "45bc332a83150cc355c24172c8db8117d04d3ee3ddd0b83b1cf6f20fb682faf9"),
+    ("th2_tri22", "exclusive", 15,
+     "1be9aa74f8724ae5a0c62988364325c8ccc54082160e80a207098c594f4a5fcd",
+     "45bc332a83150cc355c24172c8db8117d04d3ee3ddd0b83b1cf6f20fb682faf9"),
+    ("th3_tri22", "relaxed", 16,
+     "bd15e029a5c5ce54e2193d7f8f6893c58106438052c449b15a82c048eea5fc17",
+     "426e62c308ba739c6b8defd83e80cf3010c3bc4509bf599fe7f22d4ea455aa82"),
+    ("th3_tri22", "exclusive", 16,
+     "bd15e029a5c5ce54e2193d7f8f6893c58106438052c449b15a82c048eea5fc17",
+     "e6a54b0563f0b6516e90bef3898a245709441601815d214e6e41344ae26784e8"),
+    ("honeycomb_code", "relaxed", 17,
+     "930802c8dcec32ef094779e49c5cfb727dbb3514192243d49a5209f66eb1bce7",
+     "d5c092abb2db43ab49fc35dd94488d61858d196cbe3cfef22272e346e6b63cdf"),
+    ("honeycomb_code", "exclusive", 17,
+     "930802c8dcec32ef094779e49c5cfb727dbb3514192243d49a5209f66eb1bce7",
+     "d5c092abb2db43ab49fc35dd94488d61858d196cbe3cfef22272e346e6b63cdf"),
+]
+
+
+@pytest.fixture(scope="module")
+def tri22_codes():
+    tri = lattices.triangular_torus(2, 2)
+    return {
+        "th2_tri22": analyzer.theorem2_pipeline(tri),
+        "th3_tri22": analyzer.theorem3_pipeline(tri),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, model, seed, report_digest, outcomes_digest",
+    SIM_GOLDEN,
+    ids=[f"simulate-{g[0]}-{g[1]}" for g in SIM_GOLDEN],
+)
+def test_simulation_digest(
+    request, monkeypatch, tri22_codes, name, model, seed, report_digest,
+    outcomes_digest,
+):
+    code = tri22_codes.get(name) or request.getfixturevalue(name)
+    outcomes = []
+
+    class RecordingTableau(sch.Tableau):
+        def measure(self, op, sign, rng):
+            outcomes.append(super().measure(op, sign, rng))
+            return outcomes[-1]
+
+    monkeypatch.setattr(sch, "Tableau", RecordingTableau)
+    rep = sch.simulate_syndrome(
+        code, sch.build_schedule(code, model), trials=4, seed=seed, strict=False
+    )
+    text = json.dumps([
+        rep.trials, rep.agreement, rep.direct_agreement, rep.idempotent,
+        rep.varying_links, [list(f) for f in rep.failures],
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == report_digest
+    assert hashlib.sha256(bytes(outcomes)).hexdigest() == outcomes_digest

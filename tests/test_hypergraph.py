@@ -123,6 +123,15 @@ def test_cycle_vectors_have_even_incidence(grid22):
         assert all(gf2.dot(row, vec) == 0 for row in rows)
 
 
+def test_incident_edges_match_incidence_rows(grid22):
+    h, _ = th2_hypergraph(grid22)
+    for v, row in enumerate(h.incidence_rows()):
+        inc = h.incident_edges(v)
+        assert inc == tuple(gf2.bits(row))
+        assert inc == tuple(e for e in range(h.num_edges) if v in h.edges[e].vertices)
+        assert h.incident_edges(v) is inc  # built once per hypergraph
+
+
 def test_incidence_rank_of_plain_connected_graph(honeycomb33_colex):
     h = hg.from_colex(honeycomb33_colex)
     assert hg.incidence_rank(h) == h.num_vertices - 1
