@@ -53,12 +53,13 @@ from .hypergraph import (
 )
 from .pauli import (
     Pauli,
-    PauliSpan,
     center,
     centralizer,
     commutes,
     cycle_operator,
+    first_bad_prefix,
     link_operator,
+    phase_product,
 )
 from .scheduler import (
     MeasurementSchedule,
@@ -66,7 +67,6 @@ from .scheduler import (
     build_schedule,
     decompose,
     simulate_syndrome,
-    validate_prefixes,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,14 @@
 """Assemble subsystem codes from hypergraphs and verify the parameter theory.
 
-The gauge span G comes from the derived-graph link operators.  Once G is
-checked to be the centralizer of the cycle-operator span L, the stabilizer
-(the center of G, whose test oracle is ``pauli.center``) is G intersected
-with L, by one GF(2) elimination.  The pipelines run the two closed-form
-families (vertex-face promotion of a blown-up seed, and the same after a
-medial-dual detour) and check every computed parameter against its closed
-form.
+Operators are raw (x, z) int pairs; the spans G (gauge), L (cycle
+operators) and the stabilizer are ``gf2.Basis`` objects over x | z << n,
+the only place that layout appears.  ``Pauli`` is not used here.  G comes
+from the per-link operators cached on the derived graph.  Once G is checked
+to be the centralizer of L, the stabilizer (the center of G, whose test
+oracle is ``pauli.center``) is G intersected with L, by one GF(2)
+elimination.  The pipelines run the two closed-form families (vertex-face
+promotion of a blown-up seed, and the same after a medial-dual detour) and
+check every computed parameter against its closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
     QuotientTooLarge,
 )
 from .hypergraph import Hypergraph, HypercycleSpace
-from .pauli import Pauli, PauliSpan
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,8 @@ class SubsystemCode:
     s: int
     hypergraph: Hypergraph
     derived: hypergraph.DerivedGraph
-    gauge: PauliSpan
-    stabilizer: PauliSpan
+    gauge: gf2.Basis  # x | z << n vectors, as are the stabilizer's
+    stabilizer: gf2.Basis
     cycles: HypercycleSpace
     generators: Tuple[Generator, ...]
     generators_complete: bool = True
@@ -94,22 +95,17 @@ def _generator_kind(h: Hypergraph, fid: int, which: int) -> str:
     return "sigma2_bridged"
 
 
-def _grouped_cycle_ops(h: Hypergraph, mask: int) -> List[Pauli]:
-    ops: List[Pauli] = []
-    for c in ("r", "g", "b"):
-        for i in range(h.num_edges):
-            if (mask >> i) & 1 and h.edges[i].color == c:
-                ops.append(
-                    pauli.link_operator(h.edges[i].vertices, c, h.num_vertices)
-                )
-    return ops
+def _cycle_vec(h: Hypergraph, sigma: int) -> int:
+    """W(sigma) in the x | z << n layout of the gauge and stabilizer spans."""
+    x, z = pauli.cycle_operator(h, sigma)
+    return x | z << h.num_vertices
 
 
 def _completion_loops(
     h: Hypergraph,
     triv: gf2.Basis,
     cycles: Sequence[int],
-    gauge: PauliSpan,
+    gauge: gf2.Basis,
     span_cap: int = 18,
 ) -> List[int]:
     """Rank-2 loop generators completing the face-cycle span.
@@ -118,8 +114,6 @@ def _completion_loops(
     r -> g -> b grouping satisfies the prefix rule, so the loop can join the
     measurement schedule.  Used for colexes whose stabilizer includes cycles
     of nontrivial homology (no promoted faces)."""
-    from .scheduler import validate_prefixes  # deferred: avoids an import cycle
-
     out: List[int] = []
     work = triv.copy()
     missing = [b for b in cycles if work.add(b)]
@@ -139,9 +133,16 @@ def _completion_loops(
         for cand in cands:
             if cand == 0 or cand & r3:
                 continue
-            if not gauge.contains(pauli.cycle_operator(h, cand)):
+            if not gauge.contains(_cycle_vec(h, cand)):
                 continue
-            if validate_prefixes(_grouped_cycle_ops(h, cand)):
+            edges = gf2.bits(cand)
+            grouped = [
+                h.edge_masks[i][1]
+                for c in colex_mod.COLORS
+                for i in edges
+                if h.edges[i].color == c
+            ]
+            if pauli.first_bad_prefix(grouped) is None:
                 chosen = cand
                 break
         if chosen is None:
@@ -167,15 +168,14 @@ def build_code(h: Hypergraph) -> SubsystemCode:
         )
     n = h.num_vertices
     dg = hypergraph.derived_graph(h)
-    links = [pauli.link_operator(lk.vertices, lk.color, n) for lk in dg.links]
-    gauge = PauliSpan(n, links)
+    gauge = gf2.Basis(x | z << n for x, z in dg.ops)
     cycles = hypergraph.cycle_space(h)
     ws = [pauli.cycle_operator(h, sigma) for sigma in cycles.basis]
-    lspan = PauliSpan(n, ws)
+    lspan = gf2.Basis(x | z << n for x, z in ws)
     if lspan.dim != cycles.dim:
         raise GaugeMismatch("cycle operators are not independent")
     # Gauge group = centralizer of the cycle-operator span.
-    for lk, mask in zip(dg.links, pauli.anticommuting_masks(links, ws)):
+    for lk, mask in zip(dg.links, pauli.anticommuting_masks(dg.ops, ws)):
         if mask:
             raise GaugeMismatch(
                 f"link {lk.origin} anticommutes with a cycle operator"
@@ -185,8 +185,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
             f"dim gauge = {gauge.dim} != 2n - dim L = {2 * n - lspan.dim}"
         )
     # G = C(L) makes C(G) = L, so the center of G is G intersected with L.
-    common = gf2.intersection(gauge.basis, lspan.basis.rows)
-    stab = PauliSpan(n, (Pauli.from_vec(n, v) for v in common))
+    stab = gf2.Basis(gf2.intersection(gauge, lspan.rows))
     s = stab.dim
     if (gauge.dim - s) % 2 or (lspan.dim - s) % 2:
         raise GaugeMismatch("parameter identities have no integer solution")
@@ -217,8 +216,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
                     Generator(len(generators), None, "loop2", mask)
                 )
         for g in generators:
-            w = pauli.cycle_operator(h, g.cycle)
-            if not stab.contains(w):
+            if not stab.contains(_cycle_vec(h, g.cycle)):
                 raise GaugeMismatch(f"generator {g.gid} is not a stabilizer")
     cycles = HypercycleSpace(
         cycles.basis, cycles.dim, cycles.incidence_rank, tuple(triv.rows)
@@ -515,12 +513,12 @@ def nontrivial_cycle_checks(
         if rep & r3 == 0:
             all_r3 = False
             raise LemmaViolation(f"nontrivial cycle without rank-3 edges: {rep:#x}")
-        if code.gauge.contains(pauli.cycle_operator(h, rep)):
+        if code.gauge.contains(_cycle_vec(h, rep)):
             none_gauge = False
             raise LemmaViolation(f"nontrivial cycle operator in gauge span: {rep:#x}")
     trivs_ok = True
     for sigma in code.trivial_basis().rows:
-        w = pauli.cycle_operator(h, sigma)
+        w = _cycle_vec(h, sigma)
         if not (code.gauge.contains(w) and code.stabilizer.contains(w)):
             trivs_ok = False
             raise LemmaViolation("trivial cycle operator escapes the stabilizer")
@@ -565,12 +563,13 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
     idents: List[Tuple[str, bool]] = []
 
     def verify(name: str, terms: List[int]) -> None:
-        mask = 0
-        w = Pauli.identity(h.num_vertices)
+        mask = x = z = 0
         for sigma in terms:
             mask ^= sigma
-            w = w.mul(pauli.cycle_operator(h, sigma))
-        ok = mask == 0 and w.is_identity
+            wx, wz = pauli.cycle_operator(h, sigma)
+            x ^= wx
+            z ^= wz
+        ok = mask == 0 and x == z == 0
         idents.append((name, ok))
         if not ok:
             raise DependencyViolation(f"{name} fails: residue {mask:#x}")
@@ -654,15 +653,16 @@ def exact_distance(code: SubsystemCode, max_n: int = 16, max_dim: int = 24) -> O
     instance exceeds the enumeration gate."""
     if code.n > max_n:
         return None
-    cs = pauli.centralizer(code.stabilizer)
+    n = code.n
+    cs = pauli.centralizer(code.stabilizer, n)
     if cs.dim > max_dim:
         return None
     best = None
-    n = code.n
-    for v in gf2.span_vectors(cs.basis.rows):
-        if v == 0 or code.gauge.basis.contains(v):
+    low = (1 << n) - 1
+    for v in gf2.span_vectors(cs.rows):
+        if v == 0 or code.gauge.contains(v):
             continue
-        w = Pauli.from_vec(n, v).weight
+        w = ((v | v >> n) & low).bit_count()
         best = w if best is None else min(best, w)
     return best
 

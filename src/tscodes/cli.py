@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import analyzer, colex, embed_graph, hypergraph, lattices, scheduler
-from .errors import BadParams, TscodesError, UnknownFormat
+from .errors import BadParams, NotThreeEdgeColorable, TscodesError, UnknownFormat
 
 log = logging.getLogger("tscodes")
 
@@ -69,10 +69,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise BadParams("triangular-torus needs m n")
         g = lattices.triangular_torus(p[0], p[1])
         _write(args.out, embed_graph.to_json(g))
-    elif fam == "theta":
-        _write(args.out, embed_graph.to_json(lattices.theta_graph()))
-    elif fam == "petersen":
-        _write(args.out, embed_graph.to_json(lattices.petersen_graph()))
+    elif fam in ("theta", "petersen"):
+        if p:
+            raise BadParams(f"{fam} takes no parameters")
+        g = lattices.theta_graph() if fam == "theta" else lattices.petersen_graph()
+        _write(args.out, embed_graph.to_json(g))
     elif fam == "honeycomb-torus":
         if len(p) != 2:
             raise BadParams("honeycomb-torus needs m n")
@@ -127,8 +128,6 @@ def _build_code(args: argparse.Namespace) -> analyzer.SubsystemCode:
         if not rep.coloring_proper.ok or not rep.rank3_monochrome.ok:
             coloring = hypergraph.three_edge_color(h)
             if coloring is None:
-                from .errors import NotThreeEdgeColorable
-
                 raise NotThreeEdgeColorable(
                     "no proper 3-edge-coloring with monochromatic rank-3 edges"
                 )

@@ -113,6 +113,13 @@ class EmbeddedGraph:
         )
 
 
+def _as_list(value, what: str) -> list:
+    try:
+        return list(value)
+    except TypeError:
+        raise MalformedRotation(f"{what} is not a list: {value!r}") from None
+
+
 def build(
     num_vertices: int,
     edges: Sequence[Tuple[int, int]],
@@ -122,9 +129,15 @@ def build(
 
     Raises LoopEdge, MalformedRotation or DisconnectedGraph on bad input.
     """
+    if type(num_vertices) is not int:
+        raise MalformedRotation(f"vertex count {num_vertices!r} is not an int")
     if num_vertices < 1:
         raise MalformedRotation("a graph needs at least one vertex")
-    edges = list(edges)
+    edges = _as_list(edges, "edges")
+    rotation = [
+        _as_list(circ, f"rotation of vertex {v}")
+        for v, circ in enumerate(_as_list(rotation, "rotation"))
+    ]
     for eid, edge in enumerate(edges):
         try:
             u, v = edge

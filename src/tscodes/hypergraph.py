@@ -121,14 +121,15 @@ class Hypergraph:
     def edge_masks(self) -> Tuple[Tuple[int, Optional[Tuple[int, int]]], ...]:
         """Per edge, its vertex bitmask and the (x, z) masks of its link
         operator, None for a rank-2 edge without a color."""
-        out = []
-        for e in self.edges:
-            link = None
-            if e.rank == 3 or e.color in pauli.LINK_PAULI:
-                p = pauli.link_operator(e.vertices, e.color, self.num_vertices)
-                link = (p.x, p.z)
-            out.append((sum(1 << v for v in set(e.vertices)), link))
-        return tuple(out)
+        return tuple(
+            (
+                sum(1 << v for v in set(e.vertices)),
+                pauli.link_operator(e.vertices, e.color)
+                if e.rank == 3 or e.color in pauli.LINK_PAULI
+                else None,
+            )
+            for e in self.edges
+        )
 
     @cached_property
     def faces_of_edge(self) -> Tuple[Tuple[int, ...], ...]:
@@ -683,10 +684,11 @@ def derived_graph(h: Hypergraph) -> "DerivedGraph":
     links: List[DLink] = []
     for i, e in enumerate(h.edges):
         if e.rank == 2:
+            ch = pauli.LINK_PAULI.get(e.color)
             links.append(
                 DLink(
                     vertices=e.vertices,
-                    pauli=PAULI_OF_COLOR.get(e.color),
+                    pauli=2 * ch if ch else None,
                     color=e.color,
                     origin=(i, None),
                 )
@@ -698,9 +700,6 @@ def derived_graph(h: Hypergraph) -> "DerivedGraph":
                     DLink(vertices=(a, b), pauli="ZZ", color=e.color, origin=(i, side))
                 )
     return DerivedGraph(h.num_vertices, tuple(links))
-
-
-PAULI_OF_COLOR = {"r": "XX", "g": "YY", "b": "ZZ"}
 
 
 @dataclass(frozen=True)
@@ -720,6 +719,11 @@ class DerivedGraph:
     def link_index(self) -> Mapping[Tuple[int, Optional[int]], int]:
         """Read-only map from link origin to link id."""
         return MappingProxyType({lk.origin: i for i, lk in enumerate(self.links)})
+
+    @cached_property
+    def ops(self) -> Tuple[Tuple[int, int], ...]:
+        """The (x, z) operator of every link, from ``pauli.LINK_PAULI``."""
+        return tuple(pauli.link_operator(lk.vertices, lk.color) for lk in self.links)
 
 
 def derived_embedding(h: Hypergraph) -> EmbeddedGraph:

@@ -1,9 +1,14 @@
-"""Phase-free n-qubit Pauli algebra in the GF(2) symplectic representation.
+"""n-qubit Pauli algebra in the GF(2) symplectic representation.
 
-A Pauli is a pair of bit vectors (x, z): position i carries X iff x_i = 1,
-Z iff z_i = 1, Y iff both.  Global phases are dropped throughout; commutation
-is still exact because it lives in the symplectic form.  Spans are reduced
-echelon bases of 2n-bit vectors laid out as x | (z << n).
+An operator is a pair of bit-vector ints (x, z): qubit i carries X iff
+x_i = 1, Z iff z_i = 1, Y iff both.  ``hypergraph``, ``analyzer`` and
+``scheduler`` pass operators as raw (x, z) tuples; ``phase_product`` (the
+signed ordered product) and ``first_bad_prefix`` (the prefix rule) work on
+them.  Spans are ``gf2.Basis`` objects over 2n-bit vectors laid out as
+x | (z << n); only ``centralizer`` and ``center`` read that layout.  The
+``Pauli`` dataclass is the API edge: string I/O, ``commutes``, the operators
+``scheduler.Tableau`` measures and the ``center`` test oracle.  Global
+phases are dropped except in ``phase_product``.
 """
 
 from __future__ import annotations
@@ -72,99 +77,60 @@ def commutes(p: Pauli, q: Pauli) -> bool:
     return (gf2.dot(p.x, q.z) ^ gf2.dot(p.z, q.x)) == 0
 
 
-def phase_product(paulis: Sequence[Pauli]) -> Tuple[Pauli, int]:
-    """Exact product: (Pauli mod phase, exponent k with phase i^k).
+def phase_product(ops: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], int]:
+    """Exact ordered product of (x, z) operators: ((x, z) mod phase, k)
+    with phase i^k, where (x, z) stands for i^{x.z} X^x Z^z.
 
-    Tracks powers of i accumulated by single-qubit multiplications, so the
-    sign of an ordered product (e.g. a syndrome decomposition) is recovered.
+    Per qubit the cyclically ordered pairs XY, YZ, ZX add 1 to k and the
+    reversed pairs subtract 1; equal or identity factors add nothing.  The
+    empty product is the identity.
     """
-    if not paulis:
-        raise ValueError("empty product")
-    n = paulis[0].n
+    x = z = k = 0
+    for px, pz in ops:
+        k += (
+            (x & ~z & px & pz)  # X then Y
+            | (x & z & ~px & pz)  # Y then Z
+            | (~x & z & px & ~pz)  # Z then X
+        ).bit_count() - (
+            (x & z & px & ~pz)  # Y then X
+            | (~x & z & px & pz)  # Z then Y
+            | (x & ~z & ~px & pz)  # X then Z
+        ).bit_count()
+        x ^= px
+        z ^= pz
+    return (x, z), k % 4
+
+
+def first_bad_prefix(ops: Sequence[Tuple[int, int]]) -> Optional[int]:
+    """Prefix rule on (x, z) operators: the index of the first one that
+    anticommutes with the product of those before it, None if there is none."""
     x = z = 0
-    k = 0
-    for p in paulis:
-        if p.n != n:
-            raise SizeMismatch(f"{p.n} != {n}")
-        k = (k + _phase_exponent(x, z, p.x, p.z)) % 4
-        x ^= p.x
-        z ^= p.z
-    return Pauli(n, x, z), k
-
-
-def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
-    """i-exponent of P(x1,z1) * P(x2,z2) with P(x,z) = i^{xz} X^x Z^z.
-
-    Per qubit the cyclically ordered pairs XY, YZ, ZX contribute +1 and the
-    reversed pairs contribute -1; equal or identity factors contribute 0.
-    """
-    pos = (
-        (x1 & ~z1 & x2 & z2)  # X then Y
-        | (x1 & z1 & ~x2 & z2)  # Y then Z
-        | (~x1 & z1 & x2 & ~z2)  # Z then X
-    ).bit_count()
-    neg = (
-        (x1 & z1 & x2 & ~z2)  # Y then X
-        | (~x1 & z1 & x2 & z2)  # Z then Y
-        | (x1 & ~z1 & ~x2 & z2)  # X then Z
-    ).bit_count()
-    return (pos - neg) % 4
-
-
-class PauliSpan:
-    """GF(2) span of Pauli operators with a maintained reduced basis."""
-
-    def __init__(self, n: int, generators: Iterable[Pauli] = ()) -> None:
-        self.n = n
-        self.generators: List[Pauli] = []
-        self.basis = gf2.Basis()
-        for p in generators:
-            self.add(p)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def add(self, p: Pauli) -> bool:
-        if p.n != self.n:
-            raise SizeMismatch(f"{p.n} != {self.n}")
-        self.generators.append(p)
-        return self.basis.add(p.vec())
-
-    def contains(self, p: Pauli) -> bool:
-        return self.basis.contains(p.vec())
-
-    def basis_paulis(self) -> List[Pauli]:
-        return [Pauli.from_vec(self.n, v) for v in self.basis.rows]
-
-    def to_strings(self) -> List[str]:
-        return [p.to_string() for p in self.basis_paulis()]
+    for j, (px, pz) in enumerate(ops):
+        if gf2.dot(x, pz) ^ gf2.dot(z, px):
+            return j
+        x ^= px
+        z ^= pz
+    return None
 
 
 LINK_PAULI = {"r": "X", "g": "Y", "b": "Z"}
 
 
-def link_operator(edge: Sequence[int], color: Optional[str], n: int) -> Pauli:
-    """Two-body XX/YY/ZZ by color for rank-2 edges, ZZZ for rank-3."""
-    if len(edge) == 3:
-        z = 0
-        for v in edge:
-            z |= 1 << v
-        return Pauli(n, 0, z)
+def link_operator(vertices: Sequence[int], color: Optional[str]) -> Tuple[int, int]:
+    """(x, z) of a link: XX/YY/ZZ by color on two vertices, ZZZ on three."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    if len(vertices) == 3:
+        return 0, mask
     if color not in LINK_PAULI:
-        raise ColorMissing(f"rank-2 edge {tuple(edge)} has no color")
+        raise ColorMissing(f"rank-2 edge {tuple(vertices)} has no color")
     ch = LINK_PAULI[color]
-    x = z = 0
-    for v in edge:
-        if ch in ("X", "Y"):
-            x |= 1 << v
-        if ch in ("Y", "Z"):
-            z |= 1 << v
-    return Pauli(n, x, z)
+    return (mask if ch in "XY" else 0), (mask if ch in "YZ" else 0)
 
 
-def cycle_operator(h, sigma: int) -> Pauli:
-    """W(sigma): the product of link operators over the edges of a
+def cycle_operator(h, sigma: int) -> Tuple[int, int]:
+    """W(sigma): the (x, z) product of link operators over the edges of a
     hypercycle (mod phase), from the per-edge masks cached on ``h``."""
     edges = gf2.bits(sigma & ((1 << h.num_edges) - 1))
     odd = 0
@@ -179,64 +145,57 @@ def cycle_operator(h, sigma: int) -> Pauli:
             raise ColorMissing(f"rank-2 edge {h.edges[i].vertices} has no color")
         x ^= link[0]
         z ^= link[1]
-    return Pauli(h.num_vertices, x, z)
+    return x, z
 
 
-def anticommuting_masks(ops: Sequence[Pauli], against: Sequence[Pauli]) -> List[int]:
-    """For each op, the bitmask of the entries of ``against`` it
+def anticommuting_masks(
+    ops: Sequence[Tuple[int, int]], against: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """For each (x, z) op, the bitmask of the entries of ``against`` it
     anticommutes with.
 
-    Column masks over the symplectically swapped ``against`` (z | x << n)
-    cost each op one XOR per set bit of its x | z << n vector instead of one
-    symplectic product per pair.
+    Per-qubit column masks of ``against`` (its Z parts meet the op's X part
+    and its X parts the op's Z part) cost each op one XOR per qubit of its
+    support instead of one symplectic product per pair.
     """
-    cols: Dict[int, int] = {}
-    for j, q in enumerate(against):
-        for b in gf2.bits(q.z | (q.x << q.n)):
-            cols[b] = cols.get(b, 0) ^ (1 << j)
+    by_x: Dict[int, int] = {}  # qubit -> entries with Z there
+    by_z: Dict[int, int] = {}  # qubit -> entries with X there
+    for j, (qx, qz) in enumerate(against):
+        for b in gf2.bits(qz):
+            by_x[b] = by_x.get(b, 0) ^ (1 << j)
+        for b in gf2.bits(qx):
+            by_z[b] = by_z.get(b, 0) ^ (1 << j)
     out: List[int] = []
-    for p in ops:
+    for px, pz in ops:
         mask = 0
-        for b in gf2.bits(p.vec()):
-            mask ^= cols.get(b, 0)
+        for b in gf2.bits(px):
+            mask ^= by_x.get(b, 0)
+        for b in gf2.bits(pz):
+            mask ^= by_z.get(b, 0)
         out.append(mask)
     return out
 
 
-def symplectic_rows(span: PauliSpan) -> List[int]:
-    """Rows r with parity(r & v) = symplectic product against the basis."""
-    n = span.n
-    return [
-        (vec >> n) | ((vec & ((1 << n) - 1)) << n) for vec in span.basis.rows
-    ]
-
-
-def centralizer(span: PauliSpan, n: Optional[int] = None) -> PauliSpan:
-    """All phase-free Paulis commuting with every generator.
-
-    dim = 2n - dim(span) by symplectic rank-nullity.
-    """
-    n = span.n if n is None else n
-    rows = symplectic_rows(span)
-    basis = gf2.kernel(rows, 2 * n)
-    out = PauliSpan(n)
-    for v in basis:
-        out.add(Pauli.from_vec(n, v))
+def centralizer(span: gf2.Basis, n: int) -> gf2.Basis:
+    """All phase-free Paulis commuting with an n-qubit span (both laid out
+    as x | z << n); dim = 2n - dim(span) by symplectic rank-nullity."""
+    low = (1 << n) - 1
+    swapped = [(v >> n) | ((v & low) << n) for v in span.rows]
+    out = gf2.Basis(gf2.kernel(swapped, 2 * n))
     if out.dim != 2 * n - span.dim:
         raise GaugeMismatch(f"dim centralizer {out.dim} != 2n - dim span {span.dim}")
     return out
 
 
-def center(span: PauliSpan) -> PauliSpan:
-    """span(gen) intersected with its centralizer: the radical of the
-    symplectic form restricted to the span.
+def center(span: gf2.Basis, n: int) -> gf2.Basis:
+    """span intersected with its centralizer (x | z << n layout): the
+    radical of the symplectic form restricted to the span.
 
     Builds the full Gram matrix of the span, so it serves as the test oracle
     for ``analyzer.build_code``, which intersects the gauge span with the
     cycle-operator span instead."""
-    rows = span.basis.rows
+    rows = span.rows
     k = len(rows)
-    n = span.n
     gram: List[int] = []
     for i in range(k):
         row = 0
@@ -248,11 +207,11 @@ def center(span: PauliSpan) -> PauliSpan:
         gram.append(row)
     # Transpose-free: gram is symmetric over GF(2).
     coeffs = gf2.kernel(gram, k)
-    out = PauliSpan(n)
+    out = gf2.Basis()
     for c in coeffs:
         v = 0
         for j in range(k):
             if (c >> j) & 1:
                 v ^= rows[j]
-        out.add(Pauli.from_vec(n, v))
+        out.add(v)
     return out

@@ -3,10 +3,14 @@ stabilizer-tableau verification.
 
 Every stabilizer generator is decomposed into an ordered product of derived
 link operators grouped r, then g, then b, with every prefix commuting with
-the next operator.  The schedule measures the full gauge generator set: in
-the relaxed model the three color rounds suffice (links sharing a qubit in
-the b round commute); in the exclusive model the b round splits in two so no
-qubit is touched twice in a time step.
+the next operator.  Decompositions, their signed products, the prefix rule
+and the round conflict check run on the (x, z) int pairs cached in
+``DerivedGraph.ops``; ``Pauli`` objects appear only at the tableau's API
+edge (one per link, built once per simulation).  The schedule measures the
+full gauge generator set: in the relaxed model the three color rounds
+suffice (links sharing a qubit in the b round commute); in the exclusive
+model the b round splits in two so no qubit is touched twice in a time
+step.
 
 Schedules are checked on a column-major stabilizer tableau: a measurement
 finds its anticommuting rows from the columns on its operator's support.
@@ -21,10 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import gf2, hypergraph, pauli
 from .analyzer import Generator, SubsystemCode
+from .colex import COLORS
 from .errors import (
     BadParams,
     InconsistentOutcome,
@@ -33,8 +38,6 @@ from .errors import (
     SizeMismatch,
 )
 from .pauli import Pauli
-
-COLOR_ORDER = ("r", "g", "b")
 
 
 class _Decomposer:
@@ -63,12 +66,12 @@ class _Decomposer:
 
     def grouped(self, groups: Dict[str, List[int]]) -> List[int]:
         out: List[int] = []
-        for c in COLOR_ORDER:
+        for c in COLORS:
             out.extend(sorted(set(groups.get(c, []))))
         return out
 
     def by_color(self, hyperedges: Sequence[int]) -> Dict[str, List[int]]:
-        groups: Dict[str, List[int]] = {c: [] for c in COLOR_ORDER}
+        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
         for e in sorted(hyperedges):
             color = self.h.edges[e].color
             if color not in groups:
@@ -95,7 +98,7 @@ class _Decomposer:
         """Inner edges of the class missing from the cycle, the kept boundary
         edges, and the outer triangle sides."""
         rec = self.h.faces[gen.face]
-        groups: Dict[str, List[int]] = {c: [] for c in COLOR_ORDER}
+        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
         used_class = {
             self.h.edges[e].color for e in rec.fprime if (gen.cycle >> e) & 1
         }
@@ -115,7 +118,7 @@ class _Decomposer:
         side per boundary vertex."""
         h = self.h
         rec = h.faces[gen.face]
-        groups: Dict[str, List[int]] = {c: [] for c in COLOR_ORDER}
+        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
         for e in rec.boundary:
             partner = hypergraph._other_face(h, e, gen.face)
             kind = h.faces[partner].kind
@@ -148,7 +151,7 @@ class _Decomposer:
         if bs is None:
             raise NoValidDecomposition("face lost its bridged structure")
         rec = h.faces[gen.face]
-        groups: Dict[str, List[int]] = {c: [] for c in COLOR_ORDER}
+        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
         for e in bs.inner:
             groups[h.edges[e].color].append(self.link(e))
         for (e1, e2, e3) in bs.paths:
@@ -181,43 +184,27 @@ class _Decomposer:
         return self.grouped(groups)
 
 
-def decompose(code: SubsystemCode, gen: Generator) -> List[int]:
-    """Ordered link-operator decomposition of one stabilizer generator,
-    grouped r, g, b; validated against the generator and the prefix rule."""
+def _signed_decomposition(code: SubsystemCode, gen: Generator) -> Tuple[List[int], int]:
+    """The ordered decomposition of ``gen`` and the +-1 sign of its product,
+    validated against the generator and the prefix rule."""
     seq = _Decomposer(code).decompose(gen)
-    target = pauli.cycle_operator(code.hypergraph, gen.cycle)
-    paulis = [link_pauli(code, i) for i in seq]
-    prod, phase = pauli.phase_product(paulis)
-    if prod != target or phase % 2 != 0:
+    ops = [code.derived.ops[i] for i in seq]
+    prod, phase = pauli.phase_product(ops)
+    if prod != pauli.cycle_operator(code.hypergraph, gen.cycle) or phase % 2:
         raise NoValidDecomposition(
             f"decomposition of generator {gen.gid} does not reproduce it"
         )
-    if not validate_prefixes(paulis):
+    if pauli.first_bad_prefix(ops) is not None:
         raise NoValidDecomposition(
             f"decomposition of generator {gen.gid} breaks the prefix rule"
         )
-    return seq
+    return seq, 1 if phase == 0 else -1
 
 
-def link_pauli(code: SubsystemCode, link_id: int) -> Pauli:
-    lk = code.derived.links[link_id]
-    return pauli.link_operator(lk.vertices, lk.color, code.n)
-
-
-def validate_prefixes(ops: Sequence[Pauli]) -> bool:
-    """Every prefix product commutes with the operator that follows it."""
-    return first_bad_prefix(ops) is None
-
-
-def first_bad_prefix(ops: Sequence[Pauli]) -> Optional[int]:
-    if not ops:
-        return None
-    prefix = ops[0]
-    for j in range(1, len(ops)):
-        if not pauli.commutes(ops[j], prefix):
-            return j
-        prefix = prefix.mul(ops[j])
-    return None
+def decompose(code: SubsystemCode, gen: Generator) -> List[int]:
+    """Ordered link-operator decomposition of one stabilizer generator,
+    grouped r, g, b; validated against the generator and the prefix rule."""
+    return _signed_decomposition(code, gen)[0]
 
 
 @dataclass(frozen=True)
@@ -257,10 +244,9 @@ def build_schedule(
     owners: Dict[int, List[int]] = {}
     signs: List[int] = []
     for gen in code.generators:
-        seq = decompose(code, gen)
+        seq, sign = _signed_decomposition(code, gen)
         per_stab.append(seq)
-        prod, phase = pauli.phase_product([link_pauli(code, i) for i in seq])
-        signs.append(1 if phase % 4 == 0 else -1)
+        signs.append(sign)
         for i in seq:
             owners.setdefault(i, []).append(gen.gid)
 
@@ -295,6 +281,7 @@ def build_schedule(
             )
         )
     _check_conflicts(code, rounds, model)
+    ops = code.derived.ops
     # Per-generator sequences must respect the round order and stay valid
     # under the prefix rule when sorted by measurement time.
     time_of = {
@@ -303,7 +290,7 @@ def build_schedule(
     ordered_stabs: List[Tuple[int, ...]] = []
     for gid, seq in enumerate(per_stab):
         temporal = tuple(sorted(seq, key=lambda i: time_of[i]))
-        if not validate_prefixes([link_pauli(code, i) for i in temporal]):
+        if pauli.first_bad_prefix([ops[i] for i in temporal]) is not None:
             raise ScheduleConflict(
                 f"generator {gid} breaks the prefix rule in time order"
             )
@@ -322,6 +309,7 @@ def _check_conflicts(
     rounds: Sequence[Sequence[ScheduledLink]],
     model: str,
 ) -> None:
+    ops = code.derived.ops
     for t, rnd in enumerate(rounds):
         seen: Dict[int, int] = {}
         for sl in rnd:
@@ -331,10 +319,8 @@ def _check_conflicts(
                         raise ScheduleConflict(
                             f"qubit {v} measured twice in time step {t}"
                         )
-                    other = code.derived.links[seen[v]]
-                    a = pauli.link_operator(other.vertices, other.color, code.n)
-                    b = link_pauli(code, sl.link)
-                    if not pauli.commutes(a, b):
+                    (ax, az), (bx, bz) = ops[seen[v]], ops[sl.link]
+                    if gf2.dot(ax, bz) ^ gf2.dot(az, bx):
                         raise ScheduleConflict(
                             f"anticommuting links share qubit {v} in round {t}"
                         )
@@ -492,14 +478,9 @@ class Tableau:
                 cz[q] ^= low
             self.neg = (self.neg & ~low) | (low if outcome ^ flip else 0)
             return outcome
-        acc_x = acc_z = phase = 0
-        row_of = self.row_of
-        for s in gf2.bits(danti & self.live):
-            i = row_of[s]
-            phase += pauli._phase_exponent(acc_x, acc_z, sx[i], sz[i])
-            phase += 2 * ((self.neg >> i) & 1)
-            acc_x ^= sx[i]
-            acc_z ^= sz[i]
+        rows = [self.row_of[s] for s in gf2.bits(danti & self.live)]
+        (acc_x, acc_z), phase = pauli.phase_product((sx[i], sz[i]) for i in rows)
+        phase += 2 * sum((self.neg >> i) & 1 for i in rows)
         if acc_x != ox or acc_z != oz or phase % 2 != 0:
             raise InconsistentOutcome("deterministic measurement mismatch")
         return ((phase >> 1) & 1) ^ flip
@@ -547,16 +528,15 @@ def simulate_syndrome(
     the adversarial broken-schedule fixtures)."""
     rng = random.Random(seed)
     n = code.n
+    ops = code.derived.ops
     gen_paulis = []
     for seq in schedule.per_stabilizer:
-        prod, phase = pauli.phase_product([link_pauli(code, i) for i in seq])
+        prod, phase = pauli.phase_product(ops[i] for i in seq)
         if phase % 2 and strict:
             raise InconsistentOutcome("generator product has imaginary phase")
-        gen_paulis.append((prod, 1 if phase % 4 == 0 else -1))
+        gen_paulis.append((Pauli(n, *prod), 1 if phase == 0 else -1))
     link_ops = {
-        i: link_pauli(code, i)
-        for seq in schedule.per_stabilizer
-        for i in seq
+        i: Pauli(n, *ops[i]) for seq in schedule.per_stabilizer for i in seq
     }
     agree = 0
     direct_agree = 0

@@ -1,0 +1,67 @@
+"""`Pauli`-object product and prefix rule kept as test oracles.
+
+These are the versions `tscodes.pauli.phase_product` and
+`tscodes.pauli.first_bad_prefix` replaced when operators inside the package
+became raw (x, z) int pairs.  They multiply `Pauli` dataclasses one factor
+at a time; the differential tests feed them and the int versions the same
+random sequences and require the same product, i-exponent and first bad
+index.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence, Tuple
+
+from tscodes import pauli
+from tscodes.errors import SizeMismatch
+from tscodes.pauli import Pauli
+
+
+def phase_product(paulis: Sequence[Pauli]) -> Tuple[Pauli, int]:
+    """Exact product: (Pauli mod phase, exponent k with phase i^k).
+
+    Tracks powers of i accumulated by single-qubit multiplications, so the
+    sign of an ordered product (e.g. a syndrome decomposition) is recovered.
+    """
+    if not paulis:
+        raise ValueError("empty product")
+    n = paulis[0].n
+    x = z = 0
+    k = 0
+    for p in paulis:
+        if p.n != n:
+            raise SizeMismatch(f"{p.n} != {n}")
+        k = (k + _phase_exponent(x, z, p.x, p.z)) % 4
+        x ^= p.x
+        z ^= p.z
+    return Pauli(n, x, z), k
+
+
+def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
+    """i-exponent of P(x1,z1) * P(x2,z2) with P(x,z) = i^{xz} X^x Z^z.
+
+    Per qubit the cyclically ordered pairs XY, YZ, ZX contribute +1 and the
+    reversed pairs contribute -1; equal or identity factors contribute 0.
+    """
+    pos = (
+        (x1 & ~z1 & x2 & z2)  # X then Y
+        | (x1 & z1 & ~x2 & z2)  # Y then Z
+        | (~x1 & z1 & x2 & ~z2)  # Z then X
+    ).bit_count()
+    neg = (
+        (x1 & z1 & x2 & ~z2)  # Y then X
+        | (~x1 & z1 & x2 & z2)  # Z then Y
+        | (x1 & ~z1 & ~x2 & z2)  # X then Z
+    ).bit_count()
+    return (pos - neg) % 4
+
+
+def first_bad_prefix(ops: Sequence[Pauli]) -> Optional[int]:
+    if not ops:
+        return None
+    prefix = ops[0]
+    for j in range(1, len(ops)):
+        if not pauli.commutes(ops[j], prefix):
+            return j
+        prefix = prefix.mul(ops[j])
+    return None

@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from typing import List
 
-from tscodes import pauli
 from tscodes.errors import InconsistentOutcome
 from tscodes.pauli import Pauli
+
+from reference_pauli import _phase_exponent
 
 
 class ReferenceTableau:
@@ -87,7 +88,7 @@ class ReferenceTableau:
             p0 = anti[0]
             px, pz = sx[p0], sz[p0]
             for i in anti[1:]:
-                ph = pauli._phase_exponent(sx[i], sz[i], px, pz)
+                ph = _phase_exponent(sx[i], sz[i], px, pz)
                 self.sign[i] = (self.sign[i] + self.sign[p0] + ph) % 4
                 sx[i] ^= px
                 sz[i] ^= pz
@@ -107,7 +108,7 @@ class ReferenceTableau:
             if ((self.dx[i] & oz).bit_count() ^ (self.dz[i] & ox).bit_count()) & 1:
                 phase = (
                     phase
-                    + pauli._phase_exponent(acc_x, acc_z, sx[i], sz[i])
+                    + _phase_exponent(acc_x, acc_z, sx[i], sz[i])
                     + self.sign[i]
                 ) % 4
                 acc_x ^= sx[i]

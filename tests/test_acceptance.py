@@ -33,9 +33,10 @@ def test_criterion_1_parameter_identities(pipeline_codes, honeycomb_code):
         start = time.monotonic()
         n = code.n
         # Independent eliminations, from scratch.
-        gauge_dim = gf2.rank(p.vec() for p in code.gauge.generators)
+        links = [pauli.link_operator(lk.vertices, lk.color) for lk in code.derived.links]
+        gauge_dim = gf2.rank(pauli.Pauli(n, *op).vec() for op in links)
         cent_dim = 2 * n - gauge_dim
-        s = pauli.center(code.gauge).dim
+        s = pauli.center(code.gauge, n).dim
         elapsed = time.monotonic() - start
         assert n == code.k + code.r + code.s
         assert gauge_dim == 2 * code.r + code.s
@@ -83,7 +84,7 @@ def test_criterion_5_commutation_law(pipeline_codes, honeycomb_code):
     for code in codes.values():
         h = code.hypergraph
         ops = [
-            pauli.link_operator(e.vertices, e.color, h.num_vertices)
+            pauli.Pauli(h.num_vertices, *pauli.link_operator(e.vertices, e.color))
             for e in h.edges
         ]
         for i, j in itertools.combinations(range(h.num_edges), 2):

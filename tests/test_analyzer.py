@@ -37,16 +37,18 @@ def test_stabilizer_equals_center_oracle(pipeline_codes, honeycomb_code, honeyco
     codes["bombin_hc33"] = analyzer.bombin_pipeline(honeycomb33_colex)
     codes["colex_hc33"] = honeycomb_code
     for name, code in codes.items():
-        oracle = pauli.center(code.gauge)
-        assert sorted(code.stabilizer.basis.rows) == sorted(oracle.basis.rows), name
+        oracle = pauli.center(code.gauge, code.n)
+        assert sorted(code.stabilizer.rows) == sorted(oracle.rows), name
 
 
 def test_gauge_is_centralizer_of_cycles(th2_22):
-    cent = pauli.centralizer(th2_22.gauge)
+    n = th2_22.n
+    cent = pauli.centralizer(th2_22.gauge, n)
     # dim C(G) = 2k + s, and every cycle operator lands inside it.
     assert cent.dim == 2 * th2_22.k + th2_22.s
     for sigma in th2_22.cycles.basis:
-        assert cent.contains(pauli.cycle_operator(th2_22.hypergraph, sigma))
+        w = pauli.Pauli(n, *pauli.cycle_operator(th2_22.hypergraph, sigma))
+        assert cent.contains(w.vec())
 
 
 def test_odd_degree_seed_rejected():
@@ -221,8 +223,8 @@ def test_exact_distance_gate(th2_22):
 def test_exact_distance_small_code():
     # The two-qubit repetition stabilizer <XX>: C(S) contains weight-1
     # operators (X on either qubit) outside the gauge span.
-    span = pauli.PauliSpan(2, [pauli.Pauli.from_string("XX")])
-    stab = pauli.center(span)
+    span = gf2.Basis([pauli.Pauli.from_string("XX").vec()])
+    stab = pauli.center(span, 2)
     code = analyzer.SubsystemCode(
         n=2,
         k=1,
@@ -249,8 +251,8 @@ def test_report_json_deterministic(th2_22):
 def test_honeycomb_all_rank2_cycles_are_stabilizers(honeycomb_code):
     h = honeycomb_code.hypergraph
     for sigma in honeycomb_code.cycles.basis:
-        w = pauli.cycle_operator(h, sigma)
-        assert honeycomb_code.stabilizer.contains(w)
+        w = pauli.Pauli(h.num_vertices, *pauli.cycle_operator(h, sigma))
+        assert honeycomb_code.stabilizer.contains(w.vec())
 
 
 def test_theorem2_on_theta_blowup_rejected():

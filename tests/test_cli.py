@@ -46,6 +46,16 @@ def test_gen_bad_params():
     assert run(["gen", "honeycomb-torus", "3", "4"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["theta", "5"], ["petersen", "1", "2", "3"], ["torus-grid", "2", "2", "9"]]
+)
+def test_gen_extra_params_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "g.json"
+    assert run(["gen", *argv, "--out", str(out)]) == 2
+    assert "BadParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_theorem2_report(tmp_path):
     g = tmp_path / "g.json"
     rep = tmp_path / "r.json"

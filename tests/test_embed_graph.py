@@ -65,6 +65,20 @@ def test_malformed_entry_rejected_and_named(edges, rotation, entry):
         eg.build(2, edges, rotation)
 
 
+@pytest.mark.parametrize(
+    "num_vertices, edges, rotation, named",
+    [
+        (2, [(0, 1)], [5, [(0, 1)]], "rotation of vertex 0 is not a list: 5"),
+        (2, [(0, 1)], 7, "rotation is not a list: 7"),
+        (2, 7, [[(0, 0)], [(0, 1)]], "edges is not a list: 7"),
+        ("2", [(0, 1)], [[(0, 0)], [(0, 1)]], "vertex count '2' is not an int"),
+    ],
+)
+def test_malformed_argument_rejected_and_named(num_vertices, edges, rotation, named):
+    with pytest.raises(MalformedRotation, match=re.escape(named)):
+        eg.build(num_vertices, edges, rotation)
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraph):
         eg.build(

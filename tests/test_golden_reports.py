@@ -6,9 +6,14 @@ pivot-keyed GF(2) core replaced the row-scan elimination, the GEN_GOLDEN
 and custom-pipeline digests before the face and edge colorers were merged
 and the rotation maps were cached on the graph.  SIM_GOLDEN pins
 `simulate_syndrome` runs, down to every measurement outcome.
+SCHEDULE_GOLDEN and SIGNS_GOLDEN pin the schedule layer (rounds, the
+per-stabilizer link order and the sign of each generator's product); they
+were taken before the scheduler moved from `Pauli` objects to (x, z) ints.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -191,3 +196,59 @@ def test_simulation_digest(
     ])
     assert hashlib.sha256(text.encode()).hexdigest() == report_digest
     assert hashlib.sha256(bytes(outcomes)).hexdigest() == outcomes_digest
+
+
+# (family, gen params, pipeline, model, exit code, sha256 of the stdout of
+# `tscodes schedule --seed 3 --trials 20`).
+SCHEDULE_GOLDEN = [
+    ("torus-grid", (2, 2), "theorem2", "relaxed", 0,
+     "5250adab36b764aaf1c4163a7c2857460fc7eb5daa5b82fa63f81122b352de35"),
+    ("torus-grid", (2, 2), "theorem2", "exclusive", 0,
+     "7d1e8321e097372d5b409272eb6a8f923cd2887adc348d916a41d9182e3ee1a0"),
+    ("torus-grid", (2, 2), "theorem3", "relaxed", 0,
+     "54db05a244fd567f998084425d014e9d2ce4abedbf92cca13a01dcd7b2b8f418"),
+    ("torus-grid", (2, 2), "theorem3", "exclusive", 0,
+     "4b0c70a8c9e7b554109b6c486269d1af00568d2216f56bd479c9ef95ec311da3"),
+    ("triangular-torus", (2, 2), "theorem3", "relaxed", 0,
+     "9e6cc3d5c10f4cdadf88918b9aadbfa9b9ad6b29995102566425daa5d8e9defc"),
+    ("triangular-torus", (2, 2), "theorem3", "exclusive", 0,
+     "8fbc50d6f372f58766779c9cd4cc74c2b08b2e7b989c6dd484b177c4c6e57d53"),
+    ("honeycomb-torus", (3, 3), "custom", "relaxed", 0,
+     "ace1522c5801f0eaf75bb861858048e07b2d11c14eb17cefa2cf26c779392491"),
+    ("honeycomb-torus", (3, 3), "custom", "exclusive", 0,
+     "552734e2cc7f4bad6e7cf46797ec6c8bff067c4d82dce916ae064a6b816c230a"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, pipeline, model, exit_code, digest",
+    SCHEDULE_GOLDEN,
+    ids=[f"schedule-{g[2]}-{g[0]}-{g[1][0]}x{g[1][1]}-{g[3]}" for g in SCHEDULE_GOLDEN],
+)
+def test_schedule_digest(tmp_path, family, params, pipeline, model, exit_code, digest):
+    graph = tmp_path / "in.json"
+    assert cli.main(["gen", family, *map(str, params), "--out", str(graph)]) == 0
+    argv = ["schedule", str(graph), "--pipeline", pipeline, "--model", model,
+            "--seed", "3", "--trials", "20"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == exit_code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+_TH3_TRI22_SIGNS = (1, -1, 1, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1, 1, -1, 1, 1, -1,
+                    1, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1, 1, -1, 1) + (1,) * 16
+# code -> `MeasurementSchedule.signs`, the same under both models.
+SIGNS_GOLDEN = {
+    "th2_22": (1,) * 16,
+    "th3_22": (1,) * 32,
+    "th3_tri22": _TH3_TRI22_SIGNS,
+    "honeycomb_code": (-1,) * 9 + (1, 1),
+}
+
+
+@pytest.mark.parametrize("model", ["relaxed", "exclusive"])
+@pytest.mark.parametrize("name", sorted(SIGNS_GOLDEN))
+def test_schedule_signs(request, tri22_codes, name, model):
+    code = tri22_codes.get(name) or request.getfixturevalue(name)
+    assert sch.build_schedule(code, model).signs == SIGNS_GOLDEN[name]

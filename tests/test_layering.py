@@ -1,0 +1,58 @@
+"""Static layering rules of the tscodes package, checked on its syntax trees.
+
+- Every import is at module level: a function-level import hides a
+  dependency (or an import cycle) from the reader.
+- The retired `PauliSpan` wrapper does not come back; spans are `gf2.Basis`.
+- `analyzer` and `hypergraph` work on (x, z) int pairs only and never name
+  the `Pauli` dataclass, which stays at the API edge.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tscodes
+
+SOURCES = sorted(Path(tscodes.__file__).parent.glob("*.py"))
+INT_ONLY = {"analyzer.py", "hypergraph.py"}
+
+
+def _names(tree):
+    """(line, identifier) of every name, attribute, import alias and
+    definition in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.asname or node.name
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+
+
+def test_sources_found():
+    assert {"analyzer.py", "hypergraph.py", "pauli.py", "scheduler.py"} <= {
+        p.name for p in SOURCES
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_layering(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bad += [
+                f"line {node.lineno}: function-level import in {fn.name}"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    for line, name in _names(tree):
+        if name == "PauliSpan":
+            bad.append(f"line {line}: PauliSpan")
+        if name == "Pauli" and path.name in INT_ONLY:
+            bad.append(f"line {line}: Pauli in an int-only module")
+    assert not bad, f"{path.name}: " + "; ".join(sorted(set(bad)))

@@ -12,11 +12,11 @@ def test_decompositions_reproduce_generators(th2_22, th3_22):
     for code in (th2_22, th3_22):
         for gen in code.generators:
             seq = sch.decompose(code, gen)
-            ops = [sch.link_pauli(code, i) for i in seq]
+            ops = [code.derived.ops[i] for i in seq]
             prod, phase = pauli.phase_product(ops)
             assert prod == pauli.cycle_operator(code.hypergraph, gen.cycle)
             assert phase % 2 == 0
-            assert sch.validate_prefixes(ops)
+            assert pauli.first_bad_prefix(ops) is None
 
 
 def test_decomposition_groups_by_color(th2_22):
@@ -39,17 +39,17 @@ def test_promoted_sigma1_has_no_b_round(th2_22):
 def test_validate_prefixes_flags_bad_order(th2_22):
     gen = next(g for g in th2_22.generators if g.kind == "sigma2_promoted")
     seq = sch.decompose(th2_22, gen)
-    ops = [sch.link_pauli(th2_22, i) for i in seq]
-    assert sch.validate_prefixes(ops)
+    ops = [th2_22.derived.ops[i] for i in seq]
+    assert pauli.first_bad_prefix(ops) is None
     # Move a final-round two-body Z in front: it anticommutes with the
     # incomplete prefix.
     bad = [ops[-1]] + ops[:-1]
-    assert not sch.validate_prefixes(bad)
-    assert sch.first_bad_prefix(bad) is not None
+    assert pauli.first_bad_prefix(bad) is not None
 
 
 def test_validate_prefixes_singleton():
-    assert sch.validate_prefixes([Pauli.from_string("XX")])
+    xx = Pauli.from_string("XX")
+    assert pauli.first_bad_prefix([(xx.x, xx.z)]) is None
 
 
 def test_schedule_round_counts(pipeline_codes):
@@ -76,7 +76,7 @@ def test_exclusive_rounds_touch_qubits_once(th2_22):
 def test_relaxed_b_round_links_commute(th2_22):
     sched = sch.build_schedule(th2_22, "relaxed")
     last = sched.rounds[-1]
-    ops = [sch.link_pauli(th2_22, sl.link) for sl in last]
+    ops = [Pauli(th2_22.n, *th2_22.derived.ops[sl.link]) for sl in last]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             assert pauli.commutes(ops[i], ops[j])
@@ -123,8 +123,8 @@ def test_broken_schedule_detected(th2_22):
     # Pull the last two-body Z link in front of the r and g rounds.
     seq = [seq[-1]] + seq[:-1]
     broken_stabs[target] = tuple(seq)
-    ops = [sch.link_pauli(th2_22, i) for i in broken_stabs[target]]
-    assert not sch.validate_prefixes(ops)
+    ops = [th2_22.derived.ops[i] for i in broken_stabs[target]]
+    assert pauli.first_bad_prefix(ops) is not None
     broken = MeasurementSchedule(
         model=good.model,
         time_steps=good.time_steps,
@@ -185,7 +185,7 @@ def test_b_links_overlap_earlier_product_twice(th2_22):
         prefix = None
         for i in seq:
             lk = th2_22.derived.links[i]
-            op = sch.link_pauli(th2_22, i)
+            op = Pauli(th2_22.n, *th2_22.derived.ops[i])
             if lk.pauli != "ZZ":
                 prefix = op if prefix is None else prefix.mul(op)
             else:
