@@ -40,6 +40,7 @@ class Generator:
     kind: str  # sigma1_fprime | sigma1_boundary | sigma2_promoted |
     #            sigma2_necklace | sigma2_bridged | loop2
     cycle: int
+    links: Tuple[int, ...]  # its link decomposition, see hypergraph.FaceCycle
 
 
 @dataclass
@@ -83,18 +84,6 @@ class SubsystemCode:
         return (self.n, self.k, self.r, self.s)
 
 
-def _generator_kind(h: Hypergraph, fid: int, which: int) -> str:
-    rec = h.faces[fid]
-    if rec.kind == "promoted":
-        return "sigma1_fprime" if which == 1 else "sigma2_promoted"
-    if which == 1:
-        return "sigma1_boundary"
-    tov = h.triangle_of_vertex
-    if all(v in tov for v in rec.boundary_vertices):
-        return "sigma2_necklace"
-    return "sigma2_bridged"
-
-
 def _cycle_vec(h: Hypergraph, sigma: int) -> int:
     """W(sigma) in the x | z << n layout of the gauge and stabilizer spans."""
     x, z = pauli.cycle_operator(h, sigma)
@@ -106,15 +95,17 @@ def _completion_loops(
     triv: gf2.Basis,
     cycles: Sequence[int],
     gauge: gf2.Basis,
+    ops: Sequence[Tuple[int, int]],
     span_cap: int = 18,
-) -> List[int]:
+) -> List[hypergraph.FaceCycle]:
     """Rank-2 loop generators completing the face-cycle span.
 
     Searches each missing coset for a minimum-weight representative whose
-    r -> g -> b grouping satisfies the prefix rule, so the loop can join the
-    measurement schedule.  Used for colexes whose stabilizer includes cycles
-    of nontrivial homology (no promoted faces)."""
-    out: List[int] = []
+    r -> g -> b grouped links (``ops`` holds their operators) satisfy the
+    prefix rule, so the loop can join the measurement schedule.  Used for
+    colexes whose stabilizer includes cycles of nontrivial homology (no
+    promoted faces)."""
+    out: List[hypergraph.FaceCycle] = []
     work = triv.copy()
     missing = [b for b in cycles if work.add(b)]
     if not missing:
@@ -135,20 +126,14 @@ def _completion_loops(
                 continue
             if not gauge.contains(_cycle_vec(h, cand)):
                 continue
-            edges = gf2.bits(cand)
-            grouped = [
-                h.edge_masks[i][1]
-                for c in colex_mod.COLORS
-                for i in edges
-                if h.edges[i].color == c
-            ]
-            if pauli.first_bad_prefix(grouped) is None:
-                chosen = cand
+            loop = hypergraph.rank2_cycle(h, "loop2", gf2.bits(cand))
+            if pauli.first_bad_prefix([ops[i] for i in loop.links]) is None:
+                chosen = loop
                 break
         if chosen is None:
             raise GaugeMismatch("no schedulable loop closes the stabilizer span")
         out.append(chosen)
-        triv.add(chosen)
+        triv.add(chosen.cycle)
     return out
 
 
@@ -194,30 +179,26 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     if n != k + r + s:
         raise GaugeMismatch(f"n = {n} != k+r+s = {k + r + s}")
 
-    generators: List[Generator] = []
+    # Each generator comes with its link decomposition, from the same walk.
+    found: List[Tuple[Optional[int], hypergraph.FaceCycle]] = []
     triv = gf2.Basis()
     if h.faces is not None:
         for fid in range(len(h.faces)):
-            fc = hypergraph.canonical_face_cycles(h, fid)
-            for which, sigma in ((1, fc.sigma1), (2, fc.sigma2)):
-                if sigma is None:
-                    continue
-                generators.append(
-                    Generator(
-                        len(generators), fid, _generator_kind(h, fid, which), sigma
-                    )
-                )
-                triv.add(sigma)
+            for fc in hypergraph.canonical_face_cycles(h, fid):
+                found.append((fid, fc))
+                triv.add(fc.cycle)
         if triv.dim < s and not h.rank3_ids():
             # Cycles of nontrivial homology are stabilizers too; look for
             # schedulable loop representatives.
-            for mask in _completion_loops(h, triv, cycles.basis, gauge):
-                generators.append(
-                    Generator(len(generators), None, "loop2", mask)
-                )
-        for g in generators:
-            if not stab.contains(_cycle_vec(h, g.cycle)):
-                raise GaugeMismatch(f"generator {g.gid} is not a stabilizer")
+            for fc in _completion_loops(h, triv, cycles.basis, gauge, dg.ops):
+                found.append((None, fc))
+    generators = [
+        Generator(gid, fid, fc.kind, fc.cycle, fc.links)
+        for gid, (fid, fc) in enumerate(found)
+    ]
+    for g in generators:
+        if not stab.contains(_cycle_vec(h, g.cycle)):
+            raise GaugeMismatch(f"generator {g.gid} is not a stabilizer")
     cycles = HypercycleSpace(
         cycles.basis, cycles.dim, cycles.incidence_rank, tuple(triv.rows)
     )

@@ -10,6 +10,11 @@ on a single shared qubit).
 
 Hyperedge ids 0..E-1 coincide with the parent colex edge ids (promoted edges
 keep their id and gain a vertex); inner-face edges are appended after.
+
+Face structure is read only here.  ``canonical_face_cycles`` walks a face
+once and returns each canonical hypercycle together with the ordered links
+that measure its cycle operator (its link decomposition); ``build_code``
+stores both on the stabilizer generator, and the scheduler only checks them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .errors import (
     UnclassifiedFace,
     UnknownFormat,
 )
+
+
+_ROUND = {c: k for k, c in enumerate(COLORS)}
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,19 @@ class Hypergraph:
             if e.provenance and e.provenance[0] == "fprime":
                 out[frozenset(e.vertices)] = i
         return MappingProxyType(out)
+
+    @cached_property
+    def link_key(self) -> Tuple[Tuple[int, int], ...]:
+        """Per edge, (round, id) of its first link in ``derived_graph``.  A
+        rank-2 edge is one link, a rank-3 edge its sides (v0, v1), (v1, v2),
+        (v0, v2) with consecutive ids; the round is the index of the edge's
+        color in COLORS, or len(COLORS) without one."""
+        out: List[Tuple[int, int]] = []
+        nxt = 0
+        for e in self.edges:
+            out.append((_ROUND.get(e.color, len(COLORS)), nxt))
+            nxt += 1 if e.rank == 2 else 3
+        return tuple(out)
 
     def recolored(self, colors: Sequence[Optional[str]]) -> "Hypergraph":
         new_edges = tuple(
@@ -401,10 +422,16 @@ def validate_H(h: Hypergraph) -> HReport:
         if len(set(cols)) != len(cols):
             proper = ConditionReport(False, (v,))
             break
+    # Rank-3 edges must all be "b": their triangle sides are ZZ links and
+    # their cycle operators ZZZ, whatever the color.  The witness is the set
+    # of colors when they differ, else the first edge that is not "b".
     mono = ConditionReport(True)
-    r3cols = {h.edges[i].color for i in h.rank3_ids()}
+    r3 = h.rank3_ids()
+    r3cols = {h.edges[i].color for i in r3}
     if len(r3cols) > 1:
         mono = ConditionReport(False, tuple(sorted(r3cols, key=str)))
+    elif r3cols and r3cols != {"b"}:
+        mono = ConditionReport(False, (r3[0], h.edges[r3[0]].color))
     return HReport(h1, h2, h3, h4, proper, mono)
 
 
@@ -460,9 +487,49 @@ def is_cycle(h: Hypergraph, sigma: int) -> bool:
 
 
 @dataclass(frozen=True)
-class FaceCycles:
-    sigma1: Optional[int]
-    sigma2: Optional[int]
+class FaceCycle:
+    """A canonical hypercycle and the link decomposition of its cycle
+    operator: ids into ``derived_graph(h).links``, grouped r, g, b (triangle
+    sides with their triangle) and ascending within a group."""
+
+    kind: str  # sigma1_fprime | sigma1_boundary | sigma2_promoted |
+    #            sigma2_necklace | sigma2_bridged | loop2
+    cycle: int
+    links: Tuple[int, ...]
+
+
+def _ordered(
+    h: Hypergraph, edges: Sequence[int], sides: Sequence[Tuple[int, int]] = ()
+) -> Tuple[int, ...]:
+    """Link ids of the rank-2 ``edges`` and the triangle ``sides`` (rank-3
+    edge, side) of one decomposition: each once, grouped r, g, b by color,
+    ascending within a group.  A link without one of those colors is left
+    out, so the scheduler's product check rejects the decomposition."""
+    key = h.link_key
+    keys = {key[e] for e in edges}
+    for e, k in sides:
+        r, link = key[e]
+        keys.add((r, link + k))
+    return tuple(link for r, link in sorted(keys) if r < len(COLORS))
+
+
+def _side(h: Hypergraph, t: Triangle, a: int, b: int) -> List[Tuple[int, int]]:
+    """The ZZ pair (a, b) of triangle t as triangle sides.  Sides 0 (v0, v1)
+    and 1 (v1, v2) are links; (v0, v2) is measured as their product."""
+    v0, _, v2 = h.edges[t.edge_id].vertices
+    return [(t.edge_id, k) for k, v in ((0, v0), (1, v2)) if v in (a, b)]
+
+
+def _mask(edges: Sequence[int]) -> int:
+    sigma = 0
+    for e in edges:
+        sigma ^= 1 << e
+    return sigma
+
+
+def rank2_cycle(h: Hypergraph, kind: str, edges: Sequence[int]) -> FaceCycle:
+    """The cycle of distinct rank-2 ``edges``, measured by its own links."""
+    return FaceCycle(kind, _mask(edges), _ordered(h, edges))
 
 
 def _other_face(h: Hypergraph, edge_id: int, fid: int) -> Optional[int]:
@@ -474,137 +541,128 @@ def _other_face(h: Hypergraph, edge_id: int, fid: int) -> Optional[int]:
     return fid if faces.count(fid) > 1 else None
 
 
-def canonical_face_cycles(h: Hypergraph, fid: int) -> FaceCycles:
-    """The one or two canonical hypercycles attached to a parent-colex face.
+def canonical_face_cycles(h: Hypergraph, fid: int) -> Tuple[FaceCycle, ...]:
+    """The canonical hypercycles attached to a parent-colex face, each with
+    its link decomposition; one walk of the face finds both.
 
     Promoted faces get the inner-face boundary and the triangle-bearing cycle
     whose pairing edges share the kept color.  A face with no rank-3 edge in
     its boundary always yields its boundary cycle; it gets a second cycle
-    when either every boundary vertex carries a triangle (the triangles of
-    the surrounding promoted faces chain through it) or when it is joined
-    through intact 4-gon faces to promoted faces on all sides.
+    when either every boundary vertex carries a triangle (a necklace: the
+    triangles of the surrounding promoted faces chain through it) or when it
+    is joined through intact 4-gon faces to promoted faces on all sides
+    (bridged).  Broken faces yield nothing.
     """
     if h.faces is None:
         raise UnclassifiedFace("hypergraph carries no face structure")
     rec = h.faces[fid]
     if rec.kind == "broken":
-        return FaceCycles(None, None)
+        return ()
     if rec.kind == "promoted":
-        sigma1 = 0
-        for e in rec.fprime:
-            sigma1 ^= 1 << e
-        sigma2 = 0
-        for t in rec.triangles:
-            sigma2 ^= 1 << t.edge_id
-        for e in rec.kept:
-            sigma2 ^= 1 << e
-        for e in rec.fprime:
-            if h.edges[e].color == "g":
-                sigma2 ^= 1 << e
-        return FaceCycles(sigma1, sigma2)
-    # Plain face.
-    sigma1 = 0
-    for e in rec.boundary:
-        sigma1 ^= 1 << e
-    sigma2 = _plain_sigma2(h, fid)
-    return FaceCycles(sigma1, sigma2)
-
-
-def _plain_sigma2(h: Hypergraph, fid: int) -> Optional[int]:
-    rec = h.faces[fid]
-    tov = h.triangle_of_vertex
+        return _promoted_cycles(h, rec)
+    # Faces across a colex edge differ in color, so no boundary repeats an
+    # edge.
+    first = rank2_cycle(h, "sigma1_boundary", rec.boundary)
     verts = rec.boundary_vertices
-    if len(set(verts)) != len(verts):
-        return None  # self-touching faces are out of scope here
-    if all(v in tov for v in verts):
-        return _necklace_sigma2(h, fid, tov)
-    if not any(v in tov for v in verts):
-        return _bridged_sigma2(h, fid)
-    return None
+    second = None
+    if len(set(verts)) == len(verts):  # self-touching faces are out of scope
+        on_triangle = [v in h.triangle_of_vertex for v in verts]
+        if all(on_triangle):
+            second = _necklace(h, fid)
+        elif not any(on_triangle):
+            second = bridged_structure(h, fid)
+    return (first,) if second is None else (first, second)
 
 
-def _necklace_sigma2(
-    h: Hypergraph, fid: int, tov: Mapping[int, Triangle]
-) -> Optional[int]:
+def _promoted_cycles(h: Hypergraph, rec: FaceRec) -> Tuple[FaceCycle, ...]:
+    """The inner-face boundary, and the cycle through every triangle, the
+    kept edges and the "g" inner edges.  The latter is measured by the outer
+    triangle sides, the kept edges and the inner edges of the other class."""
+    sides: List[Tuple[int, int]] = []
+    sigma = 0
+    for t in rec.triangles:
+        sigma ^= 1 << t.edge_id
+        sides += _side(h, t, t.u_first, t.u_second)
+    links = list(rec.kept)
+    sigma ^= _mask(rec.kept)
+    for e in rec.fprime:
+        if h.edges[e].color == "g":
+            sigma ^= 1 << e
+        else:
+            links.append(e)
+    return (
+        rank2_cycle(h, "sigma1_fprime", rec.fprime),
+        FaceCycle("sigma2_promoted", sigma, _ordered(h, links, sides)),
+    )
+
+
+def _necklace(h: Hypergraph, fid: int) -> Optional[FaceCycle]:
     """Every boundary vertex carries a triangle: chain them with the paired
     surviving edges of the broken 4-gons and one inner edge per promoted
-    neighbor."""
+    neighbor.  Measured by one inner side per triangle, the opposite
+    survivors of the broken 4-gons, the boundary edges toward the promoted
+    neighbors and the inner connectors."""
     rec = h.faces[fid]
-    wpair = h.fprime_by_wpair
-    sigma = 0
-    for v in set(rec.boundary_vertices):
-        sigma ^= 1 << tov[v].edge_id
+    tov, wpair = h.triangle_of_vertex, h.fprime_by_wpair
+    verts = rec.boundary_vertices
+    links: List[int] = []
+    sides: List[Tuple[int, int]] = []
+    sigma = inner = 0
+    for v in verts:
+        t = tov[v]
+        sigma ^= 1 << t.edge_id
+        sides += _side(h, t, t.w, t.far(v))
     n = len(rec.boundary)
     for j, e in enumerate(rec.boundary):
         partner = _other_face(h, e, fid)
         if partner is None:
             return None
-        pkind = h.faces[partner].kind
-        a, a2 = rec.boundary_vertices[j], rec.boundary_vertices[(j + 1) % n]
-        if pkind == "broken":
-            survivors = [
-                be
-                for be in h.faces[partner].boundary
-                if h.edges[be].rank == 2
-            ]
+        prec = h.faces[partner]
+        if prec.kind == "broken":
+            survivors = [be for be in prec.boundary if h.edges[be].rank == 2]
             if len(survivors) != 2 or e not in survivors:
                 return None
             opposite = survivors[0] if survivors[1] == e else survivors[1]
             sigma ^= (1 << e) ^ (1 << opposite)
-        elif pkind == "promoted":
-            key = frozenset((tov[a].w, tov[a2].w))
+            links.append(opposite)
+        elif prec.kind == "promoted":
+            key = frozenset((tov[verts[j]].w, tov[verts[(j + 1) % n]].w))
             if key not in wpair:
                 return None
-            sigma ^= 1 << wpair[key]
+            inner ^= 1 << wpair[key]
+            links.append(e)
         else:
             return None
-    return sigma
+    links += gf2.bits(inner)
+    return FaceCycle("sigma2_necklace", sigma ^ inner, _ordered(h, links, sides))
 
 
-@dataclass(frozen=True)
-class BridgedStructure:
-    """Second-cycle structure of an unpromoted face all of whose 4-gon
-    neighbors lead across to promoted faces.
+def bridged_structure(h: Hypergraph, fid: int) -> Optional[FaceCycle]:
+    """Second cycle of an unpromoted face all of whose 4-gon neighbors lead
+    across to promoted faces, or None.
 
     Per corner: the far kept edge of the 4-gon neighbor, the two triangles
     flanking it, and the inner-face edge joining their new vertices.  Corners
     are chained by 3-edge paths (r, b, r) through the neighboring faces.
+    Measured by the inner edges, one side per corner triangle (from its new
+    vertex toward its chain), the chain edges, and every edge at this face's
+    vertices.
     """
-
-    kept: Tuple[int, ...]
-    triangles: Tuple[Tuple[Triangle, Triangle], ...]
-    inner: Tuple[int, ...]
-    paths: Tuple[Tuple[int, int, int], ...]
-
-    def cycle(self) -> int:
-        sigma = 0
-        for e in self.kept:
-            sigma ^= 1 << e
-        for (ta, tb) in self.triangles:
-            sigma ^= (1 << ta.edge_id) ^ (1 << tb.edge_id)
-        for e in self.inner:
-            sigma ^= 1 << e
-        for path in self.paths:
-            for e in path:
-                sigma ^= 1 << e
-        return sigma
-
-
-def bridged_structure(h: Hypergraph, fid: int) -> Optional[BridgedStructure]:
     rec = h.faces[fid]
-    tov = h.triangle_of_vertex
-    wpair = h.fprime_by_wpair
-    corners: List[Tuple[int, Triangle, Triangle]] = []
+    tov, wpair = h.triangle_of_vertex, h.fprime_by_wpair
+    links: List[int] = []
+    sides: List[Tuple[int, int]] = []
+    sigma = corners = 0
+    outward: set = set()
     for e in rec.boundary:
         partner = _other_face(h, e, fid)
         if partner is None:
             return None
-        pkind = h.faces[partner].kind
-        if pkind == "promoted":
-            return None
-        if pkind == "broken":
-            continue
         prec = h.faces[partner]
+        if prec.kind == "promoted":
+            return None
+        if prec.kind == "broken":
+            continue
         far = [
             be
             for be in prec.boundary
@@ -614,28 +672,23 @@ def bridged_structure(h: Hypergraph, fid: int) -> Optional[BridgedStructure]:
         ]
         if len(far) != 1:
             return None
-        a_far = far[0]
-        p, q = h.edges[a_far].vertices
+        # A kept edge joins two colex vertices, each an outer corner of its
+        # own triangle.
+        p, q = h.edges[far[0]].vertices
         if p not in tov or q not in tov or tov[p].edge_id == tov[q].edge_id:
             return None
-        corners.append((a_far, tov[p], tov[q]))
-    if not corners:
-        return None
-    kept: List[int] = []
-    tris: List[Tuple[Triangle, Triangle]] = []
-    inner: List[int] = []
-    outward: set = set()
-    for (a_far, ta, tb) in corners:
+        ta, tb = tov[p], tov[q]
         key = frozenset((ta.w, tb.w))
         if key not in wpair:
             return None
-        kept.append(a_far)
-        tris.append((ta, tb))
-        inner.append(wpair[key])
-        p, q = h.edges[a_far].vertices
-        outward.add(ta.far(p) if p in (ta.u_first, ta.u_second) else ta.far(q))
-        outward.add(tb.far(q) if q in (tb.u_first, tb.u_second) else tb.far(p))
-    if len(outward) != 2 * len(corners):
+        sigma ^= (1 << far[0]) ^ (1 << ta.edge_id) ^ (1 << tb.edge_id)
+        sigma ^= 1 << wpair[key]
+        links.append(wpair[key])
+        for t, u in ((ta, p), (tb, q)):
+            outward.add(t.far(u))
+            sides += _side(h, t, t.w, t.far(u))
+        corners += 1
+    if not corners or len(outward) != 2 * corners:
         return None
 
     def unique_colored(v: int, color: str, avoid: int = -1) -> Optional[int]:
@@ -646,7 +699,7 @@ def bridged_structure(h: Hypergraph, fid: int) -> Optional[BridgedStructure]:
         ]
         return cand[0] if len(cand) == 1 else None
 
-    paths: List[Tuple[int, int, int]] = []
+    paths = 0
     seen: set = set()
     for o in sorted(outward):
         if o in seen:
@@ -667,20 +720,21 @@ def bridged_structure(h: Hypergraph, fid: int) -> Optional[BridgedStructure]:
             return None
         seen.add(o)
         seen.add(o2)
-        paths.append((e1, e2, e3))
-    if len(paths) != len(corners):
+        sigma ^= (1 << e1) ^ (1 << e2) ^ (1 << e3)
+        links += (e1, e2, e3)
+        paths += 1
+    if paths != corners:
         return None
-    return BridgedStructure(tuple(kept), tuple(tris), tuple(inner), tuple(paths))
-
-
-def _bridged_sigma2(h: Hypergraph, fid: int) -> Optional[int]:
-    bs = bridged_structure(h, fid)
-    return None if bs is None else bs.cycle()
+    # The face's boundary and the third edge at each of its vertices.
+    for v in rec.boundary_vertices:
+        links += h.incident_edges(v)
+    return FaceCycle("sigma2_bridged", sigma, _ordered(h, links, sides))
 
 
 def derived_graph(h: Hypergraph) -> "DerivedGraph":
     """Expand every rank-3 edge into its ZZ triangle; rank-2 edges map to a
-    single link carrying the Pauli of their color."""
+    single link carrying the Pauli of their color.  Links follow the edge
+    order, as ``Hypergraph.link_key`` numbers them."""
     links: List[DLink] = []
     for i, e in enumerate(h.edges):
         if e.rank == 2:
@@ -714,11 +768,6 @@ class DLink:
 class DerivedGraph:
     num_vertices: int
     links: Tuple[DLink, ...]
-
-    @cached_property
-    def link_index(self) -> Mapping[Tuple[int, Optional[int]], int]:
-        """Read-only map from link origin to link id."""
-        return MappingProxyType({lk.origin: i for i, lk in enumerate(self.links)})
 
     @cached_property
     def ops(self) -> Tuple[Tuple[int, int], ...]:
@@ -908,18 +957,18 @@ def bombin_hypergraph(colex: TwoColex) -> Hypergraph:
 
 
 def to_json_dict(h: Hypergraph) -> dict:
+    """JSON form; ``colors`` and ``provenance`` are keyed by position in the
+    ``rank2`` list followed by the ``rank3`` list, the ids
+    ``from_json_dict`` gives the edges."""
+    order = [h.edges[i] for i in h.rank2_ids() + h.rank3_ids()]
     return {
         "vertices": list(range(h.num_vertices)),
-        "rank2": [list(h.edges[i].vertices) for i in h.rank2_ids()],
-        "rank3": [list(h.edges[i].vertices) for i in h.rank3_ids()],
+        "rank2": [list(e.vertices) for e in order if e.rank == 2],
+        "rank3": [list(e.vertices) for e in order if e.rank == 3],
         "colors": {
-            str(i): h.edges[i].color
-            for i in range(h.num_edges)
-            if h.edges[i].color is not None
+            str(k): e.color for k, e in enumerate(order) if e.color is not None
         },
-        "provenance": {
-            str(i): list(h.edges[i].provenance) for i in range(h.num_edges)
-        },
+        "provenance": {str(k): list(e.provenance) for k, e in enumerate(order)},
     }
 
 

@@ -1,12 +1,16 @@
 """Syndrome measurement: link-operator decompositions, round schedules and
 stabilizer-tableau verification.
 
-Every stabilizer generator is decomposed into an ordered product of derived
-link operators grouped r, then g, then b, with every prefix commuting with
-the next operator.  Decompositions, their signed products, the prefix rule
-and the round conflict check run on the (x, z) int pairs cached in
-``DerivedGraph.ops``; ``Pauli`` objects appear only at the tableau's API
-edge (one per link, built once per simulation).  The schedule measures the
+Every stabilizer generator carries its decomposition into an ordered
+product of derived link operators grouped r, then g, then b
+(``Generator.links``).  The decompositions are formed in ``hypergraph``, by
+the same face walk that finds each generator's cycle, and ``build_code``
+stores them; this module reads no face structure.  It checks each
+decomposition (its product is the generator's cycle operator with a real
+phase, and every prefix commutes with the next operator), then schedules.
+Signed products, the prefix rule and the round conflict check run on the
+(x, z) int pairs cached in ``DerivedGraph.ops``; ``Pauli`` objects appear
+only at the tableau's API edge (one per link, built once per simulation).  The schedule measures the
 full gauge generator set: in the relaxed model the three color rounds
 suffice (links sharing a qubit in the b round commute); in the exclusive
 model the b round splits in two so no qubit is touched twice in a time
@@ -27,9 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from . import gf2, hypergraph, pauli
+from . import gf2, pauli
 from .analyzer import Generator, SubsystemCode
-from .colex import COLORS
 from .errors import (
     BadParams,
     InconsistentOutcome,
@@ -40,154 +43,10 @@ from .errors import (
 from .pauli import Pauli
 
 
-class _Decomposer:
-    def __init__(self, code: SubsystemCode) -> None:
-        self.code = code
-        self.h = code.hypergraph
-        self.dg = code.derived
-        self.index = self.dg.link_index
-        self.tov = self.h.triangle_of_vertex
-
-    def link(self, hyperedge: int) -> int:
-        return self.index[(hyperedge, None)]
-
-    def side_links(self, tri_edge: int, a: int, b: int) -> List[int]:
-        """Links realizing the ZZ pair (a, b) inside a triangle; the third
-        side is the product of the two independent ones."""
-        v0, v1, v2 = self.h.edges[tri_edge].vertices
-        want = tuple(sorted((a, b)))
-        if want == (v0, v1):
-            return [self.index[(tri_edge, 0)]]
-        if want == (v1, v2):
-            return [self.index[(tri_edge, 1)]]
-        if want == (v0, v2):
-            return [self.index[(tri_edge, 0)], self.index[(tri_edge, 1)]]
-        raise NoValidDecomposition(f"{want} is not a side of triangle {tri_edge}")
-
-    def grouped(self, groups: Dict[str, List[int]]) -> List[int]:
-        out: List[int] = []
-        for c in COLORS:
-            out.extend(sorted(set(groups.get(c, []))))
-        return out
-
-    def by_color(self, hyperedges: Sequence[int]) -> Dict[str, List[int]]:
-        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
-        for e in sorted(hyperedges):
-            color = self.h.edges[e].color
-            if color not in groups:
-                raise NoValidDecomposition(f"edge {e} has no usable color")
-            groups[color].append(self.link(e))
-        return groups
-
-    def decompose(self, gen: Generator) -> List[int]:
-        h = self.h
-        if gen.kind in ("sigma1_fprime", "sigma1_boundary", "loop2"):
-            edges = [i for i in range(h.num_edges) if (gen.cycle >> i) & 1]
-            if any(h.edges[e].rank != 2 for e in edges):
-                raise NoValidDecomposition("boundary cycle contains a triangle")
-            return self.grouped(self.by_color(edges))
-        if gen.kind == "sigma2_promoted":
-            return self._promoted(gen)
-        if gen.kind == "sigma2_necklace":
-            return self._necklace(gen)
-        if gen.kind == "sigma2_bridged":
-            return self._bridged(gen)
-        raise NoValidDecomposition(f"unknown generator kind {gen.kind!r}")
-
-    def _promoted(self, gen: Generator) -> List[int]:
-        """Inner edges of the class missing from the cycle, the kept boundary
-        edges, and the outer triangle sides."""
-        rec = self.h.faces[gen.face]
-        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
-        used_class = {
-            self.h.edges[e].color for e in rec.fprime if (gen.cycle >> e) & 1
-        }
-        other = "r" if used_class == {"g"} else "g"
-        for e in rec.fprime:
-            if self.h.edges[e].color == other:
-                groups[other].append(self.link(e))
-        for e in rec.kept:
-            groups[self.h.edges[e].color].append(self.link(e))
-        for t in rec.triangles:
-            groups["b"].extend(self.side_links(t.edge_id, t.u_first, t.u_second))
-        return self.grouped(groups)
-
-    def _necklace(self, gen: Generator) -> List[int]:
-        """Boundary edges toward the promoted neighbors, opposite survivors
-        of the broken 4-gons, the inner connectors, and one inner triangle
-        side per boundary vertex."""
-        h = self.h
-        rec = h.faces[gen.face]
-        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
-        for e in rec.boundary:
-            partner = hypergraph._other_face(h, e, gen.face)
-            kind = h.faces[partner].kind
-            if kind == "promoted":
-                groups[h.edges[e].color].append(self.link(e))
-            elif kind == "broken":
-                survivors = [
-                    be
-                    for be in h.faces[partner].boundary
-                    if h.edges[be].rank == 2
-                ]
-                opposite = survivors[0] if survivors[1] == e else survivors[1]
-                groups[h.edges[opposite].color].append(self.link(opposite))
-            else:
-                raise NoValidDecomposition("necklace face with a plain neighbor")
-        for e in range(h.num_edges):
-            if (gen.cycle >> e) & 1 and h.edges[e].provenance[0] == "fprime":
-                groups[h.edges[e].color].append(self.link(e))
-        for v in rec.boundary_vertices:
-            t = self.tov[v]
-            groups["b"].extend(self.side_links(t.edge_id, t.w, t.far(v)))
-        return self.grouped(groups)
-
-    def _bridged(self, gen: Generator) -> List[int]:
-        """Inner edges over the corner triangles, the chain edges, the third
-        edge at each of this face's vertices, this face's own boundary, and
-        one triangle side toward each chain."""
-        h = self.h
-        bs = hypergraph.bridged_structure(h, gen.face)
-        if bs is None:
-            raise NoValidDecomposition("face lost its bridged structure")
-        rec = h.faces[gen.face]
-        groups: Dict[str, List[int]] = {c: [] for c in COLORS}
-        for e in bs.inner:
-            groups[h.edges[e].color].append(self.link(e))
-        for (e1, e2, e3) in bs.paths:
-            for e in (e1, e2, e3):
-                groups[h.edges[e].color].append(self.link(e))
-        nb = len(rec.boundary)
-        for v in rec.boundary_vertices:
-            own = {
-                rec.boundary[j]
-                for j in range(nb)
-                if v
-                in (
-                    rec.boundary_vertices[j],
-                    rec.boundary_vertices[(j + 1) % nb],
-                )
-            }
-            third = [i for i in h.incident_edges(v) if i not in own]
-            if len(third) != 1:
-                raise NoValidDecomposition("boundary vertex without a third edge")
-            groups[h.edges[third[0]].color].append(self.link(third[0]))
-        for e in rec.boundary:
-            groups[h.edges[e].color].append(self.link(e))
-        for (a_far, (ta, tb)) in zip(bs.kept, bs.triangles):
-            ends = set(h.edges[a_far].vertices)
-            for t in (ta, tb):
-                anchor = t.u_first if t.u_first in ends else t.u_second
-                groups["b"].extend(
-                    self.side_links(t.edge_id, t.w, t.far(anchor))
-                )
-        return self.grouped(groups)
-
-
 def _signed_decomposition(code: SubsystemCode, gen: Generator) -> Tuple[List[int], int]:
     """The ordered decomposition of ``gen`` and the +-1 sign of its product,
     validated against the generator and the prefix rule."""
-    seq = _Decomposer(code).decompose(gen)
+    seq = list(gen.links)
     ops = [code.derived.ops[i] for i in seq]
     prod, phase = pauli.phase_product(ops)
     if prod != pauli.cycle_operator(code.hypergraph, gen.cycle) or phase % 2:
@@ -203,7 +62,8 @@ def _signed_decomposition(code: SubsystemCode, gen: Generator) -> Tuple[List[int
 
 def decompose(code: SubsystemCode, gen: Generator) -> List[int]:
     """Ordered link-operator decomposition of one stabilizer generator,
-    grouped r, g, b; validated against the generator and the prefix rule."""
+    grouped r, g, b: its ``links``, validated against the generator and the
+    prefix rule."""
     return _signed_decomposition(code, gen)[0]
 
 

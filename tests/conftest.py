@@ -53,3 +53,12 @@ def honeycomb33_colex():
 @pytest.fixture(scope="session")
 def honeycomb_code(honeycomb33_colex):
     return analyzer.colex_code(honeycomb33_colex)
+
+
+@pytest.fixture(scope="session")
+def tri22_codes():
+    tri = lattices.triangular_torus(2, 2)
+    return {
+        "th2_tri22": analyzer.theorem2_pipeline(tri),
+        "th3_tri22": analyzer.theorem3_pipeline(tri),
+    }

@@ -199,6 +199,25 @@ def test_build_custom_from_hypergraph_json(tmp_path):
     assert (data["n"], data["k"], data["r"], data["s"]) == (48, 2, 32, 14)
 
 
+def test_build_custom_recolors_non_b_triangles(tmp_path):
+    """Rank-3 edges colored "r" are rejected by validate_H, so `custom`
+    recolors with three_edge_color instead of building a wrong gauge."""
+    from tscodes import analyzer, hypergraph, lattices
+
+    h = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2)).hypergraph
+    swap = {"r": "b", "b": "r"}
+    hjson = tmp_path / "h.json"
+    hjson.write_text(
+        hypergraph.to_json(h.recolored([swap.get(e.color, e.color) for e in h.edges]))
+    )
+    loaded = hypergraph.from_json_dict(json.loads(hjson.read_text()))
+    assert {e.color for e in loaded.edges if e.rank == 3} == {"r"}
+    rep = tmp_path / "r.json"
+    assert run(["build", str(hjson), "--pipeline", "custom", "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert (data["n"], data["k"], data["r"], data["s"]) == (48, 2, 32, 14)
+
+
 def _grid_json():
     from tscodes import embed_graph, lattices
 

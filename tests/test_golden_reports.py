@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from tscodes import analyzer, cli, embed_graph, lattices
+from tscodes import cli, embed_graph, lattices
 from tscodes import scheduler as sch
 
 # (family, gen params, pipeline, command, exit code, sha256 of the report)
@@ -158,15 +158,6 @@ SIM_GOLDEN = [
      "930802c8dcec32ef094779e49c5cfb727dbb3514192243d49a5209f66eb1bce7",
      "d5c092abb2db43ab49fc35dd94488d61858d196cbe3cfef22272e346e6b63cdf"),
 ]
-
-
-@pytest.fixture(scope="module")
-def tri22_codes():
-    tri = lattices.triangular_torus(2, 2)
-    return {
-        "th2_tri22": analyzer.theorem2_pipeline(tri),
-        "th3_tri22": analyzer.theorem3_pipeline(tri),
-    }
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from tscodes import colex, embed_graph as eg, gf2, hypergraph as hg, lattices
-from tscodes.errors import BadFaceSize, MixedColorF
+from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices
+from tscodes.errors import BadFaceSize, MixedColorF, NotThreeEdgeColorable
 from tscodes.hypergraph import HEdge, Hypergraph
 
 
@@ -141,13 +141,12 @@ def test_canonical_cycles_are_cycles(grid22):
     h, c = th2_hypergraph(grid22)
     two = one = 0
     for f in range(len(h.faces)):
-        fc = hg.canonical_face_cycles(h, f)
-        for sigma in (fc.sigma1, fc.sigma2):
-            if sigma is not None:
-                assert hg.is_cycle(h, sigma)
-        if fc.sigma1 is not None and fc.sigma2 is not None:
+        sigmas = [fc.cycle for fc in hg.canonical_face_cycles(h, f)]
+        for sigma in sigmas:
+            assert hg.is_cycle(h, sigma)
+        if len(sigmas) == 2:
             two += 1
-        elif fc.sigma1 is not None or fc.sigma2 is not None:
+        elif len(sigmas) == 1:
             one += 1
     # Every promoted face and every face free of triangles: two generators.
     assert two == grid22.num_vertices + grid22.num_faces
@@ -159,9 +158,10 @@ def test_promoted_sigma2_contains_all_face_triangles(grid22):
     for f, rec in enumerate(h.faces):
         if rec.kind != "promoted":
             continue
-        fc = hg.canonical_face_cycles(h, f)
+        _, fc2 = hg.canonical_face_cycles(h, f)
+        assert fc2.kind == "sigma2_promoted"
         for t in rec.triangles:
-            assert (fc.sigma2 >> t.edge_id) & 1
+            assert (fc2.cycle >> t.edge_id) & 1
 
 
 def test_derived_graph_counts(grid22):
@@ -209,14 +209,43 @@ def test_bombin_hypergraph_structure(honeycomb33_colex):
     assert rep.all_ok and rep.coloring_proper.ok and rep.rank3_monochrome.ok
 
 
-def test_json_round_trip(grid22):
-    h, _ = th2_hypergraph(grid22)
+def test_json_round_trip(th2_22):
+    h = th2_22.hypergraph
     data = json.loads(hg.to_json(h))
     back = hg.from_json_dict(data)
     assert back.num_vertices == h.num_vertices
     assert len(back.rank3_ids()) == len(h.rank3_ids())
+    # Every edge keeps its color (rank-3 edges have low ids, so a mismatch
+    # between id and list position would scramble them).
+    assert sorted((e.vertices, e.color) for e in back.edges) == sorted(
+        (e.vertices, e.color) for e in h.edges
+    )
     rep = hg.validate_H(back)
-    assert rep.all_ok
+    checks = (rep.h1, rep.h2, rep.h3, rep.h4, rep.coloring_proper,
+              rep.rank3_monochrome)
+    assert all(c.ok for c in checks)
+
+
+def test_rank3_edges_must_be_b(th2_22):
+    h = th2_22.hypergraph
+    swap = {"r": "b", "b": "r"}
+    swapped = h.recolored([swap.get(e.color, e.color) for e in h.edges])
+    rep = hg.validate_H(swapped)
+    assert rep.all_ok and rep.coloring_proper.ok
+    first = h.rank3_ids()[0]
+    assert rep.rank3_monochrome == hg.ConditionReport(False, (first, "r"))
+    with pytest.raises(NotThreeEdgeColorable):
+        analyzer.build_code(swapped)
+
+
+def test_link_key_indexes_derived_graph(th2_22):
+    h, links = th2_22.hypergraph, th2_22.derived.links
+    for i, e in enumerate(h.edges):
+        sides = (None,) if e.rank == 2 else (0, 1, 2)
+        r, first = h.link_key[i]
+        got = [links[first + k] for k in range(len(sides))]
+        assert [lk.origin for lk in got] == [(i, side) for side in sides]
+        assert all(lk.color == "rgb"[r] for lk in got)
 
 
 def test_dot_renders_triangle_clusters(grid22):
@@ -238,15 +267,15 @@ def th3_hypergraph(seed):
 def test_medial_route_face_cycle_classification(grid22):
     h, c, F_v = th3_hypergraph(grid22)
     for f, (kind, _) in enumerate(c.parentage):
-        fc = hg.canonical_face_cycles(h, f)
+        kinds = [fc.kind for fc in hg.canonical_face_cycles(h, f)]
         if f in F_v:
-            assert fc.sigma1 is not None and fc.sigma2 is not None
+            assert kinds == ["sigma1_fprime", "sigma2_promoted"]
         elif kind == "v":  # unpromoted half of the bipartition
-            assert fc.sigma1 is not None and fc.sigma2 is not None
+            assert kinds == ["sigma1_boundary", "sigma2_bridged"]
         elif kind == "e":  # intact 4-gons: boundary cycle only
-            assert fc.sigma1 is not None and fc.sigma2 is None
+            assert kinds == ["sigma1_boundary"]
         else:  # faces with triangles in their boundary yield nothing
-            assert fc.sigma1 is None and fc.sigma2 is None
+            assert kinds == []
 
 
 def test_medial_route_counts(grid22):

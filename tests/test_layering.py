@@ -5,6 +5,8 @@
 - The retired `PauliSpan` wrapper does not come back; spans are `gf2.Basis`.
 - `analyzer` and `hypergraph` work on (x, z) int pairs only and never name
   the `Pauli` dataclass, which stays at the API edge.
+- `scheduler` reads no face structure: link decompositions are formed by
+  the face walk in `hypergraph` and carried by each generator.
 """
 
 import ast
@@ -16,6 +18,10 @@ import tscodes
 
 SOURCES = sorted(Path(tscodes.__file__).parent.glob("*.py"))
 INT_ONLY = {"analyzer.py", "hypergraph.py"}
+FACE_STRUCTURE = {
+    "faces", "_other_face", "bridged_structure", "triangle_of_vertex",
+    "fprime_by_wpair",
+}
 
 
 def _names(tree):
@@ -55,4 +61,6 @@ def test_layering(path):
             bad.append(f"line {line}: PauliSpan")
         if name == "Pauli" and path.name in INT_ONLY:
             bad.append(f"line {line}: Pauli in an int-only module")
+        if name in FACE_STRUCTURE and path.name == "scheduler.py":
+            bad.append(f"line {line}: face structure {name} in the scheduler")
     assert not bad, f"{path.name}: " + "; ".join(sorted(set(bad)))

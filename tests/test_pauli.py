@@ -110,8 +110,9 @@ def test_promoted_sigma1_weight(grid22):
     for f, rec in enumerate(h.faces):
         if rec.kind != "promoted":
             continue
-        fc = hg.canonical_face_cycles(h, f)
-        w = Pauli(h.num_vertices, *pauli.cycle_operator(h, fc.sigma1))
+        fc1, _ = hg.canonical_face_cycles(h, f)
+        assert fc1.kind == "sigma1_fprime"
+        w = Pauli(h.num_vertices, *pauli.cycle_operator(h, fc1.cycle))
         assert w.weight == len(rec.new_vertices)
 
 

@@ -8,10 +8,20 @@ from tscodes.pauli import Pauli
 from tscodes.scheduler import MeasurementSchedule, Tableau
 
 
-def test_decompositions_reproduce_generators(th2_22, th3_22):
-    for code in (th2_22, th3_22):
+def test_decompositions_reproduce_generators(
+    pipeline_codes, tri22_codes, honeycomb_code
+):
+    # th3 triangular 2x2 is the code with -1 signs, the honeycomb colex code
+    # the one with loop2 generators.
+    codes = [*pipeline_codes.values(), tri22_codes["th3_tri22"], honeycomb_code]
+    assert {g.kind for code in codes for g in code.generators} == {
+        "sigma1_fprime", "sigma1_boundary", "sigma2_promoted",
+        "sigma2_necklace", "sigma2_bridged", "loop2",
+    }
+    for code in codes:
         for gen in code.generators:
             seq = sch.decompose(code, gen)
+            assert seq == list(gen.links)
             ops = [code.derived.ops[i] for i in seq]
             prod, phase = pauli.phase_product(ops)
             assert prod == pauli.cycle_operator(code.hypergraph, gen.cycle)
