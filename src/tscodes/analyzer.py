@@ -83,6 +83,12 @@ class SubsystemCode:
     def params(self) -> Tuple[int, int, int, int]:
         return (self.n, self.k, self.r, self.s)
 
+    @property
+    def faceless(self) -> bool:
+        """True for a bare hypergraph, as hypergraph JSON loads: it carries
+        no faces, so no face generators come with it."""
+        return self.hypergraph.faces is None
+
 
 def _cycle_vec(h: Hypergraph, sigma: int) -> int:
     """W(sigma) in the x | z << n layout of the gauge and stabilizer spans."""
@@ -450,8 +456,14 @@ def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
 
 
 def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
-    """ell: the minimum rank-3 count over nontrivial hypercycles, by coset
-    enumeration with exhaustion over the projected trivial span."""
+    """ell: the minimum rank-3 count over nontrivial hypercycles.
+
+    Each nontrivial coset representative, restricted to the rank-3 edges,
+    is searched against the trivial cycle span projected the same way, by
+    the exact information-set search of ``gf2.min_coset_weight``.
+    ``coset_cap`` bounds both the quotient dimension and the projected
+    span's dimension, as it did when that span was enumerated vector by
+    vector."""
     h = code.hypergraph
     r3 = h.rank3_mask()
     if r3 == 0:
@@ -462,13 +474,7 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
         raise QuotientTooLarge(
             f"projected trivial span has dim {proj.dim} > cap {coset_cap}"
         )
-    span = gf2.span_vectors(proj.rows)
-    best = None
-    for rep in reps:
-        base = rep & r3
-        m = min((base ^ x).bit_count() for x in span)
-        best = m if best is None else min(best, m)
-    return DistanceBound(best, True)
+    return DistanceBound(gf2.min_coset_weight(proj, (rep & r3 for rep in reps)), True)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,35 @@ def kernel(rows: List[int], ncols: int) -> List[int]:
     return [(1 << c) | fill.get(c, 0) for c in range(ncols) if c not in pivot_cols]
 
 
+def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:
+    """min |v ^ x| over the given vectors v and every x in span(basis);
+    None when there are no vectors.
+
+    Exact, by search over one information set, the pivots (Leon 1988).  In
+    reduced echelon form a span vector is the XOR of the rows whose pivots
+    it contains, and ``reduce(v)`` has no pivot bit, so |reduce(v) ^ x| is
+    the number of those rows plus the weight of their XOR off the pivots.
+    A depth-first search over row subsets carries that XOR and cuts a
+    branch once one more row cannot beat the best weight so far, which is
+    shared across the vectors.  It visits at most 2^dim subsets per vector.
+    """
+    mask = basis.mask
+    tails = [row & ~mask for row in basis.rows]
+    dim = len(tails)
+    best: Optional[int] = None
+    for v in vectors:
+        stack = [(0, 0, basis.reduce(v))]
+        while stack:
+            start, depth, acc = stack.pop()
+            w = depth + acc.bit_count()
+            if best is None or w < best:
+                best = w
+            depth += 1
+            if depth < best:
+                stack.extend((j + 1, depth, acc ^ tails[j]) for j in range(start, dim))
+    return best
+
+
 def span_vectors(basis_rows: List[int]) -> List[int]:
     """All 2^dim vectors of the span.  Caller is responsible for the cap."""
     out = [0]

@@ -96,6 +96,12 @@ def build_schedule(
     """
     if model not in ("relaxed", "exclusive"):
         raise ScheduleConflict(f"unknown model {model!r}")
+    if code.faceless:
+        raise NoValidDecomposition(
+            "the hypergraph has no faces (hypergraph JSON carries none), so "
+            "it has no stabilizer generators to schedule; scheduling needs a "
+            "graph or colex input"
+        )
     if not code.generators_complete:
         raise NoValidDecomposition(
             "stabilizer generators are incomplete for this hypergraph"

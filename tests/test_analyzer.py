@@ -1,5 +1,6 @@
 import pytest
 
+import reference_distance
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices, pauli
 from tscodes.errors import Degree2Seed, OddDegreeSeed, QuotientTooLarge
 
@@ -183,10 +184,19 @@ def test_distance_bound_coset_invariance(th2_22):
     span = gf2.span_vectors(gf2.Basis(v & r3 for v in triv.rows).rows)
     tweak = triv.rows[0]
     for rep in reps[:5]:
-        base = min((rep & r3) ^ x for x in span if True)
         m1 = min(((rep & r3) ^ x).bit_count() for x in span)
         m2 = min((((rep ^ tweak) & r3) ^ x).bit_count() for x in span)
         assert m1 == m2
+
+
+@pytest.mark.parametrize(
+    "name", ["th2_22", "th2_33", "th3_22", "th3_33", "th2_tri22", "th3_tri22"]
+)
+def test_distance_bound_matches_enumeration_oracle(
+    pipeline_codes, tri22_codes, name
+):
+    code = {**pipeline_codes, **tri22_codes}[name]
+    assert analyzer.distance_bound(code) == reference_distance.distance_bound(code)
 
 
 def test_quotient_cap(th2_22):

@@ -199,6 +199,19 @@ def test_build_custom_from_hypergraph_json(tmp_path):
     assert (data["n"], data["k"], data["r"], data["s"]) == (48, 2, 32, 14)
 
 
+def test_schedule_hypergraph_json_names_missing_faces(tmp_path, capsys):
+    from tscodes import analyzer, hypergraph, lattices
+
+    code = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2))
+    hjson = tmp_path / "h.json"
+    hjson.write_text(hypergraph.to_json(code.hypergraph))
+    assert run(["schedule", str(hjson), "--pipeline", "custom"]) == 2
+    err = capsys.readouterr().err
+    assert "error: NoValidDecomposition:" in err
+    assert "hypergraph JSON carries none" in err
+    assert "graph or colex input" in err
+
+
 def test_build_custom_recolors_non_b_triangles(tmp_path):
     """Rank-3 edges colored "r" are rejected by validate_H, so `custom`
     recolors with three_edge_color instead of building a wrong gauge."""

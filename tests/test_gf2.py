@@ -65,3 +65,34 @@ def test_basis_matches_reference(program):
         assert (fast_copy.rows, fast_copy.pivots) == (ref_copy.rows, ref_copy.pivots)
         assert (fast.rows, fast.pivots) == (rows, pivots)
 
+
+@st.composite
+def coset_problems(draw):
+    """A width up to 24 bits, a basis of dim 0-12 over it and 1-4 vectors;
+    with even odds one vector is replaced by a span vector."""
+    w = draw(st.integers(1, 24))
+    vec = st.integers(0, (1 << w) - 1)
+    basis = gf2.Basis(draw(st.lists(vec, max_size=12)))
+    vectors = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        span = gf2.span_vectors(basis.rows)
+        i = draw(st.integers(0, len(vectors) - 1))
+        vectors[i] = span[draw(st.integers(0, len(span) - 1))]
+    return basis, vectors
+
+
+@given(coset_problems())
+@settings(max_examples=200, deadline=None)
+def test_min_coset_weight_matches_span_enumeration(problem):
+    basis, vectors = problem
+    span = gf2.span_vectors(basis.rows)
+    want = min((v ^ x).bit_count() for v in vectors for x in span)
+    assert gf2.min_coset_weight(basis, vectors) == want
+
+
+def test_min_coset_weight_edges():
+    assert gf2.min_coset_weight(gf2.Basis([0b11]), []) is None
+    assert gf2.min_coset_weight(gf2.Basis(), [0b1011, 0b110]) == 2
+    assert gf2.min_coset_weight(gf2.Basis([0b11, 0b110]), [0b101]) == 0
+    # Reduction leaves 0b011; only adding the row 0b111 reaches weight 1.
+    assert gf2.min_coset_weight(gf2.Basis([0b111]), [0b011]) == 1

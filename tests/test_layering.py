@@ -7,6 +7,9 @@
   the `Pauli` dataclass, which stays at the API edge.
 - `scheduler` reads no face structure: link decompositions are formed by
   the face walk in `hypergraph` and carried by each generator.
+- `analyzer.distance_bound` never names `span_vectors`: ell is found by the
+  information-set search in `gf2.min_coset_weight`, not by listing all
+  2^dim vectors of the projected trivial span.
 """
 
 import ast
@@ -64,3 +67,14 @@ def test_layering(path):
         if name in FACE_STRUCTURE and path.name == "scheduler.py":
             bad.append(f"line {line}: face structure {name} in the scheduler")
     assert not bad, f"{path.name}: " + "; ".join(sorted(set(bad)))
+
+
+def test_distance_bound_enumerates_no_span():
+    path = Path(tscodes.__file__).parent / "analyzer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "distance_bound"
+    ]
+    bad = [f"line {line}" for line, name in _names(fn) if name == "span_vectors"]
+    assert not bad, "distance_bound names span_vectors: " + "; ".join(bad)
