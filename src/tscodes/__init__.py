@@ -43,7 +43,7 @@ from .hypergraph import (
     Hypergraph,
     bombin_hypergraph,
     canonical_face_cycles,
-    contract_rank3,
+    contracted_degrees,
     cycle_space,
     derived_graph,
     incidence_rank,

@@ -8,7 +8,9 @@ to be the centralizer of L, the stabilizer (the center of G, whose test
 oracle is ``pauli.center``) is G intersected with L, by one GF(2)
 elimination.  The pipelines run the two closed-form families (vertex-face
 promotion of a blown-up seed, and the same after a medial-dual detour) and
-check every computed parameter against its closed form.
+check every computed parameter against its closed form.  The distinctness
+check reads the contracted degrees and, for a 6-valent code, the source
+colex with its promoted edges contracted.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     NotThreeEdgeColorable,
     OddDegreeSeed,
     QuotientTooLarge,
+    UnclassifiedFace,
 )
 from .hypergraph import Hypergraph, HypercycleSpace
 
@@ -46,17 +49,11 @@ class Generator:
 @dataclass
 class PipelineData:
     kind: str  # "theorem2" | "theorem3"
-    seed: EmbeddedGraph
-    v: int
-    e: int
-    f: int
-    chi: int
     delta: int
     promoted_faces: Tuple[int, ...]
     vface_plain: Tuple[int, ...]  # faces with one or two generators, unpromoted
     class_of_face: Dict[int, int] = field(default_factory=dict)
     class_of_eface: Dict[int, int] = field(default_factory=dict)
-    seed_degrees: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -282,17 +279,11 @@ def theorem2_pipeline(seed: EmbeddedGraph) -> SubsystemCode:
             face_class[fid] = classes[cx.parentage[fid][1]]
     code.pipeline = PipelineData(
         kind="theorem2",
-        seed=seed,
-        v=v,
-        e=e,
-        f=f,
-        chi=chi,
         delta=delta,
         promoted_faces=vfaces,
         vface_plain=ffaces,
         class_of_face=face_class,
         class_of_eface=eface_class,
-        seed_degrees=tuple(seed.degree(x) for x in range(v)),
     )
     _assert_predicted(code)
     return code
@@ -359,17 +350,11 @@ def theorem3_pipeline(seed: EmbeddedGraph) -> SubsystemCode:
                 eface_class[fid] = classes[eface_seed_face(fid)]
     code.pipeline = PipelineData(
         kind="theorem3",
-        seed=seed,
-        v=v,
-        e=e,
-        f=f,
-        chi=chi,
         delta=delta,
         promoted_faces=F_v,
         vface_plain=F_f,
         class_of_face=face_class,
         class_of_eface=eface_class,
-        seed_degrees=tuple(seed.degree(x) for x in range(v)),
     )
     _assert_predicted(code)
     return code
@@ -494,22 +479,16 @@ def nontrivial_cycle_checks(
     h = code.hypergraph
     r3 = h.rank3_mask()
     reps = _coset_reps(code, coset_cap)
-    all_r3 = True
-    none_gauge = True
     for rep in reps:
         if rep & r3 == 0:
-            all_r3 = False
             raise LemmaViolation(f"nontrivial cycle without rank-3 edges: {rep:#x}")
         if code.gauge.contains(_cycle_vec(h, rep)):
-            none_gauge = False
             raise LemmaViolation(f"nontrivial cycle operator in gauge span: {rep:#x}")
-    trivs_ok = True
     for sigma in code.trivial_basis().rows:
         w = _cycle_vec(h, sigma)
         if not (code.gauge.contains(w) and code.stabilizer.contains(w)):
-            trivs_ok = False
             raise LemmaViolation("trivial cycle operator escapes the stabilizer")
-    return NontrivialReport(len(reps), all_r3, none_gauge, trivs_ok)
+    return NontrivialReport(len(reps), True, True, True)
 
 
 def _face_sigmas(code: SubsystemCode) -> Dict[Tuple[int, int], int]:
@@ -619,26 +598,45 @@ class DistinctnessVerdict:
         return not self.six_valent or not self.simplified_is_colex
 
 
+def simplified_contraction(h: Hypergraph) -> EmbeddedGraph:
+    """The triangles shrunk to points and parallel edges simplified, read off
+    the source colex: its promoted edges contracted, then simplified.
+
+    Shrinking the hypergraph's triangles would also keep the inner-face
+    edges.  Each (w_i, w_{i+1}) runs parallel to the kept edge between
+    contracted triangles i and i+1, and its id is above every colex id, so
+    simplify_parallel drops exactly those edges and each promoted face
+    closes to the same m-gon: both routes give the same graph up to
+    isomorphism.  Raises UnclassifiedFace without a source colex."""
+    if h.source is None:
+        raise UnclassifiedFace("the contraction needs the source colex's embedding")
+    # Rank-3 ids are the promoted colex edges (Triangle.edge_id), a matching
+    # by H4, so contracting them makes no loop.
+    contracted = embed_graph.contract_edges(h.source.graph, h.rank3_ids())
+    return embed_graph.simplify_parallel(contracted)
+
+
 def distinctness_check(code: SubsystemCode) -> DistinctnessVerdict:
     """Shrink the triangles; the code coincides with a dual-expansion code
-    only if the result is 6-valent and simplifies to a valid 2-colex."""
-    contracted = hypergraph.contract_rank3(code.hypergraph)
-    bad = [
-        v
-        for v in range(contracted.num_vertices)
-        if contracted.degree(v) != 6
-    ]
+    only if the result is 6-valent and simplifies to a valid 2-colex.
+
+    The degrees come from ``hypergraph.contracted_degrees``, the simplified
+    graph from ``simplified_contraction``; a 6-valent code without a source
+    colex (a bombin code, or hypergraph JSON) raises UnclassifiedFace."""
+    degrees = hypergraph.contracted_degrees(code.hypergraph)
+    bad = [c for c, d in enumerate(degrees) if d != 6]
     if bad:
         return DistinctnessVerdict(False, bad[0], None)
-    simplified = embed_graph.simplify_parallel(contracted)
+    simplified = simplified_contraction(code.hypergraph)
     is_colex = colex_mod.validate_colex(simplified) is not None
     return DistinctnessVerdict(True, None, is_colex)
 
 
 def exact_distance(code: SubsystemCode, max_n: int = 16, max_dim: int = 24) -> Optional[int]:
     """Brute-force min weight over C(S) minus the gauge span; None when the
-    instance exceeds the enumeration gate."""
-    if code.n > max_n:
+    instance exceeds the enumeration gate, or when k = 0: then dim C(S) -
+    dim G = 2k = 0, so C(S) = G and no vector lies outside the gauge."""
+    if code.k == 0 or code.n > max_n:
         return None
     n = code.n
     cs = pauli.centralizer(code.stabilizer, n)

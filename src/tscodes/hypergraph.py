@@ -15,6 +15,11 @@ Face structure is read only here.  ``canonical_face_cycles`` walks a face
 once and returns each canonical hypercycle together with the ordered links
 that measure its cycle operator (its link decomposition); ``build_code``
 stores both on the stabilizer generator, and the scheduler only checks them.
+
+``contracted_degrees`` shrinks every rank-3 edge to a point and counts the
+rank-2 edge ends per class; it needs no embedding.  The embedded contraction
+the distinctness check reads is the source colex with its promoted edges
+contracted (``analyzer.simplified_contraction``).
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ class FaceRec:
 class Hypergraph:
     num_vertices: int
     edges: Tuple[HEdge, ...]
-    n_original: int
     source: Optional[TwoColex] = field(default=None, compare=False)
     faces: Optional[Tuple[FaceRec, ...]] = field(default=None, compare=False)
 
@@ -187,9 +191,7 @@ class Hypergraph:
             HEdge(e.vertices, colors[i], e.provenance)
             for i, e in enumerate(self.edges)
         )
-        return Hypergraph(
-            self.num_vertices, new_edges, self.n_original, self.source, self.faces
-        )
+        return Hypergraph(self.num_vertices, new_edges, self.source, self.faces)
 
 
 def from_colex(colex: TwoColex) -> Hypergraph:
@@ -207,7 +209,7 @@ def from_colex(colex: TwoColex) -> Hypergraph:
         )
         for f in range(g.num_faces)
     )
-    return Hypergraph(g.num_vertices, edges, g.num_vertices, colex, faces)
+    return Hypergraph(g.num_vertices, edges, colex, faces)
 
 
 def from_graph(g: EmbeddedGraph) -> Hypergraph:
@@ -216,7 +218,7 @@ def from_graph(g: EmbeddedGraph) -> Hypergraph:
         HEdge(tuple(sorted(g.edges[e])), None, ("graph", e))
         for e in range(g.num_edges)
     )
-    return Hypergraph(g.num_vertices, edges, g.num_vertices, None, None)
+    return Hypergraph(g.num_vertices, edges)
 
 
 def promote(
@@ -358,9 +360,7 @@ def promote(
                     boundary_vertices=tuple(vcyc),
                 )
             )
-    return Hypergraph(
-        next_vertex, tuple(edges), g.num_vertices, colex, tuple(face_recs)
-    )
+    return Hypergraph(next_vertex, tuple(edges), colex, tuple(face_recs))
 
 
 @dataclass(frozen=True)
@@ -775,115 +775,10 @@ class DerivedGraph:
         return tuple(pauli.link_operator(lk.vertices, lk.color) for lk in self.links)
 
 
-def derived_embedding(h: Hypergraph) -> EmbeddedGraph:
-    """The derived graph as an embedded multigraph (triangles drawn inside
-    their promoted faces).  Requires a colex-backed hypergraph."""
-    if h.source is None or h.faces is None:
-        raise UnclassifiedFace("derived embedding needs a colex source")
-    g = h.source.graph
-    edges: List[Tuple[int, int]] = []
-    rot: Dict[int, List[Tuple[int, int]]] = {
-        v: [] for v in range(h.num_vertices)
-    }
-    # Start from the colex rotations; promoted edges are replaced in place by
-    # [outer side, inner side] at each original endpoint.
-    eid_of: Dict[Tuple[int, Optional[int]], int] = {}
-    for i, e in enumerate(h.edges):
-        if e.rank == 2:
-            eid_of[(i, None)] = len(edges)
-            edges.append((e.vertices[0], e.vertices[1]))
-    tri_sides: Dict[int, Dict[str, int]] = {}
-    for rec in h.faces or ():
-        for t in rec.triangles:
-            outer = len(edges)
-            edges.append((t.u_first, t.u_second))
-            in_first = len(edges)
-            edges.append((t.u_first, t.w))
-            in_second = len(edges)
-            edges.append((t.u_second, t.w))
-            tri_sides[t.edge_id] = {
-                "outer": outer,
-                "in_first": in_first,
-                "in_second": in_second,
-            }
-
-    def dart_at(eid: int, v: int) -> Tuple[int, int]:
-        return (eid, 0 if edges[eid][0] == v else 1)
-
-    tov = h.triangle_of_vertex
-    for v in range(g.num_vertices):
-        circ: List[Tuple[int, int]] = []
-        for (ce, s) in g.rotation[v]:
-            if ce in tri_sides:
-                # Rank-3 edges are disjoint (H4): v lies on one triangle only.
-                t = tov[v]
-                sides = tri_sides[ce]
-                # The promoted face's walk leaves u_first along this edge, so
-                # the triangle sits in the corner before it there and in the
-                # corner after it at u_second.
-                if v == t.u_first:
-                    circ.append(dart_at(sides["in_first"], v))
-                    circ.append(dart_at(sides["outer"], v))
-                else:
-                    circ.append(dart_at(sides["outer"], v))
-                    circ.append(dart_at(sides["in_second"], v))
-            else:
-                circ.append(dart_at(eid_of[(ce, None)], v))
-        rot[v] = circ
-    for rec in h.faces or ():
-        if rec.kind != "promoted":
-            continue
-        m = len(rec.triangles)
-        for i, t in enumerate(rec.triangles):
-            sides = tri_sides[t.edge_id]
-            fp_next = eid_of[(rec.fprime[i], None)]
-            fp_prev = eid_of[(rec.fprime[(i - 1) % m], None)]
-            rot[t.w] = [
-                dart_at(sides["in_second"], t.w),
-                dart_at(sides["in_first"], t.w),
-                dart_at(fp_prev, t.w),
-                dart_at(fp_next, t.w),
-            ]
-    return embed_graph.build(h.num_vertices, edges, [rot[v] for v in range(h.num_vertices)])
-
-
-def contract_rank3(h: Hypergraph) -> EmbeddedGraph:
-    """Collapse every rank-3 edge to a single vertex.
-
-    For colex-backed hypergraphs the derived embedding is contracted, so the
-    result is a genuine embedded multigraph; otherwise an arbitrary rotation
-    is attached (degree checks remain meaningful, face structure does not).
-    """
-    if not h.rank3_ids():
-        if h.source is not None:
-            return h.source.graph
-        return _arbitrary_embedding(h)
-    if h.source is not None and h.faces is not None:
-        demb = derived_embedding(h)
-        # Triangle side edges were appended after rank-2 edges in order;
-        # recompute their positions to contract two sides per triangle.
-        n_rank2 = len(h.rank2_ids())
-        to_contract = []
-        for k in range(len(h.rank3_ids())):
-            base = n_rank2 + 3 * k
-            to_contract.extend([base, base + 1, base + 2])
-        contracted, _, _ = embed_graph.contract_and_drop_loops(
-            demb, to_contract
-        )
-        return contracted
-    return _contract_abstract(h)
-
-
-def _arbitrary_embedding(h: Hypergraph) -> EmbeddedGraph:
-    edges = [e.vertices for e in h.edges if e.rank == 2]
-    rot: List[List[Tuple[int, int]]] = [[] for _ in range(h.num_vertices)]
-    for i, (u, v) in enumerate(edges):
-        rot[u].append((i, 0))
-        rot[v].append((i, 1))
-    return embed_graph.build(h.num_vertices, edges, rot)
-
-
-def _contract_abstract(h: Hypergraph) -> EmbeddedGraph:
+def contracted_degrees(h: Hypergraph) -> Tuple[int, ...]:
+    """Vertex degrees of the graph left when every rank-3 edge shrinks to a
+    point: one union-find over the rank-3 edges, then the rank-2 edge ends
+    in each class.  Classes are listed by their lowest vertex."""
     parent = list(range(h.num_vertices))
 
     def find(x: int) -> int:
@@ -896,18 +791,12 @@ def _contract_abstract(h: Hypergraph) -> EmbeddedGraph:
         vs = h.edges[i].vertices
         for v in vs[1:]:
             parent[find(v)] = find(vs[0])
-    reps = sorted({find(v) for v in range(h.num_vertices)})
-    newid = {r: k for k, r in enumerate(reps)}
-    edges = [
-        (newid[find(e.vertices[0])], newid[find(e.vertices[1])])
-        for e in h.edges
-        if e.rank == 2
-    ]
-    rot: List[List[Tuple[int, int]]] = [[] for _ in range(len(reps))]
-    for i, (u, v) in enumerate(edges):
-        rot[u].append((i, 0))
-        rot[v].append((i, 1))
-    return embed_graph.build(len(reps), edges, rot)
+    degree = {find(v): 0 for v in range(h.num_vertices)}
+    for e in h.edges:
+        if e.rank == 2:
+            for v in e.vertices:
+                degree[find(v)] += 1
+    return tuple(degree.values())
 
 
 def bombin_hypergraph(colex: TwoColex) -> Hypergraph:
@@ -953,7 +842,7 @@ def bombin_hypergraph(colex: TwoColex) -> Hypergraph:
                 ("bombin_rank3", v),
             )
         )
-    return Hypergraph(len(corners), tuple(edges), len(corners), None, None)
+    return Hypergraph(len(corners), tuple(edges))
 
 
 def to_json_dict(h: Hypergraph) -> dict:
@@ -996,7 +885,7 @@ def from_json_dict(data: dict) -> Hypergraph:
             if color is not None and color not in COLORS:
                 raise MalformedRotation(f"hyperedge {idx} has color {color!r}")
             edges.append(HEdge(tuple(sorted(vs)), color, ("json", idx)))
-    return Hypergraph(nv, tuple(edges), nv, None, None)
+    return Hypergraph(nv, tuple(edges))
 
 
 def to_json(h: Hypergraph) -> str:

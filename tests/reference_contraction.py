@@ -1,0 +1,123 @@
+"""The triangle contraction that ``analyzer.distinctness_check`` replaced,
+kept as the oracle of a differential test.
+
+It re-embeds the whole derived graph (each triangle drawn inside its
+promoted face, rotations spliced at every endpoint), contracts the three
+sides of every triangle, then simplifies parallel edges.  It is independent
+of the new path, which contracts the promoted edges of the source colex and
+counts degrees by union-find.  ``derived_embedding`` and the colex-backed
+branch of ``contract_rank3`` are the replaced code's, verbatim.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+from tscodes import colex as colex_mod
+from tscodes import embed_graph
+from tscodes.embed_graph import EmbeddedGraph
+from tscodes.errors import UnclassifiedFace
+from tscodes.hypergraph import Hypergraph
+
+
+def derived_embedding(h: Hypergraph) -> EmbeddedGraph:
+    """The derived graph as an embedded multigraph (triangles drawn inside
+    their promoted faces).  Requires a colex-backed hypergraph."""
+    if h.source is None or h.faces is None:
+        raise UnclassifiedFace("derived embedding needs a colex source")
+    g = h.source.graph
+    edges: List[Tuple[int, int]] = []
+    rot: Dict[int, List[Tuple[int, int]]] = {
+        v: [] for v in range(h.num_vertices)
+    }
+    # Start from the colex rotations; promoted edges are replaced in place by
+    # [outer side, inner side] at each original endpoint.
+    eid_of: Dict[Tuple[int, Optional[int]], int] = {}
+    for i, e in enumerate(h.edges):
+        if e.rank == 2:
+            eid_of[(i, None)] = len(edges)
+            edges.append((e.vertices[0], e.vertices[1]))
+    tri_sides: Dict[int, Dict[str, int]] = {}
+    for rec in h.faces or ():
+        for t in rec.triangles:
+            outer = len(edges)
+            edges.append((t.u_first, t.u_second))
+            in_first = len(edges)
+            edges.append((t.u_first, t.w))
+            in_second = len(edges)
+            edges.append((t.u_second, t.w))
+            tri_sides[t.edge_id] = {
+                "outer": outer,
+                "in_first": in_first,
+                "in_second": in_second,
+            }
+
+    def dart_at(eid: int, v: int) -> Tuple[int, int]:
+        return (eid, 0 if edges[eid][0] == v else 1)
+
+    tov = h.triangle_of_vertex
+    for v in range(g.num_vertices):
+        circ: List[Tuple[int, int]] = []
+        for (ce, s) in g.rotation[v]:
+            if ce in tri_sides:
+                # Rank-3 edges are disjoint (H4): v lies on one triangle only.
+                t = tov[v]
+                sides = tri_sides[ce]
+                # The promoted face's walk leaves u_first along this edge, so
+                # the triangle sits in the corner before it there and in the
+                # corner after it at u_second.
+                if v == t.u_first:
+                    circ.append(dart_at(sides["in_first"], v))
+                    circ.append(dart_at(sides["outer"], v))
+                else:
+                    circ.append(dart_at(sides["outer"], v))
+                    circ.append(dart_at(sides["in_second"], v))
+            else:
+                circ.append(dart_at(eid_of[(ce, None)], v))
+        rot[v] = circ
+    for rec in h.faces or ():
+        if rec.kind != "promoted":
+            continue
+        m = len(rec.triangles)
+        for i, t in enumerate(rec.triangles):
+            sides = tri_sides[t.edge_id]
+            fp_next = eid_of[(rec.fprime[i], None)]
+            fp_prev = eid_of[(rec.fprime[(i - 1) % m], None)]
+            rot[t.w] = [
+                dart_at(sides["in_second"], t.w),
+                dart_at(sides["in_first"], t.w),
+                dart_at(fp_prev, t.w),
+                dart_at(fp_next, t.w),
+            ]
+    return embed_graph.build(h.num_vertices, edges, [rot[v] for v in range(h.num_vertices)])
+
+
+def contract_rank3(h: Hypergraph) -> EmbeddedGraph:
+    """Collapse every rank-3 edge of a colex-backed hypergraph to a single
+    vertex of the contracted derived embedding."""
+    if not h.rank3_ids():
+        return h.source.graph
+    demb = derived_embedding(h)
+    # Triangle side edges were appended after rank-2 edges in order;
+    # recompute their positions to contract two sides per triangle.
+    n_rank2 = len(h.rank2_ids())
+    to_contract = []
+    for k in range(len(h.rank3_ids())):
+        base = n_rank2 + 3 * k
+        to_contract.extend([base, base + 1, base + 2])
+    contracted, _, _ = embed_graph.contract_and_drop_loops(
+        demb, to_contract
+    )
+    return contracted
+
+
+def distinctness(h: Hypergraph) -> Tuple[bool, Optional[bool], Tuple[int, ...], Optional[EmbeddedGraph]]:
+    """(six_valent, simplified_is_colex, sorted degrees, simplified graph or
+    None) of the contracted derived embedding."""
+    contracted = contract_rank3(h)
+    degrees = tuple(sorted(contracted.degree(v) for v in range(contracted.num_vertices)))
+    if any(d != 6 for d in degrees):
+        return False, None, degrees, None
+    simplified = embed_graph.simplify_parallel(contracted)
+    is_colex = colex_mod.validate_colex(simplified) is not None
+    return True, is_colex, degrees, simplified

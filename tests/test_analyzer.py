@@ -1,8 +1,9 @@
 import pytest
 
+import reference_contraction
 import reference_distance
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices, pauli
-from tscodes.errors import Degree2Seed, OddDegreeSeed, QuotientTooLarge
+from tscodes.errors import Degree2Seed, OddDegreeSeed, QuotientTooLarge, UnclassifiedFace
 
 
 def test_theorem2_parameters(th2_22, th2_33):
@@ -223,6 +224,55 @@ def test_distinctness_matrix(pipeline_codes):
         assert not v.six_valent
         assert v.witness_vertex is not None
         assert v.distinct
+
+
+@pytest.mark.parametrize("pipeline", ["theorem2", "theorem3"])
+@pytest.mark.parametrize(
+    "lattice, m, n",
+    [
+        ("torus_grid", 2, 2),
+        ("torus_grid", 3, 3),
+        ("torus_grid", 4, 4),
+        ("torus_grid", 2, 3),
+        ("triangular_torus", 2, 2),
+        ("triangular_torus", 3, 3),
+    ],
+)
+def test_distinctness_matches_reference_contraction(pipeline, lattice, m, n):
+    # The old route re-embeds the derived graph and contracts whole
+    # triangles; the new one counts degrees by union-find and contracts the
+    # promoted edges of the source colex.
+    code = getattr(analyzer, f"{pipeline}_pipeline")(getattr(lattices, lattice)(m, n))
+    six, is_colex, degrees, simplified = reference_contraction.distinctness(code.hypergraph)
+    v = analyzer.distinctness_check(code)
+    assert (v.six_valent, v.simplified_is_colex) == (six, is_colex)
+    assert v.distinct == (not six or not is_colex)
+    assert tuple(sorted(hg.contracted_degrees(code.hypergraph))) == degrees
+    if six:
+        assert eg.is_isomorphic(analyzer.simplified_contraction(code.hypergraph), simplified)
+
+
+def test_distinctness_needs_source_colex(honeycomb33_colex):
+    # A bombin code contracts to a 6-valent graph but carries no colex
+    # embedding to simplify; no verdict is read off an arbitrary rotation.
+    code = analyzer.bombin_pipeline(honeycomb33_colex)
+    assert set(hg.contracted_degrees(code.hypergraph)) == {6}
+    with pytest.raises(UnclassifiedFace):
+        analyzer.distinctness_check(code)
+
+
+def test_exact_distance_k0_enumerates_nothing(monkeypatch):
+    # k = 0 makes C(S) = G, so no vector lies outside the gauge: the answer
+    # is None without listing the 2^dim C(S) vectors.
+    h = hg.from_graph(lattices.honeycomb_torus(2, 4))
+    code = analyzer.build_code(h.recolored(hg.three_edge_color(h)))
+    assert (code.n, code.k) == (16, 0)
+
+    def refuse(rows):
+        raise AssertionError("span_vectors called")
+
+    monkeypatch.setattr(gf2, "span_vectors", refuse)
+    assert analyzer.exact_distance(code) is None
 
 
 def test_exact_distance_gate(th2_22):

@@ -44,7 +44,7 @@ def hypergraphs(draw):
         if len(set(group)) == rank:
             groups.append(tuple(sorted(group)))
     edges = tuple(HEdge(g, None, ("test", i)) for i, g in enumerate(groups))
-    return Hypergraph(nv, edges, nv)
+    return Hypergraph(nv, edges)
 
 
 @given(adjacency())

@@ -59,7 +59,7 @@ def test_validate_H_flags_overlapping_rank3():
         HEdge((0, 1, 2), "b", ("x", 0)),
         HEdge((0, 1, 3), "b", ("x", 1)),
     )
-    h = Hypergraph(4, edges, 4)
+    h = Hypergraph(4, edges)
     rep = hg.validate_H(h)
     assert not rep.h4.ok
     assert rep.h4.witness == (0, 1)
@@ -111,7 +111,7 @@ def test_cycle_space_single_square():
         HEdge(tuple(sorted(e)), None, ("x", i))
         for i, e in enumerate([(0, 1), (1, 2), (2, 3), (3, 0)])
     )
-    h = Hypergraph(4, edges, 4)
+    h = Hypergraph(4, edges)
     assert hg.cycle_space(h).dim == 1
 
 
@@ -174,7 +174,7 @@ def test_derived_graph_counts(grid22):
 
 
 def test_derived_graph_single_triangle():
-    h = Hypergraph(3, (HEdge((0, 1, 2), "b", ("x", 0)),), 3)
+    h = Hypergraph(3, (HEdge((0, 1, 2), "b", ("x", 0)),))
     dg = hg.derived_graph(h)
     assert [lk.vertices for lk in dg.links] == [(0, 1), (1, 2), (0, 2)]
     assert all(lk.pauli == "ZZ" for lk in dg.links)
@@ -186,17 +186,17 @@ def test_derived_graph_identity_without_rank3(honeycomb33_colex):
     assert len(dg.links) == h.num_edges
 
 
-def test_contract_rank3_no_triangles_unchanged(honeycomb33_colex):
+def test_contracted_degrees_no_triangles_all_3(honeycomb33_colex):
     h = hg.from_colex(honeycomb33_colex)
-    out = hg.contract_rank3(h)
-    assert out is honeycomb33_colex.graph
+    degrees = hg.contracted_degrees(h)
+    assert degrees == (3,) * honeycomb33_colex.graph.num_vertices
 
 
-def test_contract_rank3_bombin_is_6_valent(honeycomb33_colex):
+def test_contracted_degrees_bombin_is_6_valent(honeycomb33_colex):
     h = hg.bombin_hypergraph(honeycomb33_colex)
-    out = hg.contract_rank3(h)
-    assert all(out.degree(v) == 6 for v in range(out.num_vertices))
-    assert out.num_vertices == honeycomb33_colex.graph.num_vertices
+    degrees = hg.contracted_degrees(h)
+    assert set(degrees) == {6}
+    assert len(degrees) == honeycomb33_colex.graph.num_vertices
 
 
 def test_bombin_hypergraph_structure(honeycomb33_colex):
@@ -288,11 +288,9 @@ def test_medial_route_counts(grid22):
     assert cs.incidence_rank == 78
 
 
-def test_contract_rank3_medial_route_not_6_valent(grid22):
+def test_contracted_degrees_medial_route_not_6_valent(grid22):
     h, _, _ = th3_hypergraph(grid22)
-    out = hg.contract_rank3(h)
-    degs = {out.degree(v) for v in range(out.num_vertices)}
-    assert degs != {6}
+    assert set(hg.contracted_degrees(h)) != {6}
 
 
 def test_canonical_cycles_need_face_structure(grid22):
@@ -346,7 +344,7 @@ def test_other_face_uses_edge_face_index():
         hg.FaceRec("plain", (0, 1, 0, 2), (0, 1, 0, 1)),
         hg.FaceRec("plain", (1,), (0,)),
     )
-    h = Hypergraph(2, edges, 2, None, faces)
+    h = Hypergraph(2, edges, None, faces)
     assert h.faces_of_edge == ((0, 0), (0, 1), (0,))
     assert hg._other_face(h, 0, 0) == 0
     assert hg._other_face(h, 1, 0) == 1

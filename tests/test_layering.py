@@ -3,6 +3,9 @@
 - Every import is at module level: a function-level import hides a
   dependency (or an import cycle) from the reader.
 - The retired `PauliSpan` wrapper does not come back; spans are `gf2.Basis`.
+- The retired derived-graph re-embedding does not come back either: the
+  distinctness check reads `hypergraph.contracted_degrees` and contracts
+  the source colex's promoted edges (`analyzer.simplified_contraction`).
 - `analyzer` and `hypergraph` work on (x, z) int pairs only and never name
   the `Pauli` dataclass, which stays at the API edge.
 - `scheduler` reads no face structure: link decompositions are formed by
@@ -24,6 +27,10 @@ INT_ONLY = {"analyzer.py", "hypergraph.py"}
 FACE_STRUCTURE = {
     "faces", "_other_face", "bridged_structure", "triangle_of_vertex",
     "fprime_by_wpair",
+}
+RETIRED = {
+    "PauliSpan", "derived_embedding", "contract_rank3", "_contract_abstract",
+    "_arbitrary_embedding",
 }
 
 
@@ -60,8 +67,8 @@ def test_layering(path):
                 if isinstance(node, (ast.Import, ast.ImportFrom))
             ]
     for line, name in _names(tree):
-        if name == "PauliSpan":
-            bad.append(f"line {line}: PauliSpan")
+        if name in RETIRED:
+            bad.append(f"line {line}: retired {name}")
         if name == "Pauli" and path.name in INT_ONLY:
             bad.append(f"line {line}: Pauli in an int-only module")
         if name in FACE_STRUCTURE and path.name == "scheduler.py":

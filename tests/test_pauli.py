@@ -95,7 +95,7 @@ def test_cycle_operator_uncolored_edge():
         HEdge(tuple(sorted(e)), None, ("x", i))
         for i, e in enumerate([(0, 1), (1, 2), (2, 3), (3, 0)])
     )
-    h = Hypergraph(4, edges, 4)
+    h = Hypergraph(4, edges)
     with pytest.raises(ColorMissing):
         pauli.cycle_operator(h, 0b1111)
     # Odd incidence is reported first, as before any link is looked up.
