@@ -167,8 +167,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise BadParams("trials must be >= 1")
     code = _build_code(args)
     sched = scheduler.build_schedule(code, args.model)
     rep = scheduler.simulate_syndrome(

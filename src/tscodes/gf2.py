@@ -146,7 +146,8 @@ def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:
     the number of those rows plus the weight of their XOR off the pivots.
     A depth-first search over row subsets carries that XOR and cuts a
     branch once one more row cannot beat the best weight so far, which is
-    shared across the vectors.  It visits at most 2^dim subsets per vector.
+    shared across the vectors; a node whose children could not go deeper
+    weighs them in place.  It visits at most 2^dim subsets per vector.
     """
     mask = basis.mask
     tails = [row & ~mask for row in basis.rows]
@@ -160,8 +161,11 @@ def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:
             if best is None or w < best:
                 best = w
             depth += 1
-            if depth < best:
+            if depth + 1 < best:
                 stack.extend((j + 1, depth, acc ^ tails[j]) for j in range(start, dim))
+            elif depth < best and start < dim:
+                # The children could not push grandchildren: weigh them here.
+                best = min(best, depth + min((acc ^ t).bit_count() for t in tails[start:]))
     return best
 
 

@@ -7,13 +7,15 @@ signed ordered product) and ``first_bad_prefix`` (the prefix rule) work on
 them.  Spans are ``gf2.Basis`` objects over 2n-bit vectors laid out as
 x | (z << n); only ``centralizer`` and ``center`` read that layout.  The
 ``Pauli`` dataclass is the API edge: string I/O, ``commutes``, the operators
-``scheduler.Tableau`` measures and the ``center`` test oracle.  Global
-phases are dropped except in ``phase_product``.
+``scheduler.Tableau`` measures (each decodes its ``support`` once) and the
+``center`` test oracle.  Global phases are dropped except in
+``phase_product``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -50,6 +52,14 @@ class Pauli:
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
+
+    @cached_property
+    def support(self) -> Tuple[List[int], List[int]]:
+        """The qubits with an X part and with a Z part, ascending, decoded
+        on first read and kept (outside the fields, so equality, hash and
+        repr are unchanged): the tableau measures the same link operators
+        many times.  The lists are shared: read only."""
+        return gf2.bits(self.x), gf2.bits(self.z)
 
     @property
     def is_identity(self) -> bool:

@@ -22,7 +22,9 @@ Destabilizer rows live in renamed slots of 2n-bit columns, so a random
 measurement costs O(|op| + |pivot|) column XORs plus the stabilizer row
 updates of its anticommuting rows, and not a pass over all n columns; the
 dead slots it leaves are freed by one O(n) pass per n + 1 random
-measurements.
+measurements.  Signs follow from one mask per pivot qubit, chosen by the
+pivot's letter there, and each measured ``Pauli`` decodes its support once
+(``Pauli.support``), since a sweep measures the same links again and again.
 """
 
 from __future__ import annotations
@@ -211,6 +213,16 @@ class Tableau:
     frees the n + 1 dead slots (`recycles` counts these passes): one O(n)
     pass per n + 1 random measurements, and no column grows past 2n bits.
     Destabilizer phases are not tracked.
+
+    The sign of each anticommuting row times the pivot comes from an
+    i-exponent summed over the pivot's qubits.  At qubit q the pivot's
+    letter picks one mask of the rows whose letter there anticommutes with
+    it: cz[q] for X, cx[q] for Z, cx[q] ^ cz[q] for Y.  Each such row adds
+    1 to bit-sliced lo/hi counters, and those that give -1 instead (YX,
+    XZ, ZY) add 2 more, kept as one parity mask.  The measured operator's
+    support is decoded once per ``Pauli`` object (``Pauli.support``), and
+    outcomes and ``randomize`` draw from the generator exactly as
+    ``randrange`` would.
     """
 
     def __init__(self, n: int) -> None:
@@ -281,8 +293,8 @@ class Tableau:
             raise BadParams(f"measurement sign must be 1 or -1, not {sign!r}")
         flip = 0 if sign == 1 else 1
         ox, oz = op.x, op.z
+        xs, zs = op.support
         sx, sz, cx, cz, dX, dZ = self.sx, self.sz, self.cx, self.cz, self.dX, self.dZ
-        xs, zs = gf2.bits(ox), gf2.bits(oz)
         anti = danti = 0  # stabilizer rows / destabilizer slots anticommuting with op
         for q in xs:
             anti ^= cz[q]
@@ -310,33 +322,44 @@ class Tableau:
             self.live |= new
             self.slot[p0], self.row_of[s] = s, p0
             dm = (danti & self.live) | new
-            # Per pivot qubit: count i-exponents of row * pivot in bit-sliced
-            # lo/hi counters (XY, YZ, ZX add 1; YX, ZY, XZ subtract 1).
-            lo = hi = 0
-            for q in gf2.bits(px | pz):
-                x, z = cx[q] & rest, cz[q] & rest
-                bx, bz = (px >> q) & 1, (pz >> q) & 1
-                if not bz:  # pivot X
-                    up, down = z & ~x, x & z
-                elif not bx:  # pivot Z
-                    up, down = x & z, x & ~z
-                else:  # pivot Y
-                    up, down = x & ~z, z & ~x
-                hi ^= (lo & up) | (~lo & down)
-                lo ^= up | down
-                if bx:
-                    cx[q] ^= anti
+            # i-exponents of row * pivot (class docstring): t masks the rows
+            # anticommuting with the pivot at q, dn the parity of their -1s.
+            lo = hi = dn = 0
+            walk = px | pz
+            while walk:
+                bit = walk & -walk
+                walk ^= bit
+                q = bit.bit_length() - 1
+                xc, zc = cx[q], cz[q]
+                if not pz & bit:  # pivot X
+                    t = zc & rest
+                    dn ^= xc & t
+                    cx[q] = xc ^ anti
                     dX[q] ^= dm
-                if bz:
-                    cz[q] ^= anti
+                elif not px & bit:  # pivot Z
+                    t = xc & rest
+                    dn ^= t & ~zc
+                    cz[q] = zc ^ anti
                     dZ[q] ^= dm
+                else:  # pivot Y
+                    t = (xc ^ zc) & rest
+                    dn ^= zc & t
+                    cx[q] = xc ^ anti
+                    cz[q] = zc ^ anti
+                    dX[q] ^= dm
+                    dZ[q] ^= dm
+                hi ^= lo & t
+                lo ^= t
             if lo:
                 raise InconsistentOutcome("stabilizer rows do not commute")
-            self.neg ^= hi ^ (rest if (self.neg >> p0) & 1 else 0)
-            for i in gf2.bits(rest):
+            self.neg ^= hi ^ dn ^ (rest if (self.neg >> p0) & 1 else 0)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
                 sx[i] ^= px
                 sz[i] ^= pz
-            outcome = rng.randrange(2)
+            outcome = _randbelow(rng.getrandbits, 2)
             sx[p0], sz[p0] = ox, oz
             for q in xs:
                 cx[q] ^= low
@@ -352,17 +375,29 @@ class Tableau:
         return ((phase >> 1) & 1) ^ flip
 
     def randomize(self, rng: random.Random, depth: int = 3) -> None:
-        for _ in range(depth * self.n):
-            gate = rng.randrange(3)
+        draw, n = rng.getrandbits, self.n
+        for _ in range(depth * n):
+            gate = _randbelow(draw, 3)
             if gate == 0:
-                self.apply_h(rng.randrange(self.n))
+                self.apply_h(_randbelow(draw, n))
             elif gate == 1:
-                self.apply_s(rng.randrange(self.n))
+                self.apply_s(_randbelow(draw, n))
             else:
-                c = rng.randrange(self.n)
-                t = rng.randrange(self.n)
+                c = _randbelow(draw, n)
+                t = _randbelow(draw, n)
                 if c != t:
                     self.apply_cnot(c, t)
+
+
+def _randbelow(getrandbits, k: int) -> int:
+    """``random.Random.randrange(k)`` for k >= 1, drawn the same way from
+    the same stream (getrandbits(k.bit_length()) until it is below k),
+    without randrange's argument checks and two Python calls."""
+    b = k.bit_length()
+    r = getrandbits(b)
+    while r >= k:
+        r = getrandbits(b)
+    return r
 
 
 @dataclass(frozen=True)
@@ -392,6 +427,8 @@ def simulate_syndrome(
     reproduce them.  With strict=True any disagreement raises
     InconsistentOutcome; otherwise the fractions are reported (useful for
     the adversarial broken-schedule fixtures)."""
+    if trials < 1:
+        raise BadParams("trials must be >= 1")
     rng = random.Random(seed)
     n = code.n
     ops = code.derived.ops

@@ -132,6 +132,15 @@ def test_schedule_trials_zero_rejected(tmp_path):
     assert run(["schedule", str(g), "--pipeline", "theorem2", "--trials", "0"]) == 2
 
 
+def test_schedule_negative_trials_rejected_without_output(tmp_path, capsys):
+    g, out = tmp_path / "g.json", tmp_path / "s.json"
+    run(["gen", "torus-grid", "2", "2", "--out", str(g)])
+    argv = ["schedule", str(g), "--pipeline", "theorem2", "--trials", "-1"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_schedule_honeycomb_relaxed(tmp_path):
     hc = tmp_path / "hc.json"
     out = tmp_path / "s.json"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tscodes import pauli, scheduler as sch
-from tscodes.errors import InconsistentOutcome
+from tscodes.errors import BadParams, InconsistentOutcome
 from tscodes.pauli import Pauli
 from tscodes.scheduler import MeasurementSchedule, Tableau
 
@@ -109,6 +109,14 @@ def test_simulation_consistency(th2_22):
     assert rep.consistent
     assert rep.idempotent
     assert rep.agreement == 1.0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("strict", [True, False])
+def test_simulation_rejects_nonpositive_trials(th2_22, trials, strict):
+    sched = sch.build_schedule(th2_22, "relaxed")
+    with pytest.raises(BadParams, match="trials must be >= 1"):
+        sch.simulate_syndrome(th2_22, sched, trials=trials, strict=strict)
 
 
 def test_simulation_gauge_outcomes_vary(th2_22):

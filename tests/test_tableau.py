@@ -1,15 +1,16 @@
 """The column-mask tableau against the row-major reference tableau."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_tableau import ReferenceTableau
-from tscodes import pauli
+from tscodes import gf2, pauli
 from tscodes.errors import BadParams, SizeMismatch
 from tscodes.pauli import Pauli
-from tscodes.scheduler import Tableau
+from tscodes.scheduler import Tableau, _randbelow
 
 
 @st.composite
@@ -46,6 +47,8 @@ def _run(tab, steps, rng, randomize):
             tab.apply_s(step[1])
         elif step[0] == "cnot":
             tab.apply_cnot(step[1], step[2])
+        elif step[0] == "op":
+            outcomes.append(tab.measure(step[1], step[2], rng))
         else:
             _, x, z, sign = step
             outcomes.append(tab.measure(Pauli(tab.n, x, z), sign, rng))
@@ -176,3 +179,118 @@ def test_cnot_rejects_equal_control_and_target():
     with pytest.raises(BadParams):
         t.apply_cnot(0, 0)
     assert (t.stab, t.destab, t.neg) == before
+
+
+def test_measure_rejects_cached_operator_of_another_width():
+    op = Pauli.from_string("XZY")
+    Tableau(3).measure(op, 1, random.Random(0))
+    assert op.support == ([0, 2], [1, 2])
+    with pytest.raises(SizeMismatch):
+        Tableau(4).measure(op, 1, random.Random(0))
+    with pytest.raises(SizeMismatch):
+        Tableau(2).measure(op, -1, random.Random(0))
+
+
+def test_support_cache_leaves_pauli_value_unchanged():
+    op, twin = Pauli(70, (1 << 69) | 6, 3 << 40), Pauli(70, (1 << 69) | 6, 3 << 40)
+    before = (hash(op), repr(op), dataclasses.astuple(op))
+    assert op.support == (gf2.bits(op.x), gf2.bits(op.z))
+    assert "support" in vars(op) and "support" not in vars(twin)
+    assert op == twin and hash(op) == hash(twin)
+    assert (hash(op), repr(op), dataclasses.astuple(op)) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.x = 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 12345678901])
+def test_randbelow_matches_randrange(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for k in range(1, 258):
+        for _ in range(3):
+            assert _randbelow(ours.getrandbits, k) == theirs.randrange(k)
+            assert ours.getstate() == theirs.getstate()
+
+
+def _link_program(pick):
+    """A program at link scale, its random choices made by pick(lo, hi):
+    40 to 130 qubits and up to 60 steps after `randomize`.  The steps are H
+    and S gates (S turns X letters into Y, so pivots carry all three
+    letters), CNOTs, measurements of a few dense operators, and, most
+    often, measurements drawn from a fixed pool of weight-2 XX / YY / ZZ
+    and weight-3 ZZZ operators: the same objects again and again, as
+    `simulate_syndrome` measures its links.  Both signs occur."""
+    n = pick(40, 130)
+
+    def link(letter, weight):
+        q0, d1, d2 = pick(0, n - 1), pick(1, n - 1), pick(1, n - 2)
+        qs = [q0, q0 + d1, q0 + d2 + (d2 >= d1)][:weight]
+        vec = sum(1 << (q % n) for q in qs)
+        return Pauli(n, 0 if letter == "Z" else vec, 0 if letter == "X" else vec)
+
+    pool = [
+        link(*(("X", 2), ("Y", 2), ("Z", 2), ("Z", 3))[pick(0, 3)])
+        for _ in range(pick(4, 24))
+    ]
+    steps = []
+    for _ in range(pick(10, 60)):
+        kind, sign = pick(0, 9), (1, -1)[pick(0, 1)]
+        if kind == 0:
+            steps.append(("h", pick(0, n - 1)))
+        elif kind == 1:
+            steps.append(("s", pick(0, n - 1)))
+        elif kind == 2:
+            c = pick(0, n - 1)
+            steps.append(("cnot", c, (c + pick(1, n - 1)) % n))
+        elif kind == 3:
+            full = (1 << n) - 1
+            steps.append(("measure", pick(0, full), pick(0, full), sign))
+        else:
+            steps.append(("op", pool[pick(0, len(pool) - 1)], sign))
+    return n, steps
+
+
+def _run_stepwise(n, seed, steps):
+    """Both tableaux randomized from one seed, then compared after every
+    step; returns the letters and sizes of the reference's pivots."""
+    fast, ref = Tableau(n), ReferenceTableau(n)
+    rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+    fast.randomize(rng_fast)
+    ref.randomize(rng_ref)
+    letters, sizes = set(), []
+    for step in steps:
+        if step[0] in ("measure", "op"):
+            op = step[1] if step[0] == "op" else Pauli(n, step[1], step[2])
+            anti = [s for s in ref.stab if not pauli.commutes(op, s)]
+            if anti:
+                piv = anti[0]
+                letters.update(c for c in piv.to_string() if c != "I")
+                sizes.append(piv.weight)
+        assert _run(fast, [step], rng_fast, False) == _run(ref, [step], rng_ref, False)
+        assert fast.stab == ref.stab
+        assert [2 * ((fast.neg >> i) & 1) for i in range(n)] == ref.sign
+        assert fast.destab == ref.destab
+        assert rng_fast.getstate() == rng_ref.getstate()
+    return letters, sizes
+
+
+@given(st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_link_scale_matches_reference(data, seed):
+    n, steps = _link_program(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    _run_stepwise(n, seed, steps)
+
+
+def test_link_scale_programs_cover_pivot_letters_and_heavy_pivots():
+    letters, sizes, pools = set(), [], []
+    for seed in range(4):
+        rng = random.Random(seed)
+        n, steps = _link_program(rng.randint)
+        got_letters, got_sizes = _run_stepwise(n, seed, steps)
+        letters |= got_letters
+        sizes += got_sizes
+        pools += [s[1] for s in steps if s[0] == "op"]
+    assert letters == {"X", "Y", "Z"}
+    assert max(sizes) >= 20 and min(sizes) <= 3
+    # Pool operators are measured repeatedly; each decoded its support once.
+    assert len(pools) > len({id(op) for op in pools})
+    assert all(vars(op)["support"] == (gf2.bits(op.x), gf2.bits(op.z)) for op in pools)
