@@ -2,7 +2,8 @@
 
 Subcommands: gen, build, schedule, verify, export.  All randomness flows from
 --seed; identical configurations produce byte-identical JSON reports.
-The TSCODES_LOG environment variable controls the log level.
+The TSCODES_LOG environment variable controls the log level.  Exit codes:
+0 ok, 1 a check failed (named on stderr with its witness), 2 bad input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import analyzer, colex, embed_graph, hypergraph, lattices, scheduler
 from .errors import BadParams, NotThreeEdgeColorable, TscodesError, UnknownFormat
@@ -29,8 +30,11 @@ def _setup_logging() -> None:
 def _write(out: Optional[str], text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         Path(out).write_text(text + "\n")
+    except OSError as exc:
+        raise BadParams(f"cannot write {out}: {exc.strerror}")
 
 
 def _load_json(path: str) -> dict:
@@ -124,7 +128,7 @@ def _build_code(args: argparse.Namespace) -> analyzer.SubsystemCode:
             h = hypergraph.from_graph(embed_graph.from_json_dict(data))
         rep = hypergraph.validate_H(h)
         if not rep.all_ok:
-            raise BadParams(f"input violates H1-H4: {rep}")
+            raise BadParams(f"input violates H1-H4: {rep.first_failure()}")
         if not rep.coloring_proper.ok or not rep.rank3_monochrome.ok:
             coloring = hypergraph.three_edge_color(h)
             if coloring is None:
@@ -136,34 +140,61 @@ def _build_code(args: argparse.Namespace) -> analyzer.SubsystemCode:
     raise BadParams(f"unknown pipeline {args.pipeline!r}")
 
 
-def _full_report(code: analyzer.SubsystemCode, coset_cap: int) -> dict:
+def _full_report(
+    code: analyzer.SubsystemCode, coset_cap: int
+) -> Tuple[dict, List[str]]:
+    """The code report and its failed checks as "<name>: <witness>" lines.
+    The checks: each ``predicted`` key against the report key of the same
+    name and, for a pipeline code, the span of its generators, their
+    dependencies and the nontrivial cycles."""
     checks: dict = {}
+    verdicts: Dict[str, Optional[str]] = {}  # check name -> witness, None if passed
     ell = None
     try:
         ell = analyzer.distance_bound(code, coset_cap)
     except TscodesError as exc:
         checks["distance_bound"] = f"skipped: {exc}"
     if code.pipeline is not None:
-        dep = analyzer.dependency_check(code)
-        checks["dependencies"] = {name: ok for name, ok in dep.identities}
-        checks["independent_generators"] = dep.rank
-        nt = analyzer.nontrivial_cycle_checks(code, coset_cap)
-        checks["nontrivial_cosets"] = nt.cosets
-        checks["nontrivial_have_rank3"] = nt.all_have_rank3
-        checks["nontrivial_outside_gauge"] = nt.none_in_gauge
         dv = analyzer.distinctness_check(code)
         checks["six_valent_on_contraction"] = dv.six_valent
         checks["simplified_is_colex"] = dv.simplified_is_colex
         checks["distinct_from_dual_expansion"] = dv.distinct
+        if not code.generators_complete:
+            # Both checks below read one generator per face and the cosets
+            # of their span.
+            span = code.trivial_basis().dim
+            verdicts["generators"] = f"span dim {span} < s = {code.s}"
+        else:
+            dep = analyzer.dependency_check(code)
+            checks["dependencies"] = {name: ok for name, ok in dep.identities}
+            checks["independent_generators"] = dep.rank
+            nt = analyzer.nontrivial_cycle_checks(code, coset_cap)
+            checks["nontrivial_cosets"] = nt.cosets
+            checks["nontrivial_have_rank3"] = nt.all_have_rank3
+            checks["nontrivial_outside_gauge"] = nt.none_in_gauge
+            verdicts.update(dependencies=dep.witness, nontrivial_cycles=nt.witness)
     checks["exact_distance"] = analyzer.exact_distance(code)
-    return analyzer.code_report(code, ell, checks)
+    report = analyzer.code_report(code, ell, checks)
+    for key, want in (code.predicted or {}).items():
+        if report[key] != want:
+            verdicts[key] = f"computed {report[key]}, closed form {want}"
+    return report, [f"{name}: {w}" for name, w in verdicts.items() if w is not None]
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    code = _build_code(args)
-    report = _full_report(code, args.coset_cap)
+def _exit_code(failed: List[str]) -> int:
+    for line in failed:
+        sys.stderr.write(f"check failed: {line}\n")
+    return 1 if failed else 0
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    """build and verify: write the report with every check; verify also
+    records whether all of them passed."""
+    report, failed = _full_report(_build_code(args), args.coset_cap)
+    if args.command == "verify":
+        report["verified"] = not failed
     _write(args.out, analyzer.report_json(report))
-    return 0
+    return _exit_code(failed)
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -183,36 +214,14 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True))
-    if rep.agreement < 1.0 or rep.direct_agreement < 1.0:
-        log.error("syndrome simulation found inconsistencies")
-        return 1
-    return 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    code = _build_code(args)
-    report = _full_report(code, args.coset_cap)
-    ok = True
-    if code.predicted is not None:
-        got = {
-            "n": code.n,
-            "k": code.k,
-            "r": code.r,
-            "s": code.s,
-        }
-        ok &= all(code.predicted[key] == got[key] for key in got)
-    checks = report["checks"]
-    for key in (
-        "nontrivial_have_rank3",
-        "nontrivial_outside_gauge",
-    ):
-        if key in checks:
-            ok &= bool(checks[key])
-    if "dependencies" in checks:
-        ok &= all(checks["dependencies"].values())
-    report["verified"] = bool(ok)
-    _write(args.out, analyzer.report_json(report))
-    return 0 if ok else 1
+    failed = []
+    if not rep.consistent:
+        gid, trial = rep.failures[0]
+        kind = code.generators[gid].kind
+        failed.append(
+            f"syndrome_simulation: generator {gid} ({kind}) is inconsistent in trial {trial}"
+        )
+    return _exit_code(failed)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -253,8 +262,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     for name, func in (
-        ("build", cmd_build),
-        ("verify", cmd_verify),
+        ("build", cmd_report),
+        ("verify", cmd_report),
         ("schedule", cmd_schedule),
     ):
         p = sub.add_parser(name)

@@ -81,12 +81,8 @@ class QuotientTooLarge(TscodesError):
     pass
 
 
-class LemmaViolation(TscodesError):
-    pass
-
-
 class DependencyViolation(TscodesError):
-    pass
+    """dependency_check on a code without (known) pipeline data."""
 
 
 class NoValidDecomposition(TscodesError):

@@ -380,10 +380,18 @@ class HReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            c.ok
-            for c in (self.h1, self.h2, self.h3, self.h4)
-        )
+        return self.first_failure() is None
+
+    def first_failure(self) -> Optional[str]:
+        """The first failed condition of H1-H4 with its witness, or None."""
+        if not self.h1.ok:
+            return f"H1 fails at edge {self.h1.witness[0]}"
+        if not self.h2.ok:
+            return "H2 fails at vertex {} of degree {}".format(*self.h2.witness)
+        for name, cond in (("H3", self.h3), ("H4", self.h4)):
+            if not cond.ok:
+                return f"{name} fails at edges {cond.witness}"
+        return None
 
 
 def validate_H(h: Hypergraph) -> HReport:
@@ -869,6 +877,8 @@ def from_json_dict(data: dict) -> Hypergraph:
     COLORS.
     """
     nv = len(embed_graph._json_list(data, "vertices"))
+    if nv == 0:
+        raise MalformedRotation("a hypergraph needs at least one vertex")
     colors = data.get("colors", {})
     if not isinstance(colors, dict):
         raise UnknownFormat("hypergraph 'colors' is not a map")

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscodes import cli
+from tscodes import analyzer, cli, gf2, hypergraph, lattices, pauli, scheduler
+from tscodes.errors import GaugeMismatch
 
 
 def run(argv):
@@ -41,9 +43,14 @@ def test_gen_lattices_are_colexes(tmp_path):
         assert colex.validate_colex(cx.graph) is not None
 
 
-def test_gen_bad_params():
+def test_gen_bad_params(tmp_path, capsys):
     assert run(["gen", "torus-grid", "1", "5"]) == 2
     assert run(["gen", "honeycomb-torus", "3", "4"]) == 2
+    # An --out that cannot be written is bad input as well, never exit 1.
+    for out in (tmp_path, tmp_path / "missing" / "g.json"):
+        capsys.readouterr()
+        assert run(["gen", "torus-grid", "2", "2", "--out", str(out)]) == 2
+        assert f"error: BadParams: cannot write {out}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -268,9 +275,11 @@ def _with_three_int_dart():
         ("theorem2", _with_three_int_dart, "MalformedRotation"),
         ("theorem2", lambda: {"vertices": [], "edges": [], "rotation": {}},
          "MalformedRotation"),
+        ("custom", lambda: {"vertices": [], "rank2": [], "rank3": []},
+         "MalformedRotation"),
     ],
     ids=["no-rank3", "vertex-out-of-range", "rotation-missing-vertex",
-         "three-int-dart", "empty-graph"],
+         "three-int-dart", "empty-graph", "empty-hypergraph"],
 )
 def test_build_malformed_input_exits_2(tmp_path, capsys, pipeline, make, error):
     path = tmp_path / "in.json"
@@ -300,6 +309,20 @@ def test_bombin_rejects_inconsistent_colex_colors(tmp_path, capsys, mutate, witn
     assert run(["build", str(path), "--pipeline", "bombin"]) == 2
     err = capsys.readouterr().err
     assert "error: MalformedRotation:" in err and witness in err
+
+
+def test_h_violation_names_the_first_failed_condition(tmp_path, capsys):
+    # Three parallel edges: both vertices have degree 3 (H2 holds), but
+    # edges 0 and 1 share two vertices.
+    data = {"vertices": [0, 1], "rank2": [[0, 1]] * 3, "rank3": []}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    assert run(["build", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: BadParams: input violates H1-H4: H3 fails at edges (0, 1)\n")
+    with pytest.raises(GaugeMismatch) as info:
+        analyzer.build_code(hypergraph.from_json_dict(data))
+    assert str(info.value) == "hypergraph violates H1-H4: H3 fails at edges (0, 1)"
 
 
 def test_build_unreadable_input_exits_2(tmp_path, capsys):
@@ -371,3 +394,107 @@ def test_build_mutated_input_never_escapes(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("fuzz") / "in.json"
     path.write_text(json.dumps(data))
     assert run(["build", str(path), "--pipeline", pipeline, "--out", str(path)]) in (0, 2)
+
+
+real_build_schedule = scheduler.build_schedule
+
+
+def _rotate_first_promoted_sequence(code, model):
+    """The real schedule with the link order of the first sigma2_promoted
+    generator rotated by one, which breaks its syndrome."""
+    sched = real_build_schedule(code, model)
+    gid = next(g.gid for g in code.generators if g.kind == "sigma2_promoted")
+    seqs = list(sched.per_stabilizer)
+    seqs[gid] = seqs[gid][-1:] + seqs[gid][:-1]
+    return dataclasses.replace(sched, per_stabilizer=tuple(seqs))
+
+
+def test_schedule_names_the_first_inconsistent_generator(tmp_path, capsys, monkeypatch):
+    g, out = tmp_path / "g.json", tmp_path / "s.json"
+    run(["gen", "torus-grid", "2", "2", "--out", str(g)])
+    monkeypatch.setattr(scheduler, "build_schedule", _rotate_first_promoted_sequence)
+    argv = ["schedule", str(g), "--pipeline", "theorem2", "--trials", "40",
+            "--seed", "7", "--out", str(out)]
+    assert run(argv) == 1
+    data = json.loads(out.read_text())
+    assert data["simulation"]["failures"][0] == [1, 0]
+    assert data["simulation"]["agreement"] < 1.0
+    assert capsys.readouterr().err == (
+        "check failed: syndrome_simulation: "
+        "generator 1 (sigma2_promoted) is inconsistent in trial 0\n"
+    )
+
+
+def _patch_theorem2(monkeypatch, change):
+    """Make the theorem2 pipeline return its code after ``change(code)``."""
+    real = analyzer.theorem2_pipeline
+
+    def pipeline(seed):
+        code = real(seed)
+        change(code)
+        return code
+
+    monkeypatch.setattr(analyzer, "theorem2_pipeline", pipeline)
+
+
+def _wrong_prediction(monkeypatch):
+    _patch_theorem2(monkeypatch, lambda code: code.predicted.update(incidence_rank=47))
+    return "incidence_rank: computed 46, closed form 47"
+
+
+def _swapped_cycles(monkeypatch):
+    """Generators 0 and 1 (sigma1 and sigma2 of promoted face 1) trade cycles."""
+    g0, g1 = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2)).generators[:2]
+
+    def change(code):
+        code.generators = (
+            dataclasses.replace(g0, cycle=g1.cycle),
+            dataclasses.replace(g1, cycle=g0.cycle),
+        ) + code.generators[2:]
+
+    _patch_theorem2(monkeypatch, change)
+    residue = g0.cycle ^ g1.cycle
+    return f"dependencies: vfaces_sigma1 == ffaces_sigma2 fails: residue {residue:#x}"
+
+
+def _nontrivial_in_gauge(monkeypatch):
+    def change(code):
+        h, n = code.hypergraph, code.n
+        ws = [pauli.cycle_operator(h, sigma) for sigma in code.cycles.basis]
+        code.gauge = gf2.Basis(list(code.gauge.rows) + [x | z << n for x, z in ws])
+
+    code = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2))
+    first = analyzer._coset_reps(code, 20)[0]
+    _patch_theorem2(monkeypatch, change)
+    return f"nontrivial_cycles: nontrivial cycle {first:#x} lies in the gauge"
+
+
+def _generators_short_of_s(monkeypatch):
+    """The face walk loses the sigma2 generators of promoted faces 1 and 4."""
+    real = hypergraph.canonical_face_cycles
+    monkeypatch.setattr(
+        hypergraph, "canonical_face_cycles",
+        lambda h, fid: real(h, fid)[:1] if fid in (1, 4) else real(h, fid),
+    )
+    return "generators: span dim 13 < s = 14"
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [_wrong_prediction, _swapped_cycles, _nontrivial_in_gauge, _generators_short_of_s],
+    ids=lambda f: f.__name__.strip("_").replace("_", "-"),
+)
+def test_failed_check_exits_1(tmp_path, capsys, monkeypatch, patch):
+    """build and verify write the report, name the failed check with its
+    witness on stderr and exit 1; verify's report reads "verified": false."""
+    g = tmp_path / "g.json"
+    run(["gen", "torus-grid", "2", "2", "--out", str(g)])
+    witness = patch(monkeypatch)
+    for command, verified in (("build", None), ("verify", False)):
+        capsys.readouterr()
+        rep = tmp_path / f"{command}.json"
+        argv = [command, str(g), "--pipeline", "theorem2", "--out", str(rep)]
+        assert run(argv) == 1
+        assert json.loads(rep.read_text()).get("verified") is verified
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"check failed: {witness}"

@@ -13,6 +13,9 @@
 - `analyzer.distance_bound` never names `span_vectors`: ell is found by the
   information-set search in `gf2.min_coset_weight`, not by listing all
   2^dim vectors of the projected trivial span.
+- The retired `LemmaViolation` and `_assert_predicted` do not come back: a
+  check returns its verdict with a witness instead of raising, and the CLI
+  compares each pipeline's `predicted` closed forms with its report.
 """
 
 import ast
@@ -30,7 +33,7 @@ FACE_STRUCTURE = {
 }
 RETIRED = {
     "PauliSpan", "derived_embedding", "contract_rank3", "_contract_abstract",
-    "_arbitrary_embedding",
+    "_arbitrary_embedding", "LemmaViolation", "_assert_predicted",
 }
 
 
