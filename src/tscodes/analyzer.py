@@ -6,14 +6,18 @@ the only place that layout appears.  ``Pauli`` is not used here.  G comes
 from the per-link operators cached on the derived graph.  Once G is checked
 to be the centralizer of L, the stabilizer (the center of G, whose test
 oracle is ``pauli.center``) is G intersected with L, by one GF(2)
-elimination.  The pipelines run the closed-form families (vertex-face
-promotion of a blown-up seed, the same after a medial-dual detour, and the
-dual expansion of a 2-colex) and attach each closed form as ``predicted``;
-they do not compare it.  The checks return what they find (flags plus the
-first failing identity or cycle as a witness) and raise only on a usage
-error, so the caller turns their verdicts into a verified flag and an exit
-code.  The distinctness check reads the contracted degrees and, for a
-6-valent code, the source colex with its promoted edges contracted.
+elimination.  The pipelines run the closed-form families and attach each
+closed form as ``predicted``; they do not compare it.  Theorems 2 and 3 are
+one promotion routine: each builds its colex (the blown-up seed, or the
+blown-up dual of the seed's medial) and lists the faces to promote, the
+plain faces and the seed face each colex face stands for; the routine
+classes the faces by the seed-face 2-coloring (delta = 1), promotes and
+builds the code.  The third family is the dual expansion of a 2-colex.
+The checks return what they find (flags plus the first failing identity or
+cycle as a witness) and raise only on a usage error, so the caller turns
+their verdicts into a verified flag and an exit code.  The distinctness
+check reads the contracted degrees and, for a 6-valent code, the source
+colex with its promoted edges contracted.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class PipelineData:
     delta: int
     promoted_faces: Tuple[int, ...]
     vface_plain: Tuple[int, ...]  # faces with one or two generators, unpromoted
+    # colex face -> class of the seed face it stands for; empty when delta = 0
     class_of_face: Dict[int, int] = field(default_factory=dict)
-    class_of_eface: Dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -241,30 +245,46 @@ def _seed_face_classes(seed: EmbeddedGraph) -> Optional[Dict[int, int]]:
     return out
 
 
+def _promotion_pipeline(
+    kind: str,
+    seed: EmbeddedGraph,
+    cx: TwoColex,
+    promoted: Sequence[int],
+    plain: Sequence[int],
+    promote_color: str,
+    seed_face: Dict[int, int],
+) -> SubsystemCode:
+    """Promote the ``promoted`` faces of the colex ``cx`` built from
+    ``seed`` and build the code.  ``seed_face`` maps each colex face that
+    stands for a seed face to it; when the seed's dual is bipartite (delta =
+    1) the faces take their seed face's class, which colors the inner edges
+    and enters the dependency identities."""
+    classes = _seed_face_classes(seed)
+    face_class = None
+    if classes is not None:
+        face_class = {f: classes[sf] for f, sf in seed_face.items()}
+    code = build_code(hypergraph.promote(cx, promoted, promote_color, face_class))
+    code.pipeline = PipelineData(
+        kind=kind,
+        delta=0 if classes is None else 1,
+        promoted_faces=tuple(promoted),
+        vface_plain=tuple(plain),
+        class_of_face=face_class or {},
+    )
+    return code
+
+
 def theorem2_pipeline(seed: EmbeddedGraph) -> SubsystemCode:
     """Blow up the seed, promote every vertex-face with the triangles set
     into the 4-gon faces; parameters [[6e, 1+delta-chi, 4e-chi]]."""
     _check_seed_degrees(seed)
     cx = colex_mod.construct_A(seed)
-    classes = _seed_face_classes(seed)
-    delta = 1 if classes is not None else 0
-    vfaces = tuple(
-        f for f, (kind, _) in enumerate(cx.parentage) if kind == "v"
+    vfaces = [f for f, (kind, _) in enumerate(cx.parentage) if kind == "v"]
+    seed_face = {f: sf for f, (kind, sf) in enumerate(cx.parentage) if kind == "f"}
+    code = _promotion_pipeline(
+        "theorem2", seed, cx, vfaces, list(seed_face), "r", seed_face
     )
-    ffaces = tuple(
-        f for f, (kind, _) in enumerate(cx.parentage) if kind == "f"
-    )
-    fprime_class = None
-    if classes is not None:
-        fod = cx.graph.face_of_dart()
-
-        def fprime_class(kept_edge: int) -> str:
-            f0, f1 = fod[(kept_edge, 0)], fod[(kept_edge, 1)]
-            ff = f0 if cx.parentage[f0][0] == "f" else f1
-            return "g" if classes[cx.parentage[ff][1]] == 0 else "r"
-
-    h = hypergraph.promote(cx, vfaces, "r", fprime_class)
-    code = build_code(h)
+    delta = code.pipeline.delta
     v, e, f, chi = seed.num_vertices, seed.num_edges, seed.num_faces, seed.chi
     code.predicted = {
         "n": 6 * e,
@@ -274,19 +294,6 @@ def theorem2_pipeline(seed: EmbeddedGraph) -> SubsystemCode:
         "dim_cycle_space": 2 * e + 1 + delta,
         "incidence_rank": 6 * e - 1 - delta,
     }
-    face_class = {}
-    eface_class = {}
-    if classes is not None:
-        for fid in ffaces:
-            face_class[fid] = classes[cx.parentage[fid][1]]
-    code.pipeline = PipelineData(
-        kind="theorem2",
-        delta=delta,
-        promoted_faces=vfaces,
-        vface_plain=ffaces,
-        class_of_face=face_class,
-        class_of_eface=eface_class,
-    )
     return code
 
 
@@ -300,36 +307,28 @@ def theorem3_pipeline(seed: EmbeddedGraph) -> SubsystemCode:
     if embed_graph.is_bipartite(dstar) is None:
         raise GaugeMismatch("medial dual is unexpectedly non-bipartite")
     cx = colex_mod.construct_A(dstar)
-    classes = _seed_face_classes(seed)
-    delta = 1 if classes is not None else 0
-    vfaces = [f for f, (kind, _) in enumerate(cx.parentage) if kind == "v"]
-    F_v = tuple(
-        f for f in vfaces if origins[cx.parentage[f][1]][0] == "vertex"
-    )
-    F_f = tuple(
-        f for f in vfaces if origins[cx.parentage[f][1]][0] == "face"
-    )
-    fprime_class = None
-    if classes is not None:
-        fod = cx.graph.face_of_dart()
-
-        def eface_seed_face(ef: int) -> int:
-            # e-face parent is a dual edge; its endpoints are medial faces,
-            # exactly one of which is a seed face.
-            de = cx.parentage[ef][1]
-            for end in dstar.edges[de]:
-                tag, ident = origins[end]
-                if tag == "face":
-                    return ident
-            raise GaugeMismatch("4-gon face with no seed-face side")
-
-        def fprime_class(kept_edge: int) -> str:
-            f0, f1 = fod[(kept_edge, 0)], fod[(kept_edge, 1)]
-            ef = f0 if cx.parentage[f0][0] == "e" else f1
-            return "g" if classes[eface_seed_face(ef)] == 0 else "r"
-
-    h = hypergraph.promote(cx, F_v, "g", fprime_class)
-    code = build_code(h)
+    # A v-face's parent is a medial face, a seed vertex or a seed face; a
+    # 4-gon's parent is a dual edge, whose ends are two medial faces,
+    # exactly one of them a seed face.
+    F_v: List[int] = []
+    F_f: List[int] = []
+    seed_face: Dict[int, int] = {}
+    for fid, (kind, parent) in enumerate(cx.parentage):
+        if kind == "v":
+            tag, ident = origins[parent]
+            if tag == "vertex":
+                F_v.append(fid)
+            elif tag == "face":
+                F_f.append(fid)
+                seed_face[fid] = ident
+        elif kind == "e":
+            ends = [origins[end] for end in dstar.edges[parent]]
+            sides = [ident for tag, ident in ends if tag == "face"]
+            if not sides:
+                raise GaugeMismatch("4-gon face with no seed-face side")
+            seed_face[fid] = sides[0]
+    code = _promotion_pipeline("theorem3", seed, cx, F_v, F_f, "g", seed_face)
+    delta = code.pipeline.delta
     v, e, f, chi = seed.num_vertices, seed.num_edges, seed.num_faces, seed.chi
     code.predicted = {
         "n": 10 * e,
@@ -339,24 +338,6 @@ def theorem3_pipeline(seed: EmbeddedGraph) -> SubsystemCode:
         "dim_cycle_space": 4 * e + 1 + delta,
         "incidence_rank": 10 * e - 1 - delta,
     }
-    face_class = {}
-    eface_class = {}
-    if classes is not None:
-        fod = cx.graph.face_of_dart()
-        for fid in F_f:
-            sf = origins[cx.parentage[fid][1]][1]
-            face_class[fid] = classes[sf]
-        for fid, (kind, _) in enumerate(cx.parentage):
-            if kind == "e":
-                eface_class[fid] = classes[eface_seed_face(fid)]
-    code.pipeline = PipelineData(
-        kind="theorem3",
-        delta=delta,
-        promoted_faces=F_v,
-        vface_plain=F_f,
-        class_of_face=face_class,
-        class_of_eface=eface_class,
-    )
     return code
 
 
@@ -503,6 +484,8 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
     """Check the product relations among the canonical stabilizer
     generators, both as GF(2) edge-set identities and as Pauli products,
     and the count of independent generators against s and its closed form.
+    An identity with a term whose face lacks that generator fails, and its
+    witness names the face and the term.
 
     Raises DependencyViolation only on a code that is not pipeline-built or
     an unknown pipeline kind."""
@@ -516,11 +499,21 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
     idents: List[Tuple[str, bool]] = []
     failed: List[str] = []
 
-    def verify(name: str, terms: List[int]) -> None:
+    def verify(name: str, *groups: Tuple[Sequence[int], int]) -> None:
+        """The identity that the product of sigma_which over the faces of
+        every (faces, which) group is trivial; a term with no generator
+        fails it."""
+        terms = [(f, which) for faces, which in groups for f in faces]
+        missing = [t for t in terms if t not in sig]
+        if missing:
+            idents.append((name, False))
+            f, which = missing[0]
+            failed.append(f"{name} fails: face {f} has no sigma{which} generator")
+            return
         mask = x = z = 0
-        for sigma in terms:
-            mask ^= sigma
-            wx, wz = pauli.cycle_operator(h, sigma)
+        for t in terms:
+            mask ^= sig[t]
+            wx, wz = pauli.cycle_operator(h, sig[t])
             x ^= wx
             z ^= wz
         ok = mask == 0 and x == z == 0
@@ -528,40 +521,34 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
         if not ok:
             failed.append(f"{name} fails: residue {mask:#x}")
 
+    promoted, plain = pd.promoted_faces, pd.vface_plain
+    class0 = [f for f in plain if pd.class_of_face.get(f) == 0]
+    class1 = [f for f in plain if pd.class_of_face.get(f) == 1]
     if pd.kind == "theorem2":
-        terms = [sig[(f, 1)] for f in pd.promoted_faces]
-        terms += [sig[(f, 2)] for f in pd.vface_plain]
-        verify("vfaces_sigma1 == ffaces_sigma2", terms)
+        verify("vfaces_sigma1 == ffaces_sigma2", (promoted, 1), (plain, 2))
         if pd.delta == 1:
-            f1 = [f for f in pd.vface_plain if pd.class_of_face[f] == 0]
-            f2 = [f for f in pd.vface_plain if pd.class_of_face[f] == 1]
-            terms = [sig[(f, 1)] for f in pd.vface_plain]
-            terms += [sig[(f, 2)] for f in f1]
-            terms += [sig[(f, 2)] for f in pd.promoted_faces]
-            verify("ffaces_sigma1 * class1_sigma2 == vfaces_sigma2", terms)
-            terms = [sig[(f, 1)] for f in pd.vface_plain]
-            terms += [sig[(f, 2)] for f in f2]
-            terms += [sig[(f, 1)] for f in pd.promoted_faces]
-            terms += [sig[(f, 2)] for f in pd.promoted_faces]
-            verify("ffaces_sigma1 * class2_sigma2 == vfaces_sigma1_sigma2", terms)
+            verify(
+                "ffaces_sigma1 * class1_sigma2 == vfaces_sigma2",
+                (plain, 1), (class0, 2), (promoted, 2),
+            )
+            verify(
+                "ffaces_sigma1 * class2_sigma2 == vfaces_sigma1_sigma2",
+                (plain, 1), (class1, 2), (promoted, 1), (promoted, 2),
+            )
     elif pd.kind == "theorem3":
-        efaces = sorted(one_gen)
-        terms = [sig[(f, 1)] for f in pd.promoted_faces]
-        terms += [sig[(f, 1)] for f in efaces]
-        terms += [sig[(f, 1)] for f in pd.vface_plain]
-        terms += [sig[(f, 2)] for f in pd.vface_plain]
-        verify("Fv_sigma1 == efaces_sigma1 * Ff_sigma1_sigma2", terms)
+        efaces = [f for f, (kind, _) in enumerate(h.source.parentage) if kind == "e"]
+        verify(
+            "Fv_sigma1 == efaces_sigma1 * Ff_sigma1_sigma2",
+            (promoted, 1), (efaces, 1), (plain, 1), (plain, 2),
+        )
         if pd.delta == 1:
             # The 4-gon faces pair with the opposite class of their
             # unpromoted v-face neighbor.
-            e1 = [f for f in efaces if pd.class_of_eface[f] == 1]
-            f1 = [f for f in pd.vface_plain if pd.class_of_face[f] == 0]
-            f2 = [f for f in pd.vface_plain if pd.class_of_face[f] == 1]
-            terms = [sig[(f, 2)] for f in pd.promoted_faces]
-            terms += [sig[(f, 1)] for f in e1]
-            terms += [sig[(f, 2)] for f in f1]
-            terms += [sig[(f, 1)] for f in f2]
-            verify("Fv_sigma2 == E1_sigma1 * F1_sigma2 * F2_sigma1", terms)
+            e1 = [f for f in efaces if pd.class_of_face[f] == 1]
+            verify(
+                "Fv_sigma2 == E1_sigma1 * F1_sigma2 * F2_sigma1",
+                (promoted, 2), (e1, 1), (class0, 2), (class1, 1),
+            )
     else:
         raise DependencyViolation(f"unknown pipeline kind {pd.kind!r}")
 

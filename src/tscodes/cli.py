@@ -2,30 +2,20 @@
 
 Subcommands: gen, build, schedule, verify, export.  All randomness flows from
 --seed; identical configurations produce byte-identical JSON reports.
-The TSCODES_LOG environment variable controls the log level.  Exit codes:
-0 ok, 1 a check failed (named on stderr with its witness), 2 bad input.
+Exit codes: 0 ok, 1 a check failed (named on stderr with its witness), 2 bad
+input (named on stderr as "error: <type>: <message>").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import analyzer, colex, embed_graph, hypergraph, lattices, scheduler
 from .errors import BadParams, NotThreeEdgeColorable, TscodesError, UnknownFormat
-
-log = logging.getLogger("tscodes")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("TSCODES_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
 
 def _write(out: Optional[str], text: str) -> None:
     if out is None or out == "-":
@@ -291,7 +281,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    _setup_logging()
     parser = make_parser()
     args = parser.parse_args(argv)
     if getattr(args, "coset_cap", 1) < 1:
@@ -299,7 +288,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except TscodesError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 

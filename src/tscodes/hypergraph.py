@@ -8,8 +8,12 @@ with every rank-3 edge colored "b" (so the fixed color -> Pauli table keeps
 the commutation law exact: a rank-3 ZZZ operator must never meet a rank-2 ZZ
 on a single shared qubit).
 
-Hyperedge ids 0..E-1 coincide with the parent colex edge ids (promoted edges
-keep their id and gain a vertex); inner-face edges are appended after.
+``promote`` is the one face-promotion routine: both pipeline theorems call
+it, with a seed-face class map that colors each inner edge by the class of
+the face beyond the kept edge it lies across, and ``from_colex`` is the
+promotion of no faces.  Hyperedge ids 0..E-1 coincide with the parent
+colex edge ids (promoted edges keep their id and gain a vertex); inner-face
+edges are appended after.
 
 Face structure is read only here.  ``canonical_face_cycles`` walks a face
 once and returns each canonical hypercycle together with the ordered links
@@ -28,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import embed_graph, gf2, pauli
 from .colex import COLORS, TwoColex, _backtrack_color
@@ -195,21 +199,9 @@ class Hypergraph:
 
 
 def from_colex(colex: TwoColex) -> Hypergraph:
-    """View a colex as a rank-2 hypergraph, keeping its edge colors."""
-    g = colex.graph
-    edges = tuple(
-        HEdge(tuple(sorted(g.edges[e])), colex.edge_color[e], ("colex", e))
-        for e in range(g.num_edges)
-    )
-    faces = tuple(
-        FaceRec(
-            kind="plain",
-            boundary=tuple(e for (e, _) in g.faces[f]),
-            boundary_vertices=tuple(g.dart_vertex(d) for d in g.faces[f]),
-        )
-        for f in range(g.num_faces)
-    )
-    return Hypergraph(g.num_vertices, edges, colex, faces)
+    """View a colex as a rank-2 hypergraph, keeping its edge colors: the
+    promotion of no faces."""
+    return promote(colex, (), "b")
 
 
 def from_graph(g: EmbeddedGraph) -> Hypergraph:
@@ -225,19 +217,21 @@ def promote(
     colex: TwoColex,
     faces: Sequence[int],
     promote_color: str,
-    fprime_class: Optional[Callable[[int], str]] = None,
+    face_class: Optional[Mapping[int, int]] = None,
 ) -> Hypergraph:
     """Insert inner faces and promote one alternating boundary class.
 
     ``promote_color`` is the colex edge color to turn into rank-3 edges; the
-    triangles then border the faces of the remaining color.  ``fprime_class``
-    may pin the color ("r"/"g") of the inner edge lying across a given kept
-    boundary edge (used to align the coloring with a seed-face bipartition);
-    by default inner edges alternate starting with "g" at the lowest-id new
+    triangles then border the faces of the remaining color.  ``face_class``
+    maps colex faces to a seed-face class 0 or 1: the inner edge across a
+    kept boundary edge is "g" when the face beyond that edge has class 0 and
+    "r" otherwise (aligning the coloring with a seed-face bipartition).
+    Without it, inner edges alternate starting with "g" at the lowest-id new
     vertex.
 
     Colors are normalized so rank-3 edges are "b", the chosen faces' color
-    maps to "r" and the kept boundary class to "g".
+    maps to "r" and the kept boundary class to "g".  With no faces this is
+    the colex itself, colors unchanged.
     """
     g = colex.graph
     faces = sorted(set(faces))
@@ -256,111 +250,72 @@ def promote(
     else:
         cmap = {c: c for c in COLORS}
 
-    promoted_info: Dict[int, Tuple[int, int, int]] = {}  # colex edge -> (uf, us, w)
-    fprime_edges: List[Tuple[int, int, str, Tuple]] = []
-    face_build: Dict[int, dict] = {}
+    def face_rec(walk: Sequence[Tuple[int, int]], kind: str, **parts) -> FaceRec:
+        return FaceRec(
+            kind,
+            tuple(e for (e, _) in walk),
+            tuple(g.dart_vertex(d) for d in walk),
+            **parts,
+        )
+
+    edges = [
+        HEdge(tuple(sorted(g.edges[e])), cmap[colex.edge_color[e]], ("colex", e))
+        for e in range(g.num_edges)
+    ]
+    recs: List[Optional[FaceRec]] = [None] * g.num_faces
     next_vertex = g.num_vertices
-    next_edge = g.num_edges
     for f in faces:
         walk = list(g.faces[f])
         size = len(walk)
         if size % 4 != 0 or size <= 4:
             raise BadFaceSize(f"face {f} has {size} sides")
-        ecyc = [e for (e, _) in walk]
-        vcyc = [g.dart_vertex(d) for d in walk]
-        colors = [colex.edge_color[e] for e in ecyc]
+        colors = [colex.edge_color[e] for (e, _) in walk]
         if sorted(set(colors)) != sorted({promote_color, keep_color}):
             raise MixedColorF(f"face {f} boundary lacks the promoted class")
         # Rotate so a promoted edge comes first; classes must alternate.
         start = colors.index(promote_color)
-        ecyc = ecyc[start:] + ecyc[:start]
-        vcyc = vcyc[start:] + vcyc[:start]
+        walk = walk[start:] + walk[:start]
         colors = colors[start:] + colors[:start]
-        if any(
-            colors[j] != (promote_color if j % 2 == 0 else keep_color)
-            for j in range(size)
-        ):
+        if any(c != (promote_color, keep_color)[j % 2] for j, c in enumerate(colors)):
             raise MixedColorF(f"face {f} boundary classes do not alternate")
         m = size // 2
-        ws = list(range(next_vertex, next_vertex + m))
+        ws = tuple(range(next_vertex, next_vertex + m))
         next_vertex += m
-        tris: List[Triangle] = []
-        for i in range(m):
-            e = ecyc[2 * i]
-            uf, us = vcyc[2 * i], vcyc[2 * i + 1]
-            promoted_info[e] = (uf, us, ws[i])
-            tris.append(Triangle(e, uf, us, ws[i]))
-        fps: List[int] = []
-        for i in range(m):
-            kept_edge = ecyc[2 * i + 1]
-            if fprime_class is not None:
-                col = fprime_class(kept_edge)
-            else:
-                col = "g" if i % 2 == 0 else "r"
-            if col not in ("r", "g"):
-                raise MixedColorF(f"inner edge color {col!r} must be r or g")
-            fprime_edges.append(
-                (ws[i], ws[(i + 1) % m], col, ("fprime", f, i))
-            )
-            fps.append(next_edge)
-            next_edge += 1
-        face_build[f] = {
-            "triangles": tuple(tris),
-            "kept": tuple(ecyc[2 * i + 1] for i in range(m)),
-            "fprime": tuple(fps),
-            "ws": tuple(ws),
-            "boundary": tuple(ecyc),
-            "bvertices": tuple(vcyc),
-        }
-        cols = [fprime_edges[j - g.num_edges][2] for j in fps]
+        tris = []
+        for i, w in enumerate(ws):
+            e = walk[2 * i][0]
+            uf, us = g.dart_vertex(walk[2 * i]), g.dart_vertex(walk[2 * i + 1])
+            edges[e] = HEdge(tuple(sorted((uf, us, w))), "b", ("rank3", e))
+            tris.append(Triangle(e, uf, us, w))
+        kept = walk[1::2]
+        if face_class is None:
+            cols = ["g" if i % 2 == 0 else "r" for i in range(m)]
+        else:
+            fod = g.face_of_dart()
+            beyond = [face_class[fod[(e, 1 - side)]] for (e, side) in kept]
+            cols = ["g" if c == 0 else "r" for c in beyond]
         if any(cols[i] == cols[(i + 1) % m] for i in range(m)):
             raise MixedColorF(f"inner edge colors of face {f} do not alternate")
-
-    edges: List[HEdge] = []
-    for e in range(g.num_edges):
-        if e in promoted_info:
-            uf, us, w = promoted_info[e]
-            edges.append(
-                HEdge(tuple(sorted((uf, us, w))), "b", ("rank3", e))
-            )
-        else:
-            edges.append(
-                HEdge(
-                    tuple(sorted(g.edges[e])),
-                    cmap[colex.edge_color[e]],
-                    ("colex", e),
-                )
-            )
-    for (w1, w2, col, prov) in fprime_edges:
-        edges.append(HEdge(tuple(sorted((w1, w2))), col, prov))
-
-    face_recs: List[FaceRec] = []
-    for f in range(g.num_faces):
-        if f in face_build:
-            fb = face_build[f]
-            face_recs.append(
-                FaceRec(
-                    kind="promoted",
-                    boundary=fb["boundary"],
-                    boundary_vertices=fb["bvertices"],
-                    triangles=fb["triangles"],
-                    kept=fb["kept"],
-                    fprime=fb["fprime"],
-                    new_vertices=fb["ws"],
-                )
-            )
-        else:
-            ecyc = [e for (e, _) in g.faces[f]]
-            vcyc = [g.dart_vertex(d) for d in g.faces[f]]
-            kind = "broken" if any(e in promoted_info for e in ecyc) else "plain"
-            face_recs.append(
-                FaceRec(
-                    kind=kind,
-                    boundary=tuple(ecyc),
-                    boundary_vertices=tuple(vcyc),
-                )
-            )
-    return Hypergraph(next_vertex, tuple(edges), colex, tuple(face_recs))
+        recs[f] = face_rec(
+            walk,
+            "promoted",
+            triangles=tuple(tris),
+            kept=tuple(e for (e, _) in kept),
+            fprime=tuple(range(len(edges), len(edges) + m)),
+            new_vertices=ws,
+        )
+        edges += [
+            HEdge(tuple(sorted((w, ws[(i + 1) % m]))), cols[i], ("fprime", f, i))
+            for i, w in enumerate(ws)
+        ]
+    face_recs = tuple(
+        rec
+        or face_rec(
+            walk, "broken" if any(edges[e].rank == 3 for (e, _) in walk) else "plain"
+        )
+        for rec, walk in zip(recs, g.faces)
+    )
+    return Hypergraph(next_vertex, tuple(edges), colex, face_recs)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,25 @@ def test_dependencies_theorem3(th3_22, th3_33):
     assert dep33.all_ok
 
 
+def test_dependency_missing_term_fails_its_identity(grid22, monkeypatch):
+    """A face generator lost from the walk fails the identities that need it,
+    with a witness naming the term, while the rest still span the
+    stabilizer."""
+    real = hg.canonical_face_cycles
+    monkeypatch.setattr(
+        hg, "canonical_face_cycles",
+        lambda h, fid: real(h, fid)[:1] if fid == 4 else real(h, fid),
+    )
+    code = analyzer.theorem2_pipeline(grid22)
+    assert code.generators_complete and len(code.generators) == 15
+    dep = analyzer.dependency_check(code)
+    assert [ok for _, ok in dep.identities] == [True, False, False]
+    assert dep.witness == (
+        "ffaces_sigma1 * class1_sigma2 == vfaces_sigma2 fails: "
+        "face 4 has no sigma2 generator"
+    )
+
+
 def test_dependency_count_matches_s(pipeline_codes):
     for code in pipeline_codes.values():
         dep = analyzer.dependency_check(code)

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tscodes
 from tscodes import analyzer, cli, gf2, hypergraph, lattices, pauli, scheduler
 from tscodes.errors import GaugeMismatch
 
@@ -61,6 +66,20 @@ def test_gen_extra_params_rejected(tmp_path, capsys, argv):
     assert run(["gen", *argv, "--out", str(out)]) == 2
     assert "BadParams" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_input_is_one_stderr_line():
+    """A bad-input error is written once, as the "error:" line."""
+    env = dict(os.environ)
+    src = str(Path(tscodes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tscodes.cli", "gen", "theta", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: BadParams: theta takes no parameters\n"
 
 
 def test_build_theorem2_report(tmp_path):
@@ -479,9 +498,27 @@ def _generators_short_of_s(monkeypatch):
     return "generators: span dim 13 < s = 14"
 
 
+def _one_sigma2_missing(monkeypatch):
+    """The face walk loses only the sigma2 generator of promoted face 4; the
+    face generators carry 1 + delta dependencies, so the rest still span the
+    stabilizer and the identity that needs the lost term fails instead."""
+    real = hypergraph.canonical_face_cycles
+    monkeypatch.setattr(
+        hypergraph, "canonical_face_cycles",
+        lambda h, fid: real(h, fid)[:1] if fid == 4 else real(h, fid),
+    )
+    return (
+        "dependencies: ffaces_sigma1 * class1_sigma2 == vfaces_sigma2 fails: "
+        "face 4 has no sigma2 generator"
+    )
+
+
 @pytest.mark.parametrize(
     "patch",
-    [_wrong_prediction, _swapped_cycles, _nontrivial_in_gauge, _generators_short_of_s],
+    [
+        _wrong_prediction, _swapped_cycles, _nontrivial_in_gauge,
+        _generators_short_of_s, _one_sigma2_missing,
+    ],
     ids=lambda f: f.__name__.strip("_").replace("_", "-"),
 )
 def test_failed_check_exits_1(tmp_path, capsys, monkeypatch, patch):

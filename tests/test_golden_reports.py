@@ -9,16 +9,22 @@ and the rotation maps were cached on the graph.  SIM_GOLDEN pins
 SCHEDULE_GOLDEN and SIGNS_GOLDEN pin the schedule layer (rounds, the
 per-stabilizer link order and the sign of each generator's product); they
 were taken before the scheduler moved from `Pauli` objects to (x, z) ints.
+STRUCTURE_GOLDEN pins what the pipelines build below the reports: every
+hyperedge and face record, each generator's kind, cycle and links, and the
+pipeline's dependency data; it was taken before Theorems 2 and 3 were merged
+into one promotion routine.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
-from tscodes import cli, embed_graph, lattices
+from tscodes import analyzer, cli, colex, embed_graph, lattices
+from tscodes import hypergraph as hg
 from tscodes import scheduler as sch
 
 # (family, gen params, pipeline, command, exit code, sha256 of the report)
@@ -243,3 +249,88 @@ SIGNS_GOLDEN = {
 def test_schedule_signs(request, tri22_codes, name, model):
     code = tri22_codes.get(name) or request.getfixturevalue(name)
     assert sch.build_schedule(code, model).signs == SIGNS_GOLDEN[name]
+
+
+def _structure_digest(code):
+    """sha256 over (num_vertices, edges, faces), each generator's (kind,
+    cycle, links) and the pipeline data, its class maps merged into one
+    sorted face -> class list."""
+    h = code.hypergraph
+    classes, rest = {}, []
+    if code.pipeline is not None:
+        for f in dataclasses.fields(code.pipeline):
+            value = getattr(code.pipeline, f.name)
+            if isinstance(value, dict):
+                classes.update(value)
+            else:
+                rest.append(value)
+    text = repr((
+        h.num_vertices, h.edges, h.faces,
+        [(g.kind, g.cycle, g.links) for g in code.generators],
+        rest, sorted(classes.items()),
+    ))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (seed family, m for the m x m seed, pipeline, structure digest)
+STRUCTURE_GOLDEN = [
+    ("torus_grid", 2, "theorem2",
+     "b8b635ab33e602e8336c76e623c37e9950d97c3d884af8205fac0c44e722da26"),
+    ("torus_grid", 2, "theorem3",
+     "600e9300d0d2bc54a3985feadf511b24e487e05ea6996278aa525375c7dc6783"),
+    ("torus_grid", 3, "theorem2",
+     "71b7a810fdcee95aa6ec14fc308f22617cf34c13eb476338a78636e63a9144b3"),
+    ("torus_grid", 3, "theorem3",
+     "b770083f625c22120132a6d243500e66811a40c515b13a93efe732bfccb25ef5"),
+    ("torus_grid", 4, "theorem2",
+     "679e2a2a6e69047ea8702accf6e2b73d9886bc869bb004a3dda998a08e732527"),
+    ("torus_grid", 4, "theorem3",
+     "5bf46c5998ac41bbde2978c9406f460f59736fcc31aab253e42d614f0906d72a"),
+    ("torus_grid", 6, "theorem2",
+     "91ce39e7a54451061593d7bb2bd42934adce457f3fc93b4a39b72d4ee47f9f19"),
+    ("torus_grid", 6, "theorem3",
+     "0b3fb6e5a2d1e5fc2c28a46683dd155db803d77453a22e23fabf04364b98b2dd"),
+    ("triangular_torus", 2, "theorem2",
+     "ffa1dcf48777b911b80edc92e09d1d9312a93d7f2527cdb268ac151218e8ae23"),
+    ("triangular_torus", 2, "theorem3",
+     "6ef1f717fc561c2845ba553d9d163dc6f31cb8210fa7c32ad7316efdade7d5ce"),
+    ("triangular_torus", 3, "theorem2",
+     "3a0b575f8b192aecf30474964e6237c3dad4c269187543d1f0cc80bded171f3b"),
+    ("triangular_torus", 3, "theorem3",
+     "864390ab0944d1724d465c668714b48a3eb63e4d9c76836406134bb8b83b9496"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, m, pipeline, digest",
+    STRUCTURE_GOLDEN,
+    ids=[f"structure-{g[2]}-{g[0]}-{g[1]}x{g[1]}" for g in STRUCTURE_GOLDEN],
+)
+def test_pipeline_structure_digest(family, m, pipeline, digest):
+    seed = getattr(lattices, family)(m, m)
+    code = getattr(analyzer, f"{pipeline}_pipeline")(seed)
+    assert _structure_digest(code) == digest
+
+
+# colex -> structure digest of its rank-2 code (``analyzer.colex_code``).
+COLEX_STRUCTURE_GOLDEN = {
+    "honeycomb-3x3": (
+        lambda: colex.validate_colex(lattices.honeycomb_torus(3, 3)),
+        "d799f4338502d09554aa3adcb39b0f932b898d5e2bb3146c1a35931780cdb80b",
+    ),
+    "lattice-4-8-2x2": (
+        lambda: colex.construct_A(lattices.torus_grid(2, 2)),
+        "a6f8931f02cadd1612ebd651905ec7c599aec45d2e305bfc0f0c717cd7192e64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLEX_STRUCTURE_GOLDEN))
+def test_colex_structure_digest(name):
+    make, digest = COLEX_STRUCTURE_GOLDEN[name]
+    cx = make()
+    assert _structure_digest(analyzer.colex_code(cx)) == digest
+    # Hypergraph equality skips the faces, so compare them on their own.
+    plain = hg.promote(cx, (), "r")
+    assert hg.from_colex(cx) == plain
+    assert hg.from_colex(cx).faces == plain.faces

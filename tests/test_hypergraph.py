@@ -45,6 +45,16 @@ def test_promote_rejects_mixed_colors(grid22):
         hg.promote(c, [vface, fface], "r")
 
 
+def test_promote_rejects_inner_colors_that_do_not_alternate(grid22):
+    """Seed-face classes that give two neighboring kept edges' far faces the
+    same class would give two adjacent inner edges the same color."""
+    c = colex.construct_A(grid22)
+    vfaces = [f for f, (k, _) in enumerate(c.parentage) if k == "v"]
+    same = {f: 0 for f in range(c.graph.num_faces)}
+    with pytest.raises(MixedColorF, match="inner edge colors .* do not alternate"):
+        hg.promote(c, vfaces, "r", same)
+
+
 def test_promote_output_satisfies_H(grid22):
     h, _ = th2_hypergraph(grid22)
     rep = hg.validate_H(h)

@@ -16,6 +16,12 @@
 - The retired `LemmaViolation` and `_assert_predicted` do not come back: a
   check returns its verdict with a witness instead of raising, and the CLI
   compares each pipeline's `predicted` closed forms with its report.
+- Theorems 2 and 3 share one promotion routine, so the per-theorem copies
+  do not come back: no `fprime_class` or `eface_seed_face` callback turns a
+  kept edge into an inner-edge color (`hypergraph.promote` takes one
+  seed-face class map), there is no second `class_of_eface` map beside
+  `class_of_face`, and `promote` builds each face record directly, without
+  the `face_build` and `promoted_info` side tables.
 """
 
 import ast
@@ -34,6 +40,8 @@ FACE_STRUCTURE = {
 RETIRED = {
     "PauliSpan", "derived_embedding", "contract_rank3", "_contract_abstract",
     "_arbitrary_embedding", "LemmaViolation", "_assert_predicted",
+    "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
+    "promoted_info",
 }
 
 
