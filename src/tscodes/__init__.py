@@ -45,7 +45,6 @@ from .hypergraph import (
     canonical_face_cycles,
     contracted_degrees,
     cycle_space,
-    derived_graph,
     incidence_rank,
     promote,
     three_edge_color,

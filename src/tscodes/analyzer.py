@@ -3,7 +3,7 @@
 Operators are raw (x, z) int pairs; the spans G (gauge), L (cycle
 operators) and the stabilizer are ``gf2.Basis`` objects over x | z << n,
 the only place that layout appears.  ``Pauli`` is not used here.  G comes
-from the per-link operators cached on the derived graph.  Once G is checked
+from the link table's operators (``Hypergraph.link_ops``).  Once G is checked
 to be the centralizer of L, the stabilizer (the center of G, whose test
 oracle is ``pauli.center``) is G intersected with L, by one GF(2)
 elimination.  The pipelines run the closed-form families and attach each
@@ -69,19 +69,19 @@ class SubsystemCode:
     r: int
     s: int
     hypergraph: Hypergraph
-    derived: hypergraph.DerivedGraph
     gauge: gf2.Basis  # x | z << n vectors, as are the stabilizer's
     stabilizer: gf2.Basis
     cycles: HypercycleSpace
     generators: Tuple[Generator, ...]
-    generators_complete: bool = True
+    trivial: gf2.Basis  # span of the generator cycles; read only
+    quotient: Tuple[int, ...]  # cycle-basis vectors extending it to the cycle space
     predicted: Optional[dict] = None
     pipeline: Optional[PipelineData] = None
 
-    def trivial_basis(self) -> gf2.Basis:
-        """The span of the generator cycles, from the reduced rows that
-        ``build_code`` kept in ``cycles.trivial_basis``."""
-        return gf2.Basis(self.cycles.trivial_basis)
+    @property
+    def generators_complete(self) -> bool:
+        """True when the generator cycles span the stabilizer."""
+        return self.hypergraph.faces is not None and self.trivial.dim == self.s
 
     def params(self) -> Tuple[int, int, int, int]:
         return (self.n, self.k, self.r, self.s)
@@ -104,16 +104,14 @@ def _completion_loops(
     triv: gf2.Basis,
     cycles: Sequence[int],
     gauge: gf2.Basis,
-    ops: Sequence[Tuple[int, int]],
     span_cap: int = 18,
 ) -> List[hypergraph.FaceCycle]:
     """Rank-2 loop generators completing the face-cycle span.
 
     Searches each missing coset for a minimum-weight representative whose
-    r -> g -> b grouped links (``ops`` holds their operators) satisfy the
-    prefix rule, so the loop can join the measurement schedule.  Used for
-    colexes whose stabilizer includes cycles of nontrivial homology (no
-    promoted faces)."""
+    r -> g -> b grouped links satisfy the prefix rule, so the loop can join
+    the measurement schedule.  Used for colexes whose stabilizer includes
+    cycles of nontrivial homology (no promoted faces)."""
     out: List[hypergraph.FaceCycle] = []
     work = triv.copy()
     missing = [b for b in cycles if work.add(b)]
@@ -136,7 +134,7 @@ def _completion_loops(
             if not gauge.contains(_cycle_vec(h, cand)):
                 continue
             loop = hypergraph.rank2_cycle(h, "loop2", gf2.bits(cand))
-            if pauli.first_bad_prefix([ops[i] for i in loop.links]) is None:
+            if pauli.first_bad_prefix([h.link_ops[i] for i in loop.links]) is None:
                 chosen = loop
                 break
         if chosen is None:
@@ -161,18 +159,17 @@ def build_code(h: Hypergraph) -> SubsystemCode:
             "hypergraph is not properly colored; run three_edge_color first"
         )
     n = h.num_vertices
-    dg = hypergraph.derived_graph(h)
-    gauge = gf2.Basis(x | z << n for x, z in dg.ops)
+    gauge = gf2.Basis(x | z << n for x, z in h.link_ops)
     cycles = hypergraph.cycle_space(h)
     ws = [pauli.cycle_operator(h, sigma) for sigma in cycles.basis]
     lspan = gf2.Basis(x | z << n for x, z in ws)
     if lspan.dim != cycles.dim:
         raise GaugeMismatch("cycle operators are not independent")
     # Gauge group = centralizer of the cycle-operator span.
-    for lk, mask in zip(dg.links, pauli.anticommuting_masks(dg.ops, ws)):
+    for lk, mask in zip(h.links, pauli.anticommuting_masks(h.link_ops, ws)):
         if mask:
             raise GaugeMismatch(
-                f"link {lk.origin} anticommutes with a cycle operator"
+                f"link {(lk.edge, lk.side)} anticommutes with a cycle operator"
             )
     if gauge.dim != 2 * n - lspan.dim:
         raise GaugeMismatch(
@@ -199,7 +196,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
         if triv.dim < s and not h.rank3_ids():
             # Cycles of nontrivial homology are stabilizers too; look for
             # schedulable loop representatives.
-            for fc in _completion_loops(h, triv, cycles.basis, gauge, dg.ops):
+            for fc in _completion_loops(h, triv, cycles.basis, gauge):
                 found.append((None, fc))
     generators = [
         Generator(gid, fid, fc.kind, fc.cycle, fc.links)
@@ -208,21 +205,20 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     for g in generators:
         if not stab.contains(_cycle_vec(h, g.cycle)):
             raise GaugeMismatch(f"generator {g.gid} is not a stabilizer")
-    cycles = HypercycleSpace(
-        cycles.basis, cycles.dim, cycles.incidence_rank, tuple(triv.rows)
-    )
+    work = triv.copy()
+    quotient = tuple(b for b in cycles.basis if work.add(b))
     return SubsystemCode(
         n=n,
         k=k,
         r=r,
         s=s,
         hypergraph=h,
-        derived=dg,
         gauge=gauge,
         stabilizer=stab,
         cycles=cycles,
         generators=tuple(generators),
-        generators_complete=(h.faces is not None and triv.dim == s),
+        trivial=triv,
+        quotient=quotient,
     )
 
 
@@ -380,12 +376,7 @@ def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
             "canonical generators do not span the stabilizer; coset "
             "enumeration needs a pipeline-built code"
         )
-    triv = code.trivial_basis()
-    ext = []
-    work = triv.copy()
-    for b in code.cycles.basis:
-        if work.add(b):
-            ext.append(b)
+    ext = code.quotient
     q = len(ext)
     if q != 2 * code.k:
         raise GaugeMismatch(f"quotient dim {q} != 2k = {2 * code.k}")
@@ -415,7 +406,7 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
     if r3 == 0:
         return DistanceBound(None, False)
     reps = _coset_reps(code, coset_cap)
-    proj = gf2.Basis(v & r3 for v in code.trivial_basis().rows)
+    proj = gf2.Basis(v & r3 for v in code.trivial.rows)
     if proj.dim > coset_cap:
         raise QuotientTooLarge(
             f"projected trivial span has dim {proj.dim} > cap {coset_cap}"
@@ -450,7 +441,7 @@ def nontrivial_cycle_checks(
         if code.gauge.contains(_cycle_vec(h, rep)):
             none_in_gauge = False
             witness = witness or f"nontrivial cycle {rep:#x} lies in the gauge"
-    for sigma in code.trivial_basis().rows:
+    for sigma in code.trivial.rows:
         w = _cycle_vec(h, sigma)
         if not (code.gauge.contains(w) and code.stabilizer.contains(w)):
             trivs_ok = False
@@ -552,7 +543,7 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
     else:
         raise DependencyViolation(f"unknown pipeline kind {pd.kind!r}")
 
-    rank = code.trivial_basis().dim
+    rank = code.trivial.dim
     expected = 2 * len(two_gen) + len(one_gen) - 1 - pd.delta
     if rank != code.s or code.s != expected:
         failed.append(f"independent-generator count {rank} (s={code.s}) != {expected}")

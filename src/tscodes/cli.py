@@ -152,7 +152,7 @@ def _full_report(
         if not code.generators_complete:
             # Both checks below read one generator per face and the cosets
             # of their span.
-            span = code.trivial_basis().dim
+            span = code.trivial.dim
             verdicts["generators"] = f"span dim {span} < s = {code.s}"
         else:
             dep = analyzer.dependency_check(code)
@@ -263,7 +263,6 @@ def make_parser() -> argparse.ArgumentParser:
             choices=["theorem2", "theorem3", "bombin", "custom"],
             default="custom",
         )
-        p.add_argument("--coset-cap", type=int, default=20)
         p.add_argument("--out", default=None)
         if name == "schedule":
             p.add_argument(
@@ -271,6 +270,8 @@ def make_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--trials", type=int, default=100)
             p.add_argument("--seed", type=int, default=0)
+        else:
+            p.add_argument("--coset-cap", type=int, default=20)
         p.set_defaults(func=func)
 
     p = sub.add_parser("export", help="write a DOT rendering")

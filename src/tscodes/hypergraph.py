@@ -15,6 +15,14 @@ promotion of no faces.  Hyperedge ids 0..E-1 coincide with the parent
 colex edge ids (promoted edges keep their id and gain a vertex); inner-face
 edges are appended after.
 
+The link table is numbered once per hypergraph: ``Hypergraph.links`` holds
+one ``Link`` per rank-2 edge and per triangle side, in edge order, each with
+its time step in the exclusive schedule, and ``link_ops`` their (x, z)
+operators.  Decompositions index it, ``build_code`` spans the gauge group
+from it and the scheduler groups it by step, so the triangle-side
+convention (sides 0 and 1 are measured, side 2 is their product) lives only
+here.
+
 Face structure is read only here.  ``canonical_face_cycles`` walks a face
 once and returns each canonical hypercycle together with the ordered links
 that measure its cycle operator (its link decomposition); ``build_code``
@@ -45,9 +53,6 @@ from .errors import (
     UnclassifiedFace,
     UnknownFormat,
 )
-
-
-_ROUND = {c: k for k, c in enumerate(COLORS)}
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,24 @@ class FaceRec:
     kept: Tuple[int, ...] = ()  # unpromoted boundary edges (promoted faces)
     fprime: Tuple[int, ...] = ()  # inner-face edge ids, cyclic
     new_vertices: Tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class Link:
+    """A two-body gauge generator: a rank-2 edge (side None) or a side of a
+    triangle, 0 (v0, v1), 1 (v1, v2) or 2 (v0, v2).
+
+    ``step`` is its time step in the exclusive schedule: 0, 1, 2 for r, g,
+    b, and 3 for triangle side 1, which shares v1 with side 0.  Side 2 is
+    measured as the product of the other two and an uncolored link not at
+    all: their step is None.  The relaxed schedule measures step 3 with
+    step 2."""
+
+    edge: int
+    side: Optional[int]
+    vertices: Tuple[int, int]
+    color: Optional[str]
+    step: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -178,17 +201,33 @@ class Hypergraph:
         return MappingProxyType(out)
 
     @cached_property
-    def link_key(self) -> Tuple[Tuple[int, int], ...]:
-        """Per edge, (round, id) of its first link in ``derived_graph``.  A
-        rank-2 edge is one link, a rank-3 edge its sides (v0, v1), (v1, v2),
-        (v0, v2) with consecutive ids; the round is the index of the edge's
-        color in COLORS, or len(COLORS) without one."""
-        out: List[Tuple[int, int]] = []
-        nxt = 0
-        for e in self.edges:
-            out.append((_ROUND.get(e.color, len(COLORS)), nxt))
-            nxt += 1 if e.rank == 2 else 3
+    def links(self) -> Tuple[Link, ...]:
+        """The link table, in edge order: a rank-2 edge is one link, a rank-3
+        edge its sides 0, 1, 2 with consecutive ids."""
+        out: List[Link] = []
+        for i, e in enumerate(self.edges):
+            step = COLORS.index(e.color) if e.color in COLORS else None
+            if e.rank == 2:
+                out.append(Link(i, None, e.vertices, e.color, step))
+                continue
+            v0, v1, v2 = e.vertices
+            steps = (step, None if step is None else 3, None)
+            for side, pair in enumerate(((v0, v1), (v1, v2), (v0, v2))):
+                out.append(Link(i, side, pair, e.color, steps[side]))
         return tuple(out)
+
+    @cached_property
+    def first_link(self) -> Tuple[int, ...]:
+        """Per edge, the id of its first link in ``links``."""
+        first: Dict[int, int] = {}
+        for i, lk in enumerate(self.links):
+            first.setdefault(lk.edge, i)
+        return tuple(first.values())
+
+    @cached_property
+    def link_ops(self) -> Tuple[Tuple[int, int], ...]:
+        """The (x, z) operator of every link, from ``pauli.LINK_PAULI``."""
+        return tuple(pauli.link_operator(lk.vertices, lk.color) for lk in self.links)
 
     def recolored(self, colors: Sequence[Optional[str]]) -> "Hypergraph":
         new_edges = tuple(
@@ -292,8 +331,13 @@ def promote(
             cols = ["g" if i % 2 == 0 else "r" for i in range(m)]
         else:
             fod = g.face_of_dart()
-            beyond = [face_class[fod[(e, 1 - side)]] for (e, side) in kept]
-            cols = ["g" if c == 0 else "r" for c in beyond]
+            beyond = [(e, fod[(e, 1 - side)]) for (e, side) in kept]
+            for e, fb in beyond:
+                if fb not in face_class:
+                    raise UnclassifiedFace(
+                        f"face {fb} beyond kept edge {e} of face {f} has no class"
+                    )
+            cols = ["g" if face_class[fb] == 0 else "r" for _, fb in beyond]
         if any(cols[i] == cols[(i + 1) % m] for i in range(m)):
             raise MixedColorF(f"inner edge colors of face {f} do not alternate")
         recs[f] = face_rec(
@@ -424,7 +468,6 @@ class HypercycleSpace:
     basis: Tuple[int, ...]  # edge bitmasks with even incidence everywhere
     dim: int
     incidence_rank: int
-    trivial_basis: Tuple[int, ...] = ()  # canonical-face-cycle span
 
 
 def incidence_rank(h: Hypergraph) -> int:
@@ -452,8 +495,8 @@ def is_cycle(h: Hypergraph, sigma: int) -> bool:
 @dataclass(frozen=True)
 class FaceCycle:
     """A canonical hypercycle and the link decomposition of its cycle
-    operator: ids into ``derived_graph(h).links``, grouped r, g, b (triangle
-    sides with their triangle) and ascending within a group."""
+    operator: ids into ``h.links``, grouped r, g, b (triangle sides with
+    their triangle) and ascending within a group."""
 
     kind: str  # sigma1_fprime | sigma1_boundary | sigma2_promoted |
     #            sigma2_necklace | sigma2_bridged | loop2
@@ -465,15 +508,18 @@ def _ordered(
     h: Hypergraph, edges: Sequence[int], sides: Sequence[Tuple[int, int]] = ()
 ) -> Tuple[int, ...]:
     """Link ids of the rank-2 ``edges`` and the triangle ``sides`` (rank-3
-    edge, side) of one decomposition: each once, grouped r, g, b by color,
-    ascending within a group.  A link without one of those colors is left
-    out, so the scheduler's product check rejects the decomposition."""
-    key = h.link_key
-    keys = {key[e] for e in edges}
-    for e, k in sides:
-        r, link = key[e]
-        keys.add((r, link + k))
-    return tuple(link for r, link in sorted(keys) if r < len(COLORS))
+    edge, side) of one decomposition: each once, grouped r, g, b by relaxed
+    round (min(step, 2)), ascending within a group.  A link without a step
+    is left out, so the scheduler's product check rejects the
+    decomposition."""
+    first, links = h.first_link, h.links
+    ids = {first[e] for e in edges} | {first[e] + k for e, k in sides}
+    return tuple(
+        sorted(
+            (i for i in ids if links[i].step is not None),
+            key=lambda i: (min(links[i].step, 2), i),
+        )
+    )
 
 
 def _side(h: Hypergraph, t: Triangle, a: int, b: int) -> List[Tuple[int, int]]:
@@ -692,50 +738,6 @@ def bridged_structure(h: Hypergraph, fid: int) -> Optional[FaceCycle]:
     for v in rec.boundary_vertices:
         links += h.incident_edges(v)
     return FaceCycle("sigma2_bridged", sigma, _ordered(h, links, sides))
-
-
-def derived_graph(h: Hypergraph) -> "DerivedGraph":
-    """Expand every rank-3 edge into its ZZ triangle; rank-2 edges map to a
-    single link carrying the Pauli of their color.  Links follow the edge
-    order, as ``Hypergraph.link_key`` numbers them."""
-    links: List[DLink] = []
-    for i, e in enumerate(h.edges):
-        if e.rank == 2:
-            ch = pauli.LINK_PAULI.get(e.color)
-            links.append(
-                DLink(
-                    vertices=e.vertices,
-                    pauli=2 * ch if ch else None,
-                    color=e.color,
-                    origin=(i, None),
-                )
-            )
-        else:
-            v0, v1, v2 = e.vertices
-            for side, (a, b) in enumerate(((v0, v1), (v1, v2), (v0, v2))):
-                links.append(
-                    DLink(vertices=(a, b), pauli="ZZ", color=e.color, origin=(i, side))
-                )
-    return DerivedGraph(h.num_vertices, tuple(links))
-
-
-@dataclass(frozen=True)
-class DLink:
-    vertices: Tuple[int, int]
-    pauli: Optional[str]
-    color: Optional[str]
-    origin: Tuple[int, Optional[int]]  # (hyperedge id, triangle side or None)
-
-
-@dataclass(frozen=True)
-class DerivedGraph:
-    num_vertices: int
-    links: Tuple[DLink, ...]
-
-    @cached_property
-    def ops(self) -> Tuple[Tuple[int, int], ...]:
-        """The (x, z) operator of every link, from ``pauli.LINK_PAULI``."""
-        return tuple(pauli.link_operator(lk.vertices, lk.color) for lk in self.links)
 
 
 def contracted_degrees(h: Hypergraph) -> Tuple[int, ...]:

@@ -2,19 +2,21 @@
 stabilizer-tableau verification.
 
 Every stabilizer generator carries its decomposition into an ordered
-product of derived link operators grouped r, then g, then b
-(``Generator.links``).  The decompositions are formed in ``hypergraph``, by
-the same face walk that finds each generator's cycle, and ``build_code``
-stores them; this module reads no face structure.  It checks each
+product of link operators grouped r, then g, then b (``Generator.links``,
+ids into the hypergraph's link table ``Hypergraph.links``).  The
+decompositions are formed in ``hypergraph``, by the same face walk that
+finds each generator's cycle, and ``build_code`` stores them; this module
+reads no face structure and no triangle side.  It checks each
 decomposition (its product is the generator's cycle operator with a real
 phase, and every prefix commutes with the next operator), then schedules.
 Signed products, the prefix rule and the round conflict check run on the
-(x, z) int pairs cached in ``DerivedGraph.ops``; ``Pauli`` objects appear
-only at the tableau's API edge (one per link, built once per simulation).  The schedule measures the
-full gauge generator set: in the relaxed model the three color rounds
-suffice (links sharing a qubit in the b round commute); in the exclusive
-model the b round splits in two so no qubit is touched twice in a time
-step.
+(x, z) int pairs cached in ``Hypergraph.link_ops``; ``Pauli`` objects
+appear only at the tableau's API edge (one per link, built once per
+simulation).  The schedule measures the full gauge generator set, each link
+at the time step its ``Link.step`` names: in the relaxed model the three
+color rounds suffice (links sharing a qubit in the b round commute); in the
+exclusive model the b round splits in two so no qubit is touched twice in a
+time step.
 
 Schedules are checked on a column-major stabilizer tableau: a measurement
 finds its anticommuting rows from the columns on its operator's support.
@@ -49,7 +51,7 @@ def _signed_decomposition(code: SubsystemCode, gen: Generator) -> Tuple[List[int
     """The ordered decomposition of ``gen`` and the +-1 sign of its product,
     validated against the generator and the prefix rule."""
     seq = list(gen.links)
-    ops = [code.derived.ops[i] for i in seq]
+    ops = [code.hypergraph.link_ops[i] for i in seq]
     prod, phase = pauli.phase_product(ops)
     if prod != pauli.cycle_operator(code.hypergraph, gen.cycle) or phase % 2:
         raise NoValidDecomposition(
@@ -89,12 +91,11 @@ class MeasurementSchedule:
 def build_schedule(
     code: SubsystemCode, model: str = "relaxed"
 ) -> MeasurementSchedule:
-    """Rounds r, g, b (relaxed) or r, g, b1, b2 (exclusive).
-
-    The b round holds every rank-2 "b" link plus the two independent sides
-    of each triangle; those sides share one qubit, so the exclusive model
-    needs the extra step.  The full gauge generator set is scheduled;
-    decompositions pick their outcomes out of the shared rounds.
+    """Rounds r, g, b (relaxed) or r, g, b1, b2 (exclusive): each link is
+    measured at its ``Link.step``, and the relaxed model merges steps 2 and
+    3 into one b round.  Links without a step are not measured.  The full
+    gauge generator set is scheduled; decompositions pick their outcomes out
+    of the shared rounds.
     """
     if model not in ("relaxed", "exclusive"):
         raise ScheduleConflict(f"unknown model {model!r}")
@@ -118,38 +119,27 @@ def build_schedule(
         for i in seq:
             owners.setdefault(i, []).append(gen.gid)
 
-    buckets: Dict[str, List[int]] = {"r": [], "g": [], "b1": [], "b2": []}
-    for i, lk in enumerate(code.derived.links):
-        if lk.origin[1] == 2:
-            continue  # dependent side: the product of the other two
-        if lk.color in ("r", "g"):
-            buckets[lk.color].append(i)
-        elif lk.origin[1] is None:
-            buckets["b1"].append(i)
-        else:
-            buckets["b1" if lk.origin[1] == 0 else "b2"].append(i)
-    if model == "relaxed":
-        round_keys = [["r"], ["g"], ["b1", "b2"]]
-    else:
-        round_keys = [["r"], ["g"], ["b1"], ["b2"]]
-    rounds: List[Tuple[ScheduledLink, ...]] = []
-    for keys in round_keys:
-        ids = sorted(i for k in keys for i in buckets[k])
-        if not ids:
-            continue
-        rounds.append(
-            tuple(
-                ScheduledLink(
-                    i,
-                    code.derived.links[i].vertices,
-                    code.derived.links[i].pauli,
-                    tuple(sorted(owners.get(i, []))),
-                )
-                for i in ids
+    links = code.hypergraph.links
+    last = 3 if model == "exclusive" else 2
+    steps: List[List[int]] = [[] for _ in range(last + 1)]
+    for i, lk in enumerate(links):
+        if lk.step is not None:
+            steps[min(lk.step, last)].append(i)
+    rounds = [
+        tuple(
+            ScheduledLink(
+                i,
+                links[i].vertices,
+                2 * pauli.LINK_PAULI[links[i].color],
+                tuple(sorted(owners.get(i, []))),
             )
+            for i in ids
         )
+        for ids in steps
+        if ids
+    ]
     _check_conflicts(code, rounds, model)
-    ops = code.derived.ops
+    ops = code.hypergraph.link_ops
     # Per-generator sequences must respect the round order and stay valid
     # under the prefix rule when sorted by measurement time.
     time_of = {
@@ -177,7 +167,7 @@ def _check_conflicts(
     rounds: Sequence[Sequence[ScheduledLink]],
     model: str,
 ) -> None:
-    ops = code.derived.ops
+    ops = code.hypergraph.link_ops
     for t, rnd in enumerate(rounds):
         seen: Dict[int, int] = {}
         for sl in rnd:
@@ -431,7 +421,7 @@ def simulate_syndrome(
         raise BadParams("trials must be >= 1")
     rng = random.Random(seed)
     n = code.n
-    ops = code.derived.ops
+    ops = code.hypergraph.link_ops
     gen_paulis = []
     for seq in schedule.per_stabilizer:
         prod, phase = pauli.phase_product(ops[i] for i in seq)

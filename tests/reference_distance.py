@@ -22,7 +22,7 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
     if r3 == 0:
         return DistanceBound(None, False)
     reps = _coset_reps(code, coset_cap)
-    proj = gf2.Basis(v & r3 for v in code.trivial_basis().rows)
+    proj = gf2.Basis(v & r3 for v in code.trivial.rows)
     if proj.dim > coset_cap:
         raise QuotientTooLarge(
             f"projected trivial span has dim {proj.dim} > cap {coset_cap}"

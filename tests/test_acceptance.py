@@ -33,7 +33,9 @@ def test_criterion_1_parameter_identities(pipeline_codes, honeycomb_code):
         start = time.monotonic()
         n = code.n
         # Independent eliminations, from scratch.
-        links = [pauli.link_operator(lk.vertices, lk.color) for lk in code.derived.links]
+        links = [
+            pauli.link_operator(lk.vertices, lk.color) for lk in code.hypergraph.links
+        ]
         gauge_dim = gf2.rank(pauli.Pauli(n, *op).vec() for op in links)
         cent_dim = 2 * n - gauge_dim
         s = pauli.center(code.gauge, n).dim

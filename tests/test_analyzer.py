@@ -156,7 +156,7 @@ def test_dependency_count_matches_s(pipeline_codes):
 def brute_force_ell(code):
     """Independent oracle: enumerate the whole cycle space."""
     h = code.hypergraph
-    triv = code.trivial_basis()
+    triv = code.trivial
     r3 = h.rank3_mask()
     best = None
     basis = code.cycles.basis
@@ -199,7 +199,7 @@ def test_distance_bound_coset_invariance(th2_22):
     # representative: recompute with shuffled representatives.
     h = th2_22.hypergraph
     r3 = h.rank3_mask()
-    triv = th2_22.trivial_basis()
+    triv = th2_22.trivial
     reps = analyzer._coset_reps(th2_22, 20)
     span = gf2.span_vectors(gf2.Basis(v & r3 for v in triv.rows).rows)
     tweak = triv.rows[0]
@@ -310,11 +310,12 @@ def test_exact_distance_small_code():
         r=0,
         s=1,
         hypergraph=None,
-        derived=None,
         gauge=span,
         stabilizer=stab,
         cycles=None,
         generators=(),
+        trivial=gf2.Basis(),
+        quotient=(),
     )
     assert analyzer.exact_distance(code) == 1
 

@@ -247,6 +247,21 @@ def test_schedule_hypergraph_json_names_missing_faces(tmp_path, capsys):
     assert "graph or colex input" in err
 
 
+def test_schedule_takes_no_coset_cap(tmp_path, capsys):
+    """schedule never reads --coset-cap, so the option is rejected there as
+    a usage error; build and verify keep it."""
+    g = tmp_path / "g.json"
+    run(["gen", "torus-grid", "2", "2", "--out", str(g)])
+    with pytest.raises(SystemExit) as info:
+        run(["schedule", str(g), "--pipeline", "theorem2", "--coset-cap", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --coset-cap 5" in capsys.readouterr().err
+    rep = tmp_path / "r.json"
+    argv = [str(g), "--pipeline", "theorem2", "--coset-cap", "5", "--out", str(rep)]
+    assert run(["verify", *argv]) == 0
+    assert run(["build", *argv]) == 0
+
+
 def test_build_custom_recolors_non_b_triangles(tmp_path):
     """Rank-3 edges colored "r" are rejected by validate_H, so `custom`
     recolors with three_edge_color instead of building a wrong gauge."""

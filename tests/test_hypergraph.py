@@ -1,9 +1,15 @@
 import json
+import re
 
 import pytest
 
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices
-from tscodes.errors import BadFaceSize, MixedColorF, NotThreeEdgeColorable
+from tscodes.errors import (
+    BadFaceSize,
+    MixedColorF,
+    NotThreeEdgeColorable,
+    UnclassifiedFace,
+)
 from tscodes.hypergraph import HEdge, Hypergraph
 
 
@@ -53,6 +59,18 @@ def test_promote_rejects_inner_colors_that_do_not_alternate(grid22):
     same = {f: 0 for f in range(c.graph.num_faces)}
     with pytest.raises(MixedColorF, match="inner edge colors .* do not alternate"):
         hg.promote(c, vfaces, "r", same)
+
+
+def test_promote_names_the_face_missing_from_the_class_map(grid22):
+    """A class map without the face beyond a kept edge is bad input that
+    names the face and the edge, not a raw KeyError."""
+    c = colex.construct_A(grid22)
+    vfaces = [f for f, (k, _) in enumerate(c.parentage) if k == "v"]
+    with pytest.raises(UnclassifiedFace) as info:
+        hg.promote(c, vfaces, "r", {})
+    assert re.fullmatch(
+        r"face 6 beyond kept edge \d+ of face \d+ has no class", str(info.value)
+    )
 
 
 def test_promote_output_satisfies_H(grid22):
@@ -174,26 +192,31 @@ def test_promoted_sigma2_contains_all_face_triangles(grid22):
             assert (fc2.cycle >> t.edge_id) & 1
 
 
-def test_derived_graph_counts(grid22):
+def _is_zz(op):
+    x, z = op
+    return x == 0 and z != 0
+
+
+def test_link_table_counts(grid22):
     h, _ = th2_hypergraph(grid22)
-    dg = hg.derived_graph(h)
-    assert len(dg.links) == 48 + 3 * 16
+    assert len(h.links) == 48 + 3 * 16
     assert all(
-        lk.pauli == "ZZ" for lk in dg.links if lk.origin[1] is not None
+        _is_zz(op) for lk, op in zip(h.links, h.link_ops) if lk.side is not None
     )
 
 
-def test_derived_graph_single_triangle():
+def test_link_table_single_triangle():
     h = Hypergraph(3, (HEdge((0, 1, 2), "b", ("x", 0)),))
-    dg = hg.derived_graph(h)
-    assert [lk.vertices for lk in dg.links] == [(0, 1), (1, 2), (0, 2)]
-    assert all(lk.pauli == "ZZ" for lk in dg.links)
+    assert [lk.vertices for lk in h.links] == [(0, 1), (1, 2), (0, 2)]
+    assert all(_is_zz(op) for op in h.link_ops)
+    # Sides 0 and 1 share vertex 1: b round, then the exclusive extra step;
+    # side 2 is their product and is not measured.
+    assert [lk.step for lk in h.links] == [2, 3, None]
 
 
-def test_derived_graph_identity_without_rank3(honeycomb33_colex):
+def test_link_table_identity_without_rank3(honeycomb33_colex):
     h = hg.from_colex(honeycomb33_colex)
-    dg = hg.derived_graph(h)
-    assert len(dg.links) == h.num_edges
+    assert len(h.links) == h.num_edges
 
 
 def test_contracted_degrees_no_triangles_all_3(honeycomb33_colex):
@@ -248,14 +271,16 @@ def test_rank3_edges_must_be_b(th2_22):
         analyzer.build_code(swapped)
 
 
-def test_link_key_indexes_derived_graph(th2_22):
-    h, links = th2_22.hypergraph, th2_22.derived.links
+def test_first_link_indexes_link_table(th2_22):
+    h = th2_22.hypergraph
+    links = h.links
     for i, e in enumerate(h.edges):
         sides = (None,) if e.rank == 2 else (0, 1, 2)
-        r, first = h.link_key[i]
+        first = h.first_link[i]
         got = [links[first + k] for k in range(len(sides))]
-        assert [lk.origin for lk in got] == [(i, side) for side in sides]
-        assert all(lk.color == "rgb"[r] for lk in got)
+        assert [(lk.edge, lk.side) for lk in got] == [(i, side) for side in sides]
+        assert all(lk.color == e.color for lk in got)
+        assert got[0].step == "rgb".index(e.color)
 
 
 def test_dot_renders_triangle_clusters(grid22):

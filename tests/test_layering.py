@@ -10,6 +10,11 @@
   the `Pauli` dataclass, which stays at the API edge.
 - `scheduler` reads no face structure: link decompositions are formed by
   the face walk in `hypergraph` and carried by each generator.
+- The hypergraph numbers its links once (`Hypergraph.links`, with
+  `first_link` and `link_ops`), so the retired `DerivedGraph`, `DLink`,
+  `derived_graph` and `link_key` do not come back, and `scheduler` never
+  names a link's triangle `side` or an `origin`: it groups links by
+  `Link.step`, and the triangle-side convention lives in `hypergraph`.
 - `analyzer.distance_bound` never names `span_vectors`: ell is found by the
   information-set search in `gf2.min_coset_weight`, not by listing all
   2^dim vectors of the projected trivial span.
@@ -41,8 +46,9 @@ RETIRED = {
     "PauliSpan", "derived_embedding", "contract_rank3", "_contract_abstract",
     "_arbitrary_embedding", "LemmaViolation", "_assert_predicted",
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
-    "promoted_info",
+    "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
 }
+TRIANGLE_SIDES = {"side", "origin"}
 
 
 def _names(tree):
@@ -84,6 +90,8 @@ def test_layering(path):
             bad.append(f"line {line}: Pauli in an int-only module")
         if name in FACE_STRUCTURE and path.name == "scheduler.py":
             bad.append(f"line {line}: face structure {name} in the scheduler")
+        if name in TRIANGLE_SIDES and path.name == "scheduler.py":
+            bad.append(f"line {line}: triangle side {name} in the scheduler")
     assert not bad, f"{path.name}: " + "; ".join(sorted(set(bad)))
 
 

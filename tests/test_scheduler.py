@@ -8,6 +8,12 @@ from tscodes.pauli import Pauli
 from tscodes.scheduler import MeasurementSchedule, Tableau
 
 
+def _is_zz(code, i):
+    """Whether link i is a two-body Z (a "b" edge or a triangle side)."""
+    x, z = code.hypergraph.link_ops[i]
+    return x == 0 and z != 0
+
+
 def test_decompositions_reproduce_generators(
     pipeline_codes, tri22_codes, honeycomb_code
 ):
@@ -22,7 +28,7 @@ def test_decompositions_reproduce_generators(
         for gen in code.generators:
             seq = sch.decompose(code, gen)
             assert seq == list(gen.links)
-            ops = [code.derived.ops[i] for i in seq]
+            ops = [code.hypergraph.link_ops[i] for i in seq]
             prod, phase = pauli.phase_product(ops)
             assert prod == pauli.cycle_operator(code.hypergraph, gen.cycle)
             assert phase % 2 == 0
@@ -35,21 +41,21 @@ def test_decomposition_groups_by_color(th2_22):
         seq = sch.decompose(th2_22, gen)
         rounds = []
         for i in seq:
-            lk = th2_22.derived.links[i]
-            rounds.append(2 if lk.pauli == "ZZ" else order[lk.color])
+            lk = th2_22.hypergraph.links[i]
+            rounds.append(2 if _is_zz(th2_22, i) else order[lk.color])
         assert rounds == sorted(rounds)
 
 
 def test_promoted_sigma1_has_no_b_round(th2_22):
     gen = next(g for g in th2_22.generators if g.kind == "sigma1_fprime")
     seq = sch.decompose(th2_22, gen)
-    assert all(th2_22.derived.links[i].pauli != "ZZ" for i in seq)
+    assert all(not _is_zz(th2_22, i) for i in seq)
 
 
 def test_validate_prefixes_flags_bad_order(th2_22):
     gen = next(g for g in th2_22.generators if g.kind == "sigma2_promoted")
     seq = sch.decompose(th2_22, gen)
-    ops = [th2_22.derived.ops[i] for i in seq]
+    ops = [th2_22.hypergraph.link_ops[i] for i in seq]
     assert pauli.first_bad_prefix(ops) is None
     # Move a final-round two-body Z in front: it anticommutes with the
     # incomplete prefix.
@@ -86,7 +92,7 @@ def test_exclusive_rounds_touch_qubits_once(th2_22):
 def test_relaxed_b_round_links_commute(th2_22):
     sched = sch.build_schedule(th2_22, "relaxed")
     last = sched.rounds[-1]
-    ops = [Pauli(th2_22.n, *th2_22.derived.ops[sl.link]) for sl in last]
+    ops = [Pauli(th2_22.n, *th2_22.hypergraph.link_ops[sl.link]) for sl in last]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             assert pauli.commutes(ops[i], ops[j])
@@ -141,7 +147,7 @@ def test_broken_schedule_detected(th2_22):
     # Pull the last two-body Z link in front of the r and g rounds.
     seq = [seq[-1]] + seq[:-1]
     broken_stabs[target] = tuple(seq)
-    ops = [th2_22.derived.ops[i] for i in broken_stabs[target]]
+    ops = [th2_22.hypergraph.link_ops[i] for i in broken_stabs[target]]
     assert pauli.first_bad_prefix(ops) is not None
     broken = MeasurementSchedule(
         model=good.model,
@@ -202,9 +208,9 @@ def test_b_links_overlap_earlier_product_twice(th2_22):
         prefix_support = 0
         prefix = None
         for i in seq:
-            lk = th2_22.derived.links[i]
-            op = Pauli(th2_22.n, *th2_22.derived.ops[i])
-            if lk.pauli != "ZZ":
+            lk = th2_22.hypergraph.links[i]
+            op = Pauli(th2_22.n, *th2_22.hypergraph.link_ops[i])
+            if not _is_zz(th2_22, i):
                 prefix = op if prefix is None else prefix.mul(op)
             else:
                 assert prefix is not None
