@@ -9,6 +9,7 @@ input (named on stderr as "error: <type>: <message>").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -227,7 +228,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first call and shared after: parsing
+    leaves it unchanged, and a process that calls `main` many times pays
+    for it once."""
     parser = argparse.ArgumentParser(
         prog="tscodes",
         description="Topological subsystem codes from graphs and hypergraphs",

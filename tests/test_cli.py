@@ -262,6 +262,29 @@ def test_schedule_takes_no_coset_cap(tmp_path, capsys):
     assert run(["build", *argv]) == 0
 
 
+def test_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_usage_error_leaves_next_call_unchanged(tmp_path, capsys):
+    """The parser is shared by every `main` call of a process; a usage
+    error (`--coset-cap 0`, exit 2) does not change what the next call
+    prints."""
+    g = tmp_path / "g.json"
+    run(["gen", "torus-grid", "2", "2", "--out", str(g)])
+    argv = ["verify", str(g), "--pipeline", "theorem2"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    before = capsys.readouterr()
+    assert before.out and not before.err
+    with pytest.raises(SystemExit) as info:
+        run([*argv, "--coset-cap", "0"])
+    assert info.value.code == 2
+    assert "--coset-cap must be >= 1" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr() == before
+
+
 def test_build_custom_recolors_non_b_triangles(tmp_path):
     """Rank-3 edges colored "r" are rejected by validate_H, so `custom`
     recolors with three_edge_color instead of building a wrong gauge."""

@@ -117,9 +117,11 @@ def test_custom_uncolored_honeycomb_digest(tmp_path):
 
 
 # (code, model, seed, sha256 of the SyndromeReport fields as JSON, sha256 of
-# the outcome bits of every Tableau.measure call of the run).  The seven
-# codes of the syndrome benchmark workload, four trials each, taken before
-# the destabilizer columns moved to renamed slots.
+# the outcome bits of every measurement of the run, in order: the link
+# sweeps and the direct generator measurements, all of which pass through
+# Tableau.measure_all).  The seven codes of the syndrome benchmark workload,
+# four trials each, taken before the destabilizer columns moved to renamed
+# slots.
 SIM_GOLDEN = [
     ("th2_22", "relaxed", 11,
      "53de15e74d4e07d4a96cfbdb46700a7577853968c338c2fdd182037bdfb53fb8",
@@ -179,14 +181,19 @@ def test_simulation_digest(
     outcomes = []
 
     class RecordingTableau(sch.Tableau):
-        def measure(self, op, sign, rng):
-            outcomes.append(super().measure(op, sign, rng))
-            return outcomes[-1]
+        def measure_all(self, ops, rng):
+            got = super().measure_all(ops, rng)
+            outcomes.extend(got)
+            return got
 
     monkeypatch.setattr(sch, "Tableau", RecordingTableau)
-    rep = sch.simulate_syndrome(
-        code, sch.build_schedule(code, model), trials=4, seed=seed, strict=False
-    )
+    sched = sch.build_schedule(code, model)
+    rep = sch.simulate_syndrome(code, sched, trials=4, seed=seed, strict=False)
+    # Two sweeps over every generator's links and one direct measurement
+    # per generator, each trial: a measurement that bypassed the recorder
+    # would be missing here.
+    links = sum(map(len, sched.per_stabilizer))
+    assert len(outcomes) == 4 * (2 * links + len(sched.per_stabilizer))
     text = json.dumps([
         rep.trials, rep.agreement, rep.direct_agreement, rep.idempotent,
         rep.varying_links, [list(f) for f in rep.failures],

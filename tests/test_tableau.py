@@ -63,10 +63,7 @@ def test_tableau_matches_reference(program):
     rng_fast, rng_ref = random.Random(seed), random.Random(seed)
     outcomes = _run(fast, steps, rng_fast, randomize)
     assert outcomes == _run(ref, steps, rng_ref, randomize)
-    assert fast.stab == ref.stab
-    assert [2 * ((fast.neg >> i) & 1) for i in range(n)] == ref.sign
-    assert fast.destab == ref.destab
-    assert rng_fast.getstate() == rng_ref.getstate()
+    _assert_same_state(fast, ref, rng_fast, rng_ref)
 
 
 @st.composite
@@ -106,6 +103,14 @@ def _random_outcome(ref, step):
     return any(not pauli.commutes(op, s) for s in ref.stab)
 
 
+def _assert_same_state(fast, ref, rng_fast, rng_ref):
+    """Rows, signs, destabilizers and random streams agree."""
+    assert fast.stab == ref.stab
+    assert [2 * ((fast.neg >> i) & 1) for i in range(fast.n)] == ref.sign
+    assert fast.destab == ref.destab
+    assert rng_fast.getstate() == rng_ref.getstate()
+
+
 def _run_checked(n, seed, steps):
     fast, ref = Tableau(n), ReferenceTableau(n)
     rng_fast, rng_ref = random.Random(seed), random.Random(seed)
@@ -115,10 +120,7 @@ def _run_checked(n, seed, steps):
             random_count += _random_outcome(ref, step)
         assert _run(fast, [step], rng_fast, False) == _run(ref, [step], rng_ref, False)
         _check_slots(fast)
-    assert fast.stab == ref.stab
-    assert [2 * ((fast.neg >> i) & 1) for i in range(n)] == ref.sign
-    assert fast.destab == ref.destab
-    assert rng_fast.getstate() == rng_ref.getstate()
+    _assert_same_state(fast, ref, rng_fast, rng_ref)
     # Slots run out on random measurements n + 1, 2(n + 1), ...: the first
     # n use the initially free slots, every recycling pass frees n + 1.
     assert fast.recycles == random_count // (n + 1)
@@ -129,6 +131,62 @@ def _run_checked(n, seed, steps):
 @settings(max_examples=60, deadline=None)
 def test_slot_recycling_matches_reference(program):
     _run_checked(*program)
+
+
+@given(long_programs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_measure_all_batches_match_reference(program, data):
+    """Runs of consecutive measurements go through `measure_all` in batches
+    of random size, the reference measures them one step at a time; gates
+    end a batch."""
+    n, seed, steps = program
+    fast, ref = Tableau(n), ReferenceTableau(n)
+    rng_fast, rng_ref = random.Random(seed), random.Random(seed)
+    random_count = k = 0
+    while k < len(steps):
+        if steps[k][0] != "measure":
+            _run(fast, [steps[k]], rng_fast, False)
+            _run(ref, [steps[k]], rng_ref, False)
+            k += 1
+            continue
+        size, batch = data.draw(st.integers(1, 40)), []
+        while k < len(steps) and steps[k][0] == "measure" and len(batch) < size:
+            batch.append(steps[k])
+            k += 1
+        expected = []
+        for step in batch:
+            random_count += _random_outcome(ref, step)
+            expected += _run(ref, [step], rng_ref, False)
+        ops = [(Pauli(n, x, z), sign) for _, x, z, sign in batch]
+        assert fast.measure_all(ops, rng_fast) == expected
+        _check_slots(fast)
+        _assert_same_state(fast, ref, rng_fast, rng_ref)
+        assert fast.recycles == random_count // (n + 1)
+
+
+@pytest.mark.parametrize("bad", [(1, "width"), (3, "width"), (1, "sign"), (3, "sign")])
+def test_measure_all_checks_every_pair_before_measuring(bad):
+    """A wrong width or sign at position k > 0 raises before the random
+    measurements in front of it touch the tableau or the random stream."""
+    k, kind = bad
+    ops = [(Pauli.from_string(s), 1) for s in ("XIII", "IXZI", "YYII", "IIIX", "ZZZZ")]
+    op, sign = ops[k]
+    ops[k] = (Pauli.from_string("XII"), sign) if kind == "width" else (op, -2)
+    t, rng = Tableau(4), random.Random(9)
+
+    def state():
+        return (t.stab, t.destab, t.neg, list(t.slot), list(t.row_of),
+                t.live, t.free, t.recycles, rng.getstate())
+
+    before = state()
+    with pytest.raises(SizeMismatch if kind == "width" else BadParams):
+        t.measure_all(ops, rng)
+    assert state() == before
+    assert t.measure_all([], rng) == [] and state() == before
+    # Without the bad pair, the first measurement is random and draws.
+    ops[k] = (op, sign)
+    t.measure_all(ops[:1], rng)
+    assert state() != before
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -266,10 +324,7 @@ def _run_stepwise(n, seed, steps):
                 letters.update(c for c in piv.to_string() if c != "I")
                 sizes.append(piv.weight)
         assert _run(fast, [step], rng_fast, False) == _run(ref, [step], rng_ref, False)
-        assert fast.stab == ref.stab
-        assert [2 * ((fast.neg >> i) & 1) for i in range(n)] == ref.sign
-        assert fast.destab == ref.destab
-        assert rng_fast.getstate() == rng_ref.getstate()
+        _assert_same_state(fast, ref, rng_fast, rng_ref)
     return letters, sizes
 
 
