@@ -45,7 +45,6 @@ from .hypergraph import (
     canonical_face_cycles,
     contracted_degrees,
     cycle_space,
-    incidence_rank,
     promote,
     three_edge_color,
     validate_H,
@@ -64,7 +63,6 @@ from .scheduler import (
     MeasurementSchedule,
     Tableau,
     build_schedule,
-    decompose,
     simulate_syndrome,
 )
 

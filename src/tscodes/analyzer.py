@@ -88,8 +88,9 @@ class SubsystemCode:
 
     @property
     def faceless(self) -> bool:
-        """True for a bare hypergraph, as hypergraph JSON loads: it carries
-        no faces, so no face generators come with it."""
+        """True when the hypergraph has no face records, so no face
+        generators come with it: a bombin dual-expansion code builds none,
+        and a bare hypergraph, as hypergraph JSON loads, carries none."""
         return self.hypergraph.faces is None
 
 

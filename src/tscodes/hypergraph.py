@@ -47,7 +47,6 @@ from .colex import COLORS, TwoColex, _backtrack_color
 from .embed_graph import EmbeddedGraph
 from .errors import (
     BadFaceSize,
-    GaugeMismatch,
     MalformedRotation,
     MixedColorF,
     UnclassifiedFace,
@@ -470,19 +469,12 @@ class HypercycleSpace:
     incidence_rank: int
 
 
-def incidence_rank(h: Hypergraph) -> int:
-    return gf2.rank(h.incidence_rows())
-
-
 def cycle_space(h: Hypergraph) -> HypercycleSpace:
     """Nullspace of the incidence map: edge sets with even incidence at
-    every vertex.  dim = |E| - rk2(I)."""
-    rows = h.incidence_rows()
-    basis = gf2.kernel(rows, h.num_edges)
-    rk = gf2.rank(rows)
-    if len(basis) != h.num_edges - rk:
-        raise GaugeMismatch(f"cycle space dim {len(basis)} != |E| - rank {rk}")
-    return HypercycleSpace(tuple(basis), len(basis), rk)
+    every vertex.  One elimination gives the kernel basis, so the incidence
+    rank is read as |E| - dim."""
+    basis = gf2.kernel(h.incidence_rows(), h.num_edges)
+    return HypercycleSpace(tuple(basis), len(basis), h.num_edges - len(basis))
 
 
 def is_cycle(h: Hypergraph, sigma: int) -> bool:

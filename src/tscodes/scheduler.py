@@ -1,22 +1,23 @@
-"""Syndrome measurement: link-operator decompositions, round schedules and
-stabilizer-tableau verification.
+"""Syndrome measurement: round schedules of the link-operator
+decompositions, and stabilizer-tableau verification.
 
-Every stabilizer generator carries its decomposition into an ordered
-product of link operators grouped r, then g, then b (``Generator.links``,
-ids into the hypergraph's link table ``Hypergraph.links``).  The
-decompositions are formed in ``hypergraph``, by the same face walk that
-finds each generator's cycle, and ``build_code`` stores them; this module
-reads no face structure and no triangle side.  It checks each
-decomposition (its product is the generator's cycle operator with a real
-phase, and every prefix commutes with the next operator), then schedules.
-Signed products, the prefix rule and the round conflict check run on the
-(x, z) int pairs cached in ``Hypergraph.link_ops``; ``Pauli`` objects
-appear only at the tableau's API edge (one per link, built once per
-simulation).  The schedule measures the full gauge generator set, each link
-at the time step its ``Link.step`` names: in the relaxed model the three
-color rounds suffice (links sharing a qubit in the b round commute); in the
-exclusive model the b round splits in two so no qubit is touched twice in a
-time step.
+Every stabilizer generator carries its decomposition into link operators
+(``Generator.links``, ids into the hypergraph's link table
+``Hypergraph.links``).  The decompositions are formed in ``hypergraph``, by
+the same face walk that finds each generator's cycle, and ``build_code``
+stores them; this module reads no face structure and no triangle side.
+The schedule measures the full gauge generator set, each link at the time
+step its ``Link.step`` names: in the relaxed model the three color rounds
+suffice (links sharing a qubit in the b round commute); in the exclusive
+model the b round splits in two so no qubit is touched twice in a time
+step.  ``build_schedule`` sorts each decomposition into time order once
+and checks that sequence once: its signed product is the generator's cycle
+operator with a real sign, computed here and nowhere else and kept in
+``MeasurementSchedule.signs``, and every prefix commutes with the next
+operator.  These checks and the round conflict check run on the (x, z) int
+pairs cached in ``Hypergraph.link_ops``; ``Pauli`` objects appear only at
+the tableau's API edge (one per link and one per generator, built once per
+simulation).
 
 Schedules are checked on a column-major stabilizer tableau: a measurement
 finds its anticommuting rows from the columns on its operator's support.
@@ -27,10 +28,11 @@ dead slots it leaves are freed by one O(n) pass per n + 1 random
 measurements.  Signs follow from one mask per pivot qubit, chosen by the
 pivot's letter there, and each measured ``Pauli`` decodes its support once
 (``Pauli.support``), since a sweep measures the same links again and again.
-A sweep is one ``Tableau.measure_all`` call on the concatenated link
-sequences of all generators; each syndrome bit is the parity of its
-generator's slice of the outcomes.  ``Tableau.measure`` is the one-item
-case, used for the direct measurement of each generator.
+Each simulated trial is three ``Tableau.measure_all`` calls: two sweeps,
+each on the concatenated time-ordered link sequences of all generators
+(a syndrome bit is the parity of its generator's slice of the outcomes),
+then the direct measurement of every signed generator.
+``Tableau.measure`` stays as the one-item API.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import accumulate, compress, pairwise
 from typing import Dict, List, Sequence, Tuple
 
 from . import gf2, pauli
-from .analyzer import Generator, SubsystemCode
+from .analyzer import SubsystemCode
 from .errors import (
     BadParams,
     InconsistentOutcome,
@@ -50,30 +52,6 @@ from .errors import (
     SizeMismatch,
 )
 from .pauli import Pauli
-
-
-def _signed_decomposition(code: SubsystemCode, gen: Generator) -> Tuple[List[int], int]:
-    """The ordered decomposition of ``gen`` and the +-1 sign of its product,
-    validated against the generator and the prefix rule."""
-    seq = list(gen.links)
-    ops = [code.hypergraph.link_ops[i] for i in seq]
-    prod, phase = pauli.phase_product(ops)
-    if prod != pauli.cycle_operator(code.hypergraph, gen.cycle) or phase % 2:
-        raise NoValidDecomposition(
-            f"decomposition of generator {gen.gid} does not reproduce it"
-        )
-    if pauli.first_bad_prefix(ops) is not None:
-        raise NoValidDecomposition(
-            f"decomposition of generator {gen.gid} breaks the prefix rule"
-        )
-    return seq, 1 if phase == 0 else -1
-
-
-def decompose(code: SubsystemCode, gen: Generator) -> List[int]:
-    """Ordered link-operator decomposition of one stabilizer generator,
-    grouped r, g, b: its ``links``, validated against the generator and the
-    prefix rule."""
-    return _signed_decomposition(code, gen)[0]
 
 
 @dataclass(frozen=True)
@@ -89,8 +67,8 @@ class MeasurementSchedule:
     model: str  # "relaxed" | "exclusive"
     time_steps: int
     rounds: Tuple[Tuple[ScheduledLink, ...], ...]
-    per_stabilizer: Tuple[Tuple[int, ...], ...]  # ordered link ids
-    signs: Tuple[int, ...]  # +-1 sign of each generator's ordered product
+    per_stabilizer: Tuple[Tuple[int, ...], ...]  # link ids in time order
+    signs: Tuple[int, ...]  # +-1 sign of each generator's time-ordered product
 
 
 def build_schedule(
@@ -101,36 +79,53 @@ def build_schedule(
     3 into one b round.  Links without a step are not measured.  The full
     gauge generator set is scheduled; decompositions pick their outcomes out
     of the shared rounds.
+
+    Each generator's links, sorted by (round, link id), must multiply to its
+    cycle operator with a real sign and obey the prefix rule; the sign and
+    the round owners come from that one sequence.
     """
     if model not in ("relaxed", "exclusive"):
         raise ScheduleConflict(f"unknown model {model!r}")
     if code.faceless:
         raise NoValidDecomposition(
-            "the hypergraph has no faces (hypergraph JSON carries none), so "
-            "it has no stabilizer generators to schedule; scheduling needs a "
-            "graph or colex input"
+            "the hypergraph has no face records (a bombin dual-expansion "
+            "code builds none, and hypergraph JSON carries none), so it has "
+            "no stabilizer generators to schedule; scheduling needs a graph "
+            "or colex input with the theorem2, theorem3 or custom pipeline"
         )
     if not code.generators_complete:
         raise NoValidDecomposition(
             "stabilizer generators are incomplete for this hypergraph"
         )
-    per_stab: List[List[int]] = []
-    owners: Dict[int, List[int]] = {}
-    signs: List[int] = []
-    for gen in code.generators:
-        seq, sign = _signed_decomposition(code, gen)
-        per_stab.append(seq)
-        signs.append(sign)
-        for i in seq:
-            owners.setdefault(i, []).append(gen.gid)
-
-    links = code.hypergraph.links
+    h = code.hypergraph
+    links, ops = h.links, h.link_ops
     last = 3 if model == "exclusive" else 2
     steps: List[List[int]] = [[] for _ in range(last + 1)]
     for i, lk in enumerate(links):
         if lk.step is not None:
             steps[min(lk.step, last)].append(i)
-    rounds = [
+    steps = [ids for ids in steps if ids]
+    _check_conflicts(code, steps, model)
+    per_stab: List[Tuple[int, ...]] = []
+    owners: Dict[int, List[int]] = {}
+    signs: List[int] = []
+    for gen in code.generators:
+        seq = tuple(sorted(gen.links, key=lambda i: (min(links[i].step, last), i)))
+        seq_ops = [ops[i] for i in seq]
+        prod, phase = pauli.phase_product(seq_ops)
+        if prod != pauli.cycle_operator(h, gen.cycle) or phase % 2:
+            raise NoValidDecomposition(
+                f"decomposition of generator {gen.gid} does not reproduce it"
+            )
+        if pauli.first_bad_prefix(seq_ops) is not None:
+            raise ScheduleConflict(
+                f"generator {gen.gid} breaks the prefix rule in time order"
+            )
+        per_stab.append(seq)
+        signs.append(1 if phase == 0 else -1)
+        for i in seq:
+            owners.setdefault(i, []).append(gen.gid)
+    rounds = tuple(
         tuple(
             ScheduledLink(
                 i,
@@ -141,53 +136,37 @@ def build_schedule(
             for i in ids
         )
         for ids in steps
-        if ids
-    ]
-    _check_conflicts(code, rounds, model)
-    ops = code.hypergraph.link_ops
-    # Per-generator sequences must respect the round order and stay valid
-    # under the prefix rule when sorted by measurement time.
-    time_of = {
-        sl.link: (t, sl.link) for t, rnd in enumerate(rounds) for sl in rnd
-    }
-    ordered_stabs: List[Tuple[int, ...]] = []
-    for gid, seq in enumerate(per_stab):
-        temporal = tuple(sorted(seq, key=lambda i: time_of[i]))
-        if pauli.first_bad_prefix([ops[i] for i in temporal]) is not None:
-            raise ScheduleConflict(
-                f"generator {gid} breaks the prefix rule in time order"
-            )
-        ordered_stabs.append(temporal)
+    )
     return MeasurementSchedule(
         model=model,
         time_steps=len(rounds),
-        rounds=tuple(rounds),
-        per_stabilizer=tuple(ordered_stabs),
+        rounds=rounds,
+        per_stabilizer=tuple(per_stab),
         signs=tuple(signs),
     )
 
 
 def _check_conflicts(
-    code: SubsystemCode,
-    rounds: Sequence[Sequence[ScheduledLink]],
-    model: str,
+    code: SubsystemCode, steps: Sequence[Sequence[int]], model: str
 ) -> None:
-    ops = code.hypergraph.link_ops
-    for t, rnd in enumerate(rounds):
+    """No qubit twice in a time step (exclusive), or no anticommuting links
+    on a shared qubit in a round (relaxed)."""
+    links, ops = code.hypergraph.links, code.hypergraph.link_ops
+    for t, ids in enumerate(steps):
         seen: Dict[int, int] = {}
-        for sl in rnd:
-            for v in sl.vertices:
+        for i in ids:
+            for v in links[i].vertices:
                 if v in seen:
                     if model == "exclusive":
                         raise ScheduleConflict(
                             f"qubit {v} measured twice in time step {t}"
                         )
-                    (ax, az), (bx, bz) = ops[seen[v]], ops[sl.link]
+                    (ax, az), (bx, bz) = ops[seen[v]], ops[i]
                     if gf2.dot(ax, bz) ^ gf2.dot(az, bx):
                         raise ScheduleConflict(
                             f"anticommuting links share qubit {v} in round {t}"
                         )
-                seen[v] = sl.link
+                seen[v] = i
 
 
 class Tableau:
@@ -480,32 +459,28 @@ def simulate_syndrome(
 ) -> SyndromeReport:
     """Per random stabilizer state, measure every stabilizer twice through
     its ordered link sequence and XOR-combine the outcomes; the two combined
-    values must agree, and a direct measurement of the signed generator must
-    reproduce them.  With strict=True any disagreement raises
-    InconsistentOutcome; otherwise the fractions are reported (useful for
-    the adversarial broken-schedule fixtures)."""
+    values must agree, and a direct measurement of the generator's cycle
+    operator with its ``schedule.signs`` sign must reproduce them.  With
+    strict=True the first disagreement raises InconsistentOutcome;
+    otherwise the fractions are reported (useful for the adversarial
+    broken-schedule fixtures)."""
     if trials < 1:
         raise BadParams("trials must be >= 1")
     rng = random.Random(seed)
     n = code.n
-    ops = code.hypergraph.link_ops
-    gen_paulis = []
-    for seq in schedule.per_stabilizer:
-        prod, phase = pauli.phase_product(ops[i] for i in seq)
-        if phase % 2 and strict:
-            raise InconsistentOutcome("generator product has imaginary phase")
-        gen_paulis.append((Pauli(n, *prod), 1 if phase == 0 else -1))
+    h = code.hypergraph
+    direct = [
+        (Pauli(n, *pauli.cycle_operator(h, gen.cycle)), sign)
+        for gen, sign in zip(code.generators, schedule.signs)
+    ]
     # The sweep program: every generator's links in order, one Pauli per
     # link (so each decodes its support once), and each generator's slice
     # of the outcomes.
     flat = [i for seq in schedule.per_stabilizer for i in seq]
-    link_ops = {i: Pauli(n, *ops[i]) for i in flat}
+    link_ops = {i: Pauli(n, *h.link_ops[i]) for i in flat}
     program = [(link_ops[i], 1) for i in flat]
     slices = list(pairwise(accumulate(map(len, schedule.per_stabilizer), initial=0)))
-    agree = 0
-    direct_agree = 0
-    total = 0
-    idempotent = True
+    agree = direct_agree = 0
     failures: List[Tuple[int, int]] = []
     gave_0: set = set()  # links that gave outcome 0 / 1 in some first sweep
     gave_1: set = set()
@@ -515,37 +490,28 @@ def simulate_syndrome(
         tab.randomize(rng)
         out1 = tab.measure_all(program, rng)
         out2 = tab.measure_all(program, rng)
+        out3 = tab.measure_all(direct, rng)
         gave_1.update(compress(flat, out1))
         gave_0.update(compress(flat, [o ^ 1 for o in out1]))
-        syn1 = [sum(out1[a:b]) & 1 for a, b in slices]
-        syn2 = [sum(out2[a:b]) & 1 for a, b in slices]
-        if syn1 != syn2:
-            idempotent = False
-        for gid, (b1, b2) in enumerate(zip(syn1, syn2)):
-            total += 1
-            if b1 == b2:
-                agree += 1
-            elif strict:
-                raise InconsistentOutcome(
-                    f"generator {gid} trial {trial}: {b1} != {b2}"
-                )
+        for gid, ((a, b), d) in enumerate(zip(slices, out3)):
+            b1, b2 = sum(out1[a:b]) & 1, sum(out2[a:b]) & 1
+            agree += b1 == b2
+            direct_agree += d == b2
+            if b1 != b2:
+                witness = f"{b1} != {b2}"
+            elif d != b2:
+                witness = f"direct {d} != {b2}"
             else:
-                failures.append((gid, trial))
-            wop, wsign = gen_paulis[gid]
-            direct = tab.measure(wop, wsign, rng)
-            if direct == b2:
-                direct_agree += 1
-            elif strict:
-                raise InconsistentOutcome(
-                    f"generator {gid} trial {trial}: direct {direct} != {b2}"
-                )
-            elif b1 == b2:  # else the sweep mismatch is already listed
-                failures.append((gid, trial))
+                continue
+            if strict:
+                raise InconsistentOutcome(f"generator {gid} trial {trial}: {witness}")
+            failures.append((gid, trial))
+    total = trials * len(slices)
     return SyndromeReport(
         trials=trials,
         agreement=agree / max(total, 1),
         direct_agreement=direct_agree / max(total, 1),
-        idempotent=idempotent,
+        idempotent=agree == total,
         varying_links=len(gave_0 & gave_1),
         failures=tuple(failures[:32]),
     )

@@ -247,6 +247,17 @@ def test_schedule_hypergraph_json_names_missing_faces(tmp_path, capsys):
     assert "graph or colex input" in err
 
 
+def test_schedule_bombin_names_the_bombin_code(tmp_path, capsys):
+    # A colex input, but the bombin dual expansion builds no face records.
+    hc = tmp_path / "hc.json"
+    run(["gen", "honeycomb-torus", "3", "3", "--out", str(hc)])
+    assert run(["schedule", str(hc), "--pipeline", "bombin"]) == 2
+    err = capsys.readouterr().err
+    assert "error: NoValidDecomposition:" in err
+    assert "a bombin dual-expansion code builds none" in err
+    assert "hypergraph JSON carries none" in err
+
+
 def test_schedule_takes_no_coset_cap(tmp_path, capsys):
     """schedule never reads --coset-cap, so the option is rejected there as
     a usage error; build and verify keep it."""

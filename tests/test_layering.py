@@ -21,6 +21,12 @@
 - The retired `LemmaViolation` and `_assert_predicted` do not come back: a
   check returns its verdict with a witness instead of raising, and the CLI
   compares each pipeline's `predicted` closed forms with its report.
+- The scheduler checks each generator's decomposition once, in time
+  order, inside `build_schedule`: the retired `_signed_decomposition` and
+  `decompose` do not come back, and outside the tableau's own row products
+  `scheduler` calls `pauli.phase_product` only in `build_schedule`.
+  `simulate_syndrome` measures the signs the schedule carries with three
+  `Tableau.measure_all` calls per trial and never calls `Tableau.measure`.
 - Theorems 2 and 3 share one promotion routine, so the per-theorem copies
   do not come back: no `fprime_class` or `eface_seed_face` callback turns a
   kept edge into an inner-edge color (`hypergraph.promote` takes one
@@ -47,6 +53,7 @@ RETIRED = {
     "_arbitrary_embedding", "LemmaViolation", "_assert_predicted",
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
+    "_signed_decomposition", "decompose",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -104,3 +111,34 @@ def test_distance_bound_enumerates_no_span():
     ]
     bad = [f"line {line}" for line, name in _names(fn) if name == "span_vectors"]
     assert not bad, "distance_bound names span_vectors: " + "; ".join(bad)
+
+
+def _scheduler_defs():
+    """Top-level function and class definitions of scheduler.py by name."""
+    path = Path(tscodes.__file__).parent / "scheduler.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_scheduler_forms_signed_products_once():
+    bad = [
+        f"{name} line {line}"
+        for name, node in _scheduler_defs().items()
+        if name not in ("build_schedule", "Tableau")
+        for line, ident in _names(node)
+        if ident == "phase_product"
+    ]
+    assert not bad, "phase_product outside build_schedule: " + "; ".join(bad)
+
+
+def test_simulation_batches_its_measurements():
+    calls = [
+        node.func.attr
+        for node in ast.walk(_scheduler_defs()["simulate_syndrome"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert "measure" not in calls
+    assert calls.count("measure_all") == 3

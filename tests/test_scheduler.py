@@ -1,9 +1,17 @@
+import copy
+import dataclasses
 import random
+import re
 
 import pytest
 
 from tscodes import pauli, scheduler as sch
-from tscodes.errors import BadParams, InconsistentOutcome
+from tscodes.errors import (
+    BadParams,
+    InconsistentOutcome,
+    NoValidDecomposition,
+    ScheduleConflict,
+)
 from tscodes.pauli import Pauli
 from tscodes.scheduler import MeasurementSchedule, Tableau
 
@@ -25,20 +33,30 @@ def test_decompositions_reproduce_generators(
         "sigma2_necklace", "sigma2_bridged", "loop2",
     }
     for code in codes:
-        for gen in code.generators:
-            seq = sch.decompose(code, gen)
-            assert seq == list(gen.links)
-            ops = [code.hypergraph.link_ops[i] for i in seq]
-            prod, phase = pauli.phase_product(ops)
-            assert prod == pauli.cycle_operator(code.hypergraph, gen.cycle)
-            assert phase % 2 == 0
-            assert pauli.first_bad_prefix(ops) is None
+        links = code.hypergraph.links
+        for model in ("relaxed", "exclusive"):
+            sched = sch.build_schedule(code, model)
+            last = 3 if model == "exclusive" else 2
+            for gen, seq, sign in zip(
+                code.generators, sched.per_stabilizer, sched.signs
+            ):
+                # The schedule measures the stored links in time order, and
+                # both orders give the generator with the schedule's sign.
+                assert seq == tuple(sorted(
+                    gen.links, key=lambda i: (min(links[i].step, last), i)
+                ))
+                for order in (gen.links, seq):
+                    ops = [code.hypergraph.link_ops[i] for i in order]
+                    prod, phase = pauli.phase_product(ops)
+                    assert prod == pauli.cycle_operator(code.hypergraph, gen.cycle)
+                    assert phase in (0, 2) and sign == 1 - phase
+                    assert pauli.first_bad_prefix(ops) is None
 
 
 def test_decomposition_groups_by_color(th2_22):
     order = {"r": 0, "g": 1, "b": 2}
     for gen in th2_22.generators:
-        seq = sch.decompose(th2_22, gen)
+        seq = gen.links
         rounds = []
         for i in seq:
             lk = th2_22.hypergraph.links[i]
@@ -48,13 +66,13 @@ def test_decomposition_groups_by_color(th2_22):
 
 def test_promoted_sigma1_has_no_b_round(th2_22):
     gen = next(g for g in th2_22.generators if g.kind == "sigma1_fprime")
-    seq = sch.decompose(th2_22, gen)
+    seq = gen.links
     assert all(not _is_zz(th2_22, i) for i in seq)
 
 
 def test_validate_prefixes_flags_bad_order(th2_22):
     gen = next(g for g in th2_22.generators if g.kind == "sigma2_promoted")
-    seq = sch.decompose(th2_22, gen)
+    seq = gen.links
     ops = [th2_22.hypergraph.link_ops[i] for i in seq]
     assert pauli.first_bad_prefix(ops) is None
     # Move a final-round two-body Z in front: it anticommutes with the
@@ -204,7 +222,7 @@ def test_b_links_overlap_earlier_product_twice(th2_22):
     # In every decomposition the final-round two-body Z links meet the
     # product of the earlier rounds on exactly two qubits.
     for gen in th2_22.generators:
-        seq = sch.decompose(th2_22, gen)
+        seq = gen.links
         prefix_support = 0
         prefix = None
         for i in seq:
@@ -281,3 +299,78 @@ def test_simulation_golden(th2_22):
               22, 23, 25, 26, 28, 31, 32, 38, 39)
     assert rep.failures == tuple((1, t) for t in trials)
     assert (rep.agreement, rep.direct_agreement) == (0.975, 0.978125)
+
+
+def _with_steps(code, change):
+    """A copy of ``code`` whose link table has each step replaced by
+    ``change(step)``; the session fixture stays as it is."""
+    h = copy.copy(code.hypergraph)
+    h.__dict__["links"] = tuple(
+        lk if lk.step is None else dataclasses.replace(lk, step=change(lk.step))
+        for lk in code.hypergraph.links
+    )
+    return dataclasses.replace(code, hypergraph=h)
+
+
+def _shared_qubits(code, step):
+    """Qubits that two links of the given step touch."""
+    seen, shared = set(), set()
+    for lk in code.hypergraph.links:
+        if lk.step == step:
+            shared.update(seen & set(lk.vertices))
+            seen.update(lk.vertices)
+    return shared
+
+
+def test_schedule_rejects_generator_missing_a_link(th2_22):
+    gens = list(th2_22.generators)
+    gens[5] = dataclasses.replace(gens[5], links=gens[5].links[:-1])
+    code = dataclasses.replace(th2_22, generators=tuple(gens))
+    with pytest.raises(
+        NoValidDecomposition,
+        match=r"^decomposition of generator 5 does not reproduce it$",
+    ):
+        sch.build_schedule(code)
+
+
+def test_exclusive_schedule_rejects_reused_qubit(th2_22):
+    # Triangle sides 0 and 1 share a qubit; measuring both at step 2 reuses it.
+    code = _with_steps(th2_22, lambda step: min(step, 2))
+    assert sch.build_schedule(code, "relaxed").time_steps == 3
+    with pytest.raises(ScheduleConflict, match="measured twice in time step 2") as err:
+        sch.build_schedule(code, "exclusive")
+    qubit = int(re.match(r"qubit (\d+) ", str(err.value)).group(1))
+    assert qubit in _shared_qubits(code, 2)
+
+
+def test_relaxed_schedule_rejects_anticommuting_links_on_a_qubit(th2_22):
+    # XX and YY links on one qubit anticommute; measure g with r.
+    code = _with_steps(th2_22, lambda step: 0 if step == 1 else step)
+    with pytest.raises(
+        ScheduleConflict, match="anticommuting links share qubit .* in round 0"
+    ) as err:
+        sch.build_schedule(code, "relaxed")
+    qubit = int(re.search(r"qubit (\d+) ", str(err.value)).group(1))
+    assert qubit in _shared_qubits(code, 0)
+
+
+def test_schedule_checks_prefix_rule_in_time_order(th2_22, monkeypatch):
+    sched = sch.build_schedule(th2_22, "exclusive")
+    ops = th2_22.hypergraph.link_ops
+    target = 3
+    seen = []
+
+    def first_bad_prefix(seq):
+        seen.append(list(seq))
+        return 0 if len(seen) == target + 1 else None
+
+    monkeypatch.setattr(pauli, "first_bad_prefix", first_bad_prefix)
+    with pytest.raises(
+        ScheduleConflict,
+        match=rf"^generator {target} breaks the prefix rule in time order$",
+    ):
+        sch.build_schedule(th2_22, "exclusive")
+    # One check per generator, on the sequence the schedule measures.
+    assert seen == [
+        [ops[i] for i in seq] for seq in sched.per_stabilizer[: target + 1]
+    ]
