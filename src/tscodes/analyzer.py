@@ -398,10 +398,12 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
 
     Each nontrivial coset representative, restricted to the rank-3 edges,
     is searched against the trivial cycle span projected the same way, by
-    the exact information-set search of ``gf2.min_coset_weight``.
-    ``coset_cap`` bounds both the quotient dimension and the projected
-    span's dimension, as it did when that span was enumerated vector by
-    vector."""
+    the exact Brouwer-Zimmermann search of ``gf2.min_coset_weight``: it
+    weighs row subsets of growing size r over t disjoint information sets
+    and stops once the best weight is at most t*r, the least weight a
+    vector not yet seen can have.  ``coset_cap`` bounds both the quotient
+    dimension and the projected span's dimension, as it did when that span
+    was enumerated vector by vector."""
     h = code.hypergraph
     r3 = h.rank3_mask()
     if r3 == 0:

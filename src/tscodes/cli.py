@@ -276,7 +276,16 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=100)
             p.add_argument("--seed", type=int, default=0)
         else:
-            p.add_argument("--coset-cap", type=int, default=20)
+            p.add_argument(
+                "--coset-cap",
+                type=int,
+                default=20,
+                help="cap on the quotient dimension 2k and on the dimension "
+                "of the projected trivial span that ell is searched over "
+                "(default %(default)s); past it the report's distance_bound "
+                "reads 'skipped: ...', and a larger 2k fails with "
+                "QuotientTooLarge",
+            )
         p.set_defaults(func=func)
 
     p = sub.add_parser("export", help="write a DOT rendering")

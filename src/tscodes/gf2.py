@@ -9,11 +9,10 @@ the vectors.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+from operator import xor
 from typing import Dict, Iterable, List, Optional
-
-
-def parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 def dot(a: int, b: int) -> int:
@@ -140,32 +139,46 @@ def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:
     """min |v ^ x| over the given vectors v and every x in span(basis);
     None when there are no vectors.
 
-    Exact, by search over one information set, the pivots (Leon 1988).  In
-    reduced echelon form a span vector is the XOR of the rows whose pivots
-    it contains, and ``reduce(v)`` has no pivot bit, so |reduce(v) ^ x| is
-    the number of those rows plus the weight of their XOR off the pivots.
-    A depth-first search over row subsets carries that XOR and cuts a
-    branch once one more row cannot beat the best weight so far, which is
-    shared across the vectors; a node whose children could not go deeper
-    weighs them in place.  It visits at most 2^dim subsets per vector.
+    Exact, by the Brouwer-Zimmermann search over disjoint information sets
+    (Zimmermann 1996; Grassl 2006).  Each set is the pivots of an echelon
+    form whose pivots avoid the earlier sets, from eliminating
+    ((row & free) << w) | row as ``intersection`` does; the sets end at the
+    first form not full rank on the free columns.  A vector reduced against
+    such a form has no pivot bit, so adding r of its rows gives a coset
+    vector of weight r on the set plus the weight of their tails' XOR off
+    it.  Level r weighs every r-subset of each set's tails.  A coset vector
+    unseen after levels below r on all t sets and level r on the first j
+    weighs at least t*r + j, so the search stops once best reaches that.
     """
-    mask = basis.mask
-    tails = [row & ~mask for row in basis.rows]
-    dim = len(tails)
-    best: Optional[int] = None
-    for v in vectors:
-        stack = [(0, 0, basis.reduce(v))]
-        while stack:
-            start, depth, acc = stack.pop()
-            w = depth + acc.bit_count()
-            if best is None or w < best:
-                best = w
-            depth += 1
-            if depth + 1 < best:
-                stack.extend((j + 1, depth, acc ^ tails[j]) for j in range(start, dim))
-            elif depth < best and start < dim:
-                # The children could not push grandchildren: weigh them here.
-                best = min(best, depth + min((acc ^ t).bit_count() for t in tails[start:]))
+    vectors = list(vectors)
+    if not vectors:
+        return None
+    rows, dim = basis.rows, basis.dim
+    if not dim:
+        return min(v.bit_count() for v in vectors)
+    w = max([basis.mask.bit_length()] + [v.bit_length() for v in vectors])
+    low = free = (1 << w) - 1
+    sets = []
+    while True:
+        work = Basis(((row & free) << w) | row for row in rows)
+        pivots = work.mask >> w
+        if pivots.bit_count() < dim:
+            break
+        tails = [row & low & ~pivots for row in work.rows]
+        reduced = [work.reduce(((v & free) << w) | v) & low for v in vectors]
+        sets.append((tails, reduced))
+        free &= ~pivots
+    t, best = len(sets), w
+    for r in range(dim + 1):
+        for j, (tails, reduced) in enumerate(sets):
+            if best <= t * r + j:
+                return best
+            for combo in combinations(tails, r):
+                x = reduce(xor, combo, 0)
+                for u in reduced:
+                    weight = r + (u ^ x).bit_count()
+                    if weight < best:
+                        best = weight
     return best
 
 

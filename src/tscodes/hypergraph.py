@@ -477,13 +477,6 @@ def cycle_space(h: Hypergraph) -> HypercycleSpace:
     return HypercycleSpace(tuple(basis), len(basis), h.num_edges - len(basis))
 
 
-def is_cycle(h: Hypergraph, sigma: int) -> bool:
-    for row in h.incidence_rows():
-        if gf2.dot(row, sigma):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class FaceCycle:
     """A canonical hypercycle and the link decomposition of its cycle

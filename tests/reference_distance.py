@@ -3,7 +3,8 @@ the oracle of a differential test.
 
 For each nontrivial coset representative it scans all 2^dim vectors of the
 projected trivial span, so it is exact and independent of the
-information-set search in ``gf2.min_coset_weight``; its body is the
+Brouwer-Zimmermann search in ``gf2.min_coset_weight`` (row subsets over
+disjoint information sets, stopped at the t*r lower bound); its body is the
 replaced function's, verbatim.
 """
 

@@ -258,6 +258,20 @@ def test_schedule_bombin_names_the_bombin_code(tmp_path, capsys):
     assert "hypergraph JSON carries none" in err
 
 
+def test_coset_cap_help_names_what_it_bounds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for phrase in (
+        "quotient dimension 2k",
+        "projected trivial span that ell is searched over",
+        "distance_bound reads 'skipped: ...'",
+        "QuotientTooLarge",
+    ):
+        assert phrase in help_text
+
+
 def test_schedule_takes_no_coset_cap(tmp_path, capsys):
     """schedule never reads --coset-cap, so the option is rejected there as
     a usage error; build and verify keep it."""

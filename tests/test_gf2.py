@@ -68,31 +68,62 @@ def test_basis_matches_reference(program):
 
 @st.composite
 def coset_problems(draw):
-    """A width up to 24 bits, a basis of dim 0-12 over it and 1-4 vectors;
-    with even odds one vector is replaced by a span vector."""
-    w = draw(st.integers(1, 24))
+    """A width up to 40 bits, a basis of dim 0-14 over it and 1-4 vectors;
+    with even odds one vector is replaced by a span vector.  The basis rows
+    are dense or sparse (1-4 set bits), so the search meets one, two and
+    three disjoint information sets and remainders of enough free columns
+    but too little rank."""
+    w = draw(st.integers(1, 40))
     vec = st.integers(0, (1 << w) - 1)
-    basis = gf2.Basis(draw(st.lists(vec, max_size=12)))
+    sparse = st.lists(st.integers(0, w - 1), min_size=1, max_size=4).map(
+        lambda bs: reduce(xor, (1 << b for b in bs), 0)
+    )
+    n = draw(st.integers(0, 14))
+    basis = gf2.Basis(draw(st.lists(st.one_of(vec, sparse), min_size=n, max_size=n)))
     vectors = draw(st.lists(vec, min_size=1, max_size=4))
     if draw(st.booleans()):
         span = gf2.span_vectors(basis.rows)
         i = draw(st.integers(0, len(vectors) - 1))
         vectors[i] = span[draw(st.integers(0, len(span) - 1))]
-    return basis, vectors
+    return w, basis, vectors
 
 
 @given(coset_problems())
 @settings(max_examples=200, deadline=None)
 def test_min_coset_weight_matches_span_enumeration(problem):
-    basis, vectors = problem
+    _, basis, vectors = problem
     span = gf2.span_vectors(basis.rows)
     want = min((v ^ x).bit_count() for v in vectors for x in span)
     assert gf2.min_coset_weight(basis, vectors) == want
 
 
+def _reversed(v, w):
+    return int(f"{v:0{w}b}"[::-1], 2)
+
+
+@given(coset_problems())
+@settings(max_examples=200, deadline=None)
+def test_min_coset_weight_ignores_column_order(problem):
+    """Reversing the columns moves the pivots, so each information set takes
+    other columns and the search stops at another level; the weight stays."""
+    w, basis, vectors = problem
+    flipped = gf2.Basis(_reversed(row, w) for row in basis.rows)
+    assert gf2.min_coset_weight(flipped, [_reversed(v, w) for v in vectors]) == (
+        gf2.min_coset_weight(basis, vectors)
+    )
+
+
 def test_min_coset_weight_edges():
     assert gf2.min_coset_weight(gf2.Basis([0b11]), []) is None
-    assert gf2.min_coset_weight(gf2.Basis(), [0b1011, 0b110]) == 2
-    assert gf2.min_coset_weight(gf2.Basis([0b11, 0b110]), [0b101]) == 0
-    # Reduction leaves 0b011; only adding the row 0b111 reaches weight 1.
+    assert gf2.min_coset_weight(gf2.Basis([0b11]), iter([0b10])) == 1
+    # No rows: the lightest vector.
+    assert gf2.min_coset_weight(gf2.Basis(), [0b1011, 0b110, 0b11101]) == 2
+    # A vector in the span, and one that is not.
+    assert gf2.min_coset_weight(gf2.Basis([0b11, 0b110]), [0b1000, 0b101]) == 0
+    # Reduction leaves 0b011 on the first set, the pivot 0b100; only adding
+    # the row 0b111 reaches weight 1, which the second set, pivot 0b010,
+    # sees with no row added.
     assert gf2.min_coset_weight(gf2.Basis([0b111]), [0b011]) == 1
+    # After the pivots 4, 3, 1 the free columns 0 and 2 carry rank 2 < 3, so
+    # there is no second set to raise the bound; 0b11100 ^ 0b01100 weighs 1.
+    assert gf2.min_coset_weight(gf2.Basis([0b10101, 0b1100, 0b11]), [0b11100]) == 1

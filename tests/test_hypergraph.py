@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import reference_hypergraph
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices
 from tscodes.errors import (
     BadFaceSize,
@@ -171,7 +172,7 @@ def test_canonical_cycles_are_cycles(grid22):
     for f in range(len(h.faces)):
         sigmas = [fc.cycle for fc in hg.canonical_face_cycles(h, f)]
         for sigma in sigmas:
-            assert hg.is_cycle(h, sigma)
+            assert reference_hypergraph.is_cycle(h, sigma)
         if len(sigmas) == 2:
             two += 1
         elif len(sigmas) == 1:

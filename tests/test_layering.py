@@ -16,8 +16,10 @@
   names a link's triangle `side` or an `origin`: it groups links by
   `Link.step`, and the triangle-side convention lives in `hypergraph`.
 - `analyzer.distance_bound` never names `span_vectors`: ell is found by the
-  information-set search in `gf2.min_coset_weight`, not by listing all
-  2^dim vectors of the projected trivial span.
+  Brouwer-Zimmermann search in `gf2.min_coset_weight` (row subsets over
+  disjoint information sets, stopped once the best weight meets the t*r
+  lower bound), not by listing all 2^dim vectors of the projected trivial
+  span.
 - The retired `LemmaViolation` and `_assert_predicted` do not come back: a
   check returns its verdict with a witness instead of raising, and the CLI
   compares each pipeline's `predicted` closed forms with its report.
