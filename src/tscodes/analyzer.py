@@ -100,48 +100,41 @@ def _cycle_vec(h: Hypergraph, sigma: int) -> int:
     return x | z << h.num_vertices
 
 
+# The largest face-cycle span whose 2^dim vectors the loop search lists.
+LOOP_SPAN_CAP = 18
+
+
 def _completion_loops(
-    h: Hypergraph,
-    triv: gf2.Basis,
-    cycles: Sequence[int],
-    gauge: gf2.Basis,
-    span_cap: int = 18,
+    h: Hypergraph, triv: gf2.Basis, cycles: Sequence[int]
 ) -> List[hypergraph.FaceCycle]:
     """Rank-2 loop generators completing the face-cycle span.
 
     Searches each missing coset for a minimum-weight representative whose
     r -> g -> b grouped links satisfy the prefix rule, so the loop can join
     the measurement schedule.  Used for colexes whose stabilizer includes
-    cycles of nontrivial homology (no promoted faces)."""
+    cycles of nontrivial homology (no rank-3 edges), so every candidate is
+    a rank-2 cycle, nonzero as its coset is nontrivial, and its operator is
+    a product of link operators, so it lies in the gauge."""
     out: List[hypergraph.FaceCycle] = []
     work = triv.copy()
     missing = [b for b in cycles if work.add(b)]
-    if not missing:
-        return out
-    r3 = h.rank3_mask()
     for rep in missing:
         if triv.contains(rep):
             continue
-        if triv.dim > span_cap:
+        if triv.dim > LOOP_SPAN_CAP:
             raise QuotientTooLarge("face-cycle span too large for loop search")
         span = gf2.span_vectors(triv.rows)
         cands = sorted(
             (rep ^ x for x in span), key=lambda m: (m.bit_count(), m)
         )
-        chosen = None
         for cand in cands:
-            if cand == 0 or cand & r3:
-                continue
-            if not gauge.contains(_cycle_vec(h, cand)):
-                continue
             loop = hypergraph.rank2_cycle(h, "loop2", gf2.bits(cand))
             if pauli.first_bad_prefix([h.link_ops[i] for i in loop.links]) is None:
-                chosen = loop
                 break
-        if chosen is None:
+        else:
             raise GaugeMismatch("no schedulable loop closes the stabilizer span")
-        out.append(chosen)
-        triv.add(chosen.cycle)
+        out.append(loop)
+        triv.add(loop.cycle)
     return out
 
 
@@ -197,7 +190,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
         if triv.dim < s and not h.rank3_ids():
             # Cycles of nontrivial homology are stabilizers too; look for
             # schedulable loop representatives.
-            for fc in _completion_loops(h, triv, cycles.basis, gauge):
+            for fc in _completion_loops(h, triv, cycles.basis):
                 found.append((None, fc))
     generators = [
         Generator(gid, fid, fc.kind, fc.cycle, fc.links)
@@ -362,15 +355,6 @@ def colex_code(cx: TwoColex) -> SubsystemCode:
     return build_code(hypergraph.from_colex(cx))
 
 
-@dataclass(frozen=True)
-class DistanceBound:
-    ell: Optional[int]  # None when no rank-3 edges exist (bound degenerate)
-    applicable: bool
-
-    def to_json(self) -> Optional[int]:
-        return self.ell if self.applicable else None
-
-
 def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
     if not code.generators_complete:
         raise GaugeMismatch(
@@ -393,8 +377,9 @@ def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
     return reps
 
 
-def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
-    """ell: the minimum rank-3 count over nontrivial hypercycles.
+def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> Optional[int]:
+    """ell: the minimum rank-3 count over nontrivial hypercycles, None when
+    there are no rank-3 edges (the bound is degenerate).
 
     Each nontrivial coset representative, restricted to the rank-3 edges,
     is searched against the trivial cycle span projected the same way, by
@@ -407,14 +392,14 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
     h = code.hypergraph
     r3 = h.rank3_mask()
     if r3 == 0:
-        return DistanceBound(None, False)
+        return None
     reps = _coset_reps(code, coset_cap)
     proj = gf2.Basis(v & r3 for v in code.trivial.rows)
     if proj.dim > coset_cap:
         raise QuotientTooLarge(
             f"projected trivial span has dim {proj.dim} > cap {coset_cap}"
         )
-    return DistanceBound(gf2.min_coset_weight(proj, (rep & r3 for rep in reps)), True)
+    return gf2.min_coset_weight(proj, (rep & r3 for rep in reps))
 
 
 @dataclass(frozen=True)
@@ -599,15 +584,21 @@ def distinctness_check(code: SubsystemCode) -> DistinctnessVerdict:
     return DistinctnessVerdict(True, None, is_colex)
 
 
-def exact_distance(code: SubsystemCode, max_n: int = 16, max_dim: int = 24) -> Optional[int]:
+# The enumeration gate of exact_distance: at most this many qubits and this
+# dimension of C(S).
+EXACT_MAX_N = 16
+EXACT_MAX_DIM = 24
+
+
+def exact_distance(code: SubsystemCode) -> Optional[int]:
     """Brute-force min weight over C(S) minus the gauge span; None when the
     instance exceeds the enumeration gate, or when k = 0: then dim C(S) -
     dim G = 2k = 0, so C(S) = G and no vector lies outside the gauge."""
-    if code.k == 0 or code.n > max_n:
+    if code.k == 0 or code.n > EXACT_MAX_N:
         return None
     n = code.n
     cs = pauli.centralizer(code.stabilizer, n)
-    if cs.dim > max_dim:
+    if cs.dim > EXACT_MAX_DIM:
         return None
     best = None
     low = (1 << n) - 1
@@ -621,7 +612,7 @@ def exact_distance(code: SubsystemCode, max_n: int = 16, max_dim: int = 24) -> O
 
 def code_report(
     code: SubsystemCode,
-    ell: Optional[DistanceBound] = None,
+    ell: Optional[int] = None,
     checks: Optional[dict] = None,
 ) -> dict:
     report = {
@@ -632,7 +623,7 @@ def code_report(
         "dim_gauge": code.gauge.dim,
         "dim_cycle_space": code.cycles.dim,
         "incidence_rank": code.cycles.incidence_rank,
-        "ell": ell.to_json() if ell is not None else None,
+        "ell": ell,
         "predicted": code.predicted,
         "checks": checks or {},
     }

@@ -411,9 +411,9 @@ def to_json(colex: TwoColex) -> str:
 DOT_COLOR = {"r": "red", "g": "green", "b": "blue"}
 
 
-def to_dot(colex: TwoColex, name: str = "colex") -> str:
+def to_dot(colex: TwoColex) -> str:
     g = colex.graph
-    lines = [f"graph {name} {{"]
+    lines = ["graph colex {"]
     for v in range(g.num_vertices):
         lines.append(f"  {v};")
     for e, (u, v) in enumerate(g.edges):

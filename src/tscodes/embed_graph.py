@@ -520,8 +520,8 @@ def to_json(g: EmbeddedGraph) -> str:
     return json.dumps(to_json_dict(g), indent=2, sort_keys=True)
 
 
-def to_dot(g: EmbeddedGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: EmbeddedGraph) -> str:
+    lines = ["graph g {"]
     for v in range(g.num_vertices):
         lines.append(f"  {v};")
     for e, (u, v) in enumerate(g.edges):

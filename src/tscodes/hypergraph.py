@@ -847,8 +847,8 @@ def to_json(h: Hypergraph) -> str:
 DOT_COLOR = {"r": "red", "g": "green", "b": "blue", None: "black"}
 
 
-def to_dot(h: Hypergraph, name: str = "hypergraph") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(h: Hypergraph) -> str:
+    lines = ["graph hypergraph {"]
     for v in range(h.num_vertices):
         lines.append(f"  {v};")
     for i in h.rank2_ids():

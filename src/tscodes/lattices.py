@@ -1,16 +1,48 @@
 """Deterministic fixture graphs: torus grids, theta, Petersen, honeycombs.
 
 All generators fix vertex and edge ids so downstream constructions are
-reproducible byte-for-byte.
+reproducible byte-for-byte.  The three torus lattices share one periodic layout.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import embed_graph
 from .embed_graph import Dart, EmbeddedGraph
 from .errors import BadParams
+
+
+def _periodic(
+    m: int, n: int, cell: int,
+    families: Dict[str, Tuple[int, int, int, int]],
+    rotations: Sequence[Sequence[Tuple[str, int, int, int]]],
+) -> EmbeddedGraph:
+    """The m x n torus tiled by a cell of ``cell`` vertex types.
+
+    Vertex t of cell (i, j) is cell*(i*n + j) + t.  Each edge family (tail
+    type, head type, di, dj) adds, for every cell (i, j), one edge from its
+    tail vertex to the head vertex of cell (i + di, j + dj); families are
+    numbered in order, cells row by row within a family.  ``rotations[t]``
+    lists vertex type t's darts as (family, side, di, dj): that side of the
+    family's edge in cell (i + di, j + dj)."""
+    cells = m * n
+    first = {name: f * cells for f, name in enumerate(families)}
+
+    def at(i: int, j: int) -> int:
+        return (i % m) * n + (j % n)
+
+    edges = [
+        (cell * at(i, j) + tail, cell * at(i + di, j + dj) + head)
+        for tail, head, di, dj in families.values()
+        for i in range(m) for j in range(n)
+    ]
+    rotation: List[List[Dart]] = [
+        [(first[f] + at(i + di, j + dj), side) for f, side, di, dj in darts]
+        for i in range(m) for j in range(n)
+        for darts in rotations
+    ]
+    return embed_graph.build(cell * cells, edges, rotation)
 
 
 def theta_graph() -> EmbeddedGraph:
@@ -27,75 +59,24 @@ def torus_grid(m: int, n: int) -> EmbeddedGraph:
     """m x n square grid on the torus; every vertex has degree 4."""
     if m < 2 or n < 2:
         raise BadParams("torus grid needs m, n >= 2")
-    nv = m * n
-
-    def vid(i: int, j: int) -> int:
-        return (i % m) * n + (j % n)
-
-    edges: List[Tuple[int, int]] = []
-    east = {}
-    south = {}
-    for i in range(m):
-        for j in range(n):
-            east[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i, j + 1)))
-    for i in range(m):
-        for j in range(n):
-            south[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i + 1, j)))
-    rotation: List[List[Dart]] = []
-    for i in range(m):
-        for j in range(n):
-            rotation.append(
-                [
-                    (east[(i, j)], 0),
-                    (south[(i, j)], 0),
-                    (east[(i, (j - 1) % n)], 1),
-                    (south[((i - 1) % m, j)], 1),
-                ]
-            )
-    return embed_graph.build(nv, edges, rotation)
+    return _periodic(
+        m, n, 1,
+        {"east": (0, 0, 0, 1), "south": (0, 0, 1, 0)},
+        [[("east", 0, 0, 0), ("south", 0, 0, 0),
+          ("east", 1, 0, -1), ("south", 1, -1, 0)]],
+    )
 
 
 def triangular_torus(m: int, n: int) -> EmbeddedGraph:
     """Torus grid plus one diagonal per cell; every vertex has degree 6."""
     if m < 2 or n < 2:
         raise BadParams("triangular torus needs m, n >= 2")
-    nv = m * n
-
-    def vid(i: int, j: int) -> int:
-        return (i % m) * n + (j % n)
-
-    edges: List[Tuple[int, int]] = []
-    east = {}
-    south = {}
-    diag = {}
-    for i in range(m):
-        for j in range(n):
-            east[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i, j + 1)))
-    for i in range(m):
-        for j in range(n):
-            south[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i + 1, j)))
-    for i in range(m):
-        for j in range(n):
-            diag[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i + 1, j + 1)))
-    rotation: List[List[Dart]] = []
-    for i in range(m):
-        for j in range(n):
-            rotation.append(
-                [
-                    (east[(i, j)], 0),
-                    (diag[(i, j)], 0),
-                    (south[(i, j)], 0),
-                    (east[(i, (j - 1) % n)], 1),
-                    (diag[((i - 1) % m, (j - 1) % n)], 1),
-                    (south[((i - 1) % m, j)], 1),
-                ]
-            )
-    return embed_graph.build(nv, edges, rotation)
+    return _periodic(
+        m, n, 1,
+        {"east": (0, 0, 0, 1), "south": (0, 0, 1, 0), "diagonal": (0, 0, 1, 1)},
+        [[("east", 0, 0, 0), ("diagonal", 0, 0, 0), ("south", 0, 0, 0),
+          ("east", 1, 0, -1), ("diagonal", 1, -1, -1), ("south", 1, -1, 0)]],
+    )
 
 
 def petersen_graph() -> EmbeddedGraph:
@@ -130,52 +111,9 @@ def honeycomb_torus(m: int, n: int) -> EmbeddedGraph:
     """
     if m < 2 or n < 2:
         raise BadParams("honeycomb torus needs m, n >= 2")
-    nv = 2 * m * n
-
-    def a(i: int, j: int) -> int:
-        return 2 * ((i % m) * n + (j % n))
-
-    def b(i: int, j: int) -> int:
-        return a(i, j) + 1
-
-    edges: List[Tuple[int, int]] = []
-    e_v = {}
-    e_e = {}
-    e_s = {}
-    for i in range(m):
-        for j in range(n):
-            e_v[(i, j)] = len(edges)
-            edges.append((a(i, j), b(i, j)))
-    for i in range(m):
-        for j in range(n):
-            e_e[(i, j)] = len(edges)
-            edges.append((b(i, j), a(i, j + 1)))
-    for i in range(m):
-        for j in range(n):
-            e_s[(i, j)] = len(edges)
-            edges.append((b(i, j), a(i + 1, j)))
-    rotation: List[List[Dart]] = []
-    for i in range(m):
-        for j in range(n):
-            rotation.append(
-                [
-                    (e_v[(i, j)], 0),
-                    (e_s[((i - 1) % m, j)], 1),
-                    (e_e[(i, (j - 1) % n)], 1),
-                ]
-            )
-            rotation.append(
-                [
-                    (e_v[(i, j)], 1),
-                    (e_s[(i, j)], 0),
-                    (e_e[(i, j)], 0),
-                ]
-            )
-    flat: List[List[Dart]] = [[] for _ in range(nv)]
-    vidx = 0
-    for i in range(m):
-        for j in range(n):
-            flat[a(i, j)] = rotation[vidx]
-            flat[b(i, j)] = rotation[vidx + 1]
-            vidx += 2
-    return embed_graph.build(nv, edges, flat)
+    return _periodic(
+        m, n, 2,
+        {"a-b": (0, 1, 0, 0), "b-a east": (1, 0, 0, 1), "b-a south": (1, 0, 1, 0)},
+        [[("a-b", 0, 0, 0), ("b-a south", 1, -1, 0), ("b-a east", 1, 0, -1)],
+         [("a-b", 1, 0, 0), ("b-a south", 0, 0, 0), ("b-a east", 0, 0, 0)]],
+    )

@@ -410,9 +410,11 @@ class Tableau:
             self.live, self.free, self.neg = live, free, neg
         return out
 
-    def randomize(self, rng: random.Random, depth: int = 3) -> None:
+    def randomize(self, rng: random.Random) -> None:
+        """Apply 3n gates drawn from H, S and CNOT (a CNOT whose control is
+        its target is skipped)."""
         draw, n = rng.getrandbits, self.n
-        for _ in range(depth * n):
+        for _ in range(3 * n):
             gate = _randbelow(draw, 3)
             if gate == 0:
                 self.apply_h(_randbelow(draw, n))

@@ -4,24 +4,27 @@ the oracle of a differential test.
 For each nontrivial coset representative it scans all 2^dim vectors of the
 projected trivial span, so it is exact and independent of the
 Brouwer-Zimmermann search in ``gf2.min_coset_weight`` (row subsets over
-disjoint information sets, stopped at the t*r lower bound); its body is the
-replaced function's, verbatim.
+disjoint information sets, stopped at the t*r lower bound); its search body
+is the replaced function's, verbatim, and it returns ell as an int or None,
+as ``distance_bound`` does.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from tscodes import gf2
-from tscodes.analyzer import DistanceBound, SubsystemCode, _coset_reps
+from tscodes.analyzer import SubsystemCode, _coset_reps
 from tscodes.errors import QuotientTooLarge
 
 
-def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
+def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> Optional[int]:
     """ell: the minimum rank-3 count over nontrivial hypercycles, by coset
     enumeration with exhaustion over the projected trivial span."""
     h = code.hypergraph
     r3 = h.rank3_mask()
     if r3 == 0:
-        return DistanceBound(None, False)
+        return None
     reps = _coset_reps(code, coset_cap)
     proj = gf2.Basis(v & r3 for v in code.trivial.rows)
     if proj.dim > coset_cap:
@@ -34,4 +37,4 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> DistanceBound:
         base = rep & r3
         m = min((base ^ x).bit_count() for x in span)
         best = m if best is None else min(best, m)
-    return DistanceBound(best, True)
+    return best

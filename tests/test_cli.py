@@ -267,9 +267,43 @@ def test_coset_cap_help_names_what_it_bounds(capsys):
         "quotient dimension 2k",
         "projected trivial span that ell is searched over",
         "distance_bound reads 'skipped: ...'",
-        "QuotientTooLarge",
+        "past 2k nontrivial_cosets does too and the nontrivial_cycles check "
+        "fails, exit 1",
     ):
         assert phrase in help_text
+
+
+def test_coset_cap_below_2k_fails_the_lemma_check(tmp_path, capsys):
+    """Below 2k = 4 the nontrivial-cycle check cannot run: the report is
+    still written with both cap-bound checks skipped, and the skipped lemma
+    check fails verification.  Between 2k and the projected span's
+    dimension (6 here) only ell is skipped, which fails nothing."""
+    g = tmp_path / "g.json"
+    run(["gen", "torus-grid", "2", "2", "--out", str(g)])
+    skipped = "skipped: quotient dimension 4 exceeds cap 3"
+    for command, verified in (("build", None), ("verify", False)):
+        capsys.readouterr()
+        rep = tmp_path / f"{command}.json"
+        argv = [command, str(g), "--pipeline", "theorem2", "--coset-cap", "3",
+                "--out", str(rep)]
+        assert run(argv) == 1
+        report = json.loads(rep.read_text())
+        assert report.get("verified") is verified
+        assert report["ell"] is None
+        assert report["checks"]["distance_bound"] == skipped
+        assert report["checks"]["nontrivial_cosets"] == skipped
+        assert "nontrivial_have_rank3" not in report["checks"]
+        assert capsys.readouterr().err == f"check failed: nontrivial_cycles: {skipped}\n"
+    rep = tmp_path / "cap5.json"
+    argv = ["verify", str(g), "--pipeline", "theorem2", "--coset-cap", "5",
+            "--out", str(rep)]
+    assert run(argv) == 0
+    report = json.loads(rep.read_text())
+    assert report["verified"] is True
+    assert report["checks"]["distance_bound"] == (
+        "skipped: projected trivial span has dim 6 > cap 5"
+    )
+    assert report["checks"]["nontrivial_cosets"] == 15
 
 
 def test_schedule_takes_no_coset_cap(tmp_path, capsys):

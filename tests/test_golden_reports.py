@@ -83,6 +83,9 @@ def test_report_digest(tmp_path, family, params, pipeline, command, exit_code, d
 
 # (family, gen params, sha256 of the generated JSON).  honeycomb-torus runs
 # validate_colex's face coloring, the lattices run construct_A.
+# The non-square sizes and the two fixed graphs were taken before the torus
+# lattices moved to one periodic layout (`lattices._periodic`); a layout that
+# swapped m and n would still pass every square size.
 GEN_GOLDEN = [
     ("honeycomb-torus", (3, 3),
      "dd9115b172fa2dadaeabd58350a0c4cd8317b02f7c4254772ff9c206f699ef2d"),
@@ -90,18 +93,52 @@ GEN_GOLDEN = [
      "f8a47ba613a0c9c40bbc7c79c45a6088bcb2157fa45f8a2142a8eaea75f51cb6"),
     ("lattice-4-6-12", (2, 2),
      "dce929904239ebf3b43d6659d79151838c1647a8ae425d27c4223e08e0b7fed7"),
+    ("torus-grid", (2, 3),
+     "38a23fd6641f198e60aff4f006b46ffde571b3bc9e6fa65e2d36494cd2e52599"),
+    ("triangular-torus", (3, 2),
+     "2b167bdb01fef5527dc86a290d970e179d59c65bfb790cbf21144cbc7334ed8a"),
+    ("honeycomb-torus", (3, 6),
+     "44eaf93861ba42d439d969c8c7fbb60f0ca29bcf47b589b2fbf3b3fef777df1a"),
+    ("honeycomb-torus", (6, 3),
+     "403f4a5a59d27300fb35d3cf6c8dd84e135bb8b6e04e75daa9239004f1ffe188"),
+    ("lattice-4-8", (3, 2),
+     "8137464bb21d9e0610188946fe6ed71418a7a96fc9b1c00215e83c56f93fc8bc"),
+    ("lattice-4-6-12", (2, 3),
+     "e96764710cd4f4f1a95b46419d34090d6a7b1747d004d9f7ed7982d3dc672112"),
+    ("theta", (),
+     "726aab0888f650fdfde74a1f03b727dde100d48dcdf6fa67f0b055873e7a5f95"),
+    ("petersen", (),
+     "990a39c86b78ad5f525d801ba225798cec2f675d3a78913525d5256ff2ac0eb6"),
 ]
 
 
 @pytest.mark.parametrize(
     "family, params, digest",
     GEN_GOLDEN,
-    ids=[f"gen-{g[0]}-{g[1][0]}x{g[1][1]}" for g in GEN_GOLDEN],
+    ids=["-".join(["gen", f, "x".join(map(str, p))] if p else ["gen", f])
+         for f, p, _ in GEN_GOLDEN],
 )
 def test_gen_digest(tmp_path, family, params, digest):
     out = tmp_path / "out.json"
     assert cli.main(["gen", family, *map(str, params), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# (m, n, sha256 of the graph JSON) of honeycomb tori whose faces are not
+# 3-colorable, so `gen` rejects them; taken with the non-square GEN_GOLDEN.
+HONEYCOMB_GRAPH_GOLDEN = [
+    (2, 5, "80721bd0d0e3afc2f6836a7d341fb015d5dcf5c1ae00e2364b1c07b8b6ac17db"),
+    (4, 4, "1e657c11ba4d2f9a27a6144514af43b20acdb727b4aa803c35e44e7736933414"),
+]
+
+
+@pytest.mark.parametrize(
+    "m, n, digest", HONEYCOMB_GRAPH_GOLDEN,
+    ids=[f"{m}x{n}" for m, n, _ in HONEYCOMB_GRAPH_GOLDEN],
+)
+def test_honeycomb_graph_digest(m, n, digest):
+    text = embed_graph.to_json(lattices.honeycomb_torus(m, n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_custom_uncolored_honeycomb_digest(tmp_path):

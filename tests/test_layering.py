@@ -35,14 +35,21 @@
   seed-face class map), there is no second `class_of_eface` map beside
   `class_of_face`, and `promote` builds each face record directly, without
   the `face_build` and `promoted_info` side tables.
+- `analyzer.distance_bound` returns ell itself: the retired `DistanceBound`
+  wrapper, whose JSON form was always its `ell`, does not come back.
+- `cli.py` spells each `gen` family and each pipeline name once, as a key of
+  its `FAMILIES` or `PIPELINES` table, which both the parser's `choices` and
+  the dispatch read; a second list of names does not come back.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import tscodes
+from tscodes import cli
 
 SOURCES = sorted(Path(tscodes.__file__).parent.glob("*.py"))
 INT_ONLY = {"analyzer.py", "hypergraph.py"}
@@ -55,7 +62,7 @@ RETIRED = {
     "_arbitrary_embedding", "LemmaViolation", "_assert_predicted",
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
-    "_signed_decomposition", "decompose",
+    "_signed_decomposition", "decompose", "DistanceBound",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -144,3 +151,24 @@ def test_simulation_batches_its_measurements():
     ]
     assert "measure" not in calls
     assert calls.count("measure_all") == 3
+
+
+def test_cli_names_each_family_and_pipeline_once():
+    path = Path(cli.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    keys = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in ("FAMILIES", "PIPELINES"):
+                    keys[target.id] = [k.value for k in node.value.keys]
+    assert keys == {"FAMILIES": list(cli.FAMILIES), "PIPELINES": list(cli.PIPELINES)}
+    names = set(cli.FAMILIES) | set(cli.PIPELINES)
+    counts = Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names
+    )
+    assert counts == Counter(names), "names spelled outside their table: " + ", ".join(
+        sorted(name for name, c in counts.items() if c > 1)
+    )
