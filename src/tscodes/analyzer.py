@@ -3,10 +3,15 @@
 Operators are raw (x, z) int pairs; the spans G (gauge), L (cycle
 operators) and the stabilizer are ``gf2.Basis`` objects over x | z << n,
 the only place that layout appears.  ``Pauli`` is not used here.  G comes
-from the link table's operators (``Hypergraph.link_ops``).  Once G is checked
-to be the centralizer of L, the stabilizer (the center of G, whose test
-oracle is ``pauli.center``) is G intersected with L, by one GF(2)
-elimination.  The pipelines run the closed-form families and attach each
+from the link table's operators (``Hypergraph.link_ops``).  One walk per
+cycle-basis vector gives its operator and marks the basis cycles through
+each edge, so G is checked to commute with L by bilinearity, link by link,
+over the edges at the link's two qubits.  Once G is checked to be the
+centralizer of L, the stabilizer (the center of G, whose test oracle is
+``pauli.center``) is G intersected with L, by one GF(2) elimination.  Each
+generator carries its cycle operator (``Generator.op``), derived once; the
+stabilizer, dependency and schedule checks and the simulator read it.  The
+pipelines run the closed-form families and attach each
 closed form as ``predicted``; they do not compare it.  Theorems 2 and 3 are
 one promotion routine: each builds its colex (the blown-up seed, or the
 blown-up dual of the seed's medial) and lists the faces to promote, the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import colex as colex_mod
 from . import embed_graph, gf2, hypergraph, pauli
@@ -50,6 +55,7 @@ class Generator:
     #            sigma2_necklace | sigma2_bridged | loop2
     cycle: int
     links: Tuple[int, ...]  # its link decomposition, see hypergraph.FaceCycle
+    op: Tuple[int, int]  # its cycle operator W(cycle) as (x, z), derived once
 
 
 @dataclass
@@ -138,12 +144,32 @@ def _completion_loops(
     return out
 
 
+def _anticommuting_cycles(
+    h: Hypergraph, edge_ops: Sequence[Tuple[int, int]], uses: Sequence[int]
+) -> Iterator[int]:
+    """Per link, the mask of basis cycles whose W it anticommutes with, by
+    bilinearity: the XOR of ``uses[e]`` (the basis cycles through edge e)
+    over the edges at its two vertices, each counted once, whose operator
+    ``edge_ops[e]`` anticommutes with it; no other edge touches its qubits."""
+    inc = h.incident_edges
+    for lk, (lx, lz) in zip(h.links, h.link_ops):
+        a, b = lk.vertices
+        anti = 0
+        for e in {*inc(a), *inc(b)}:
+            ex, ez = edge_ops[e]
+            if ((lx & ez) ^ (lz & ex)).bit_count() & 1:
+                anti ^= uses[e]
+        yield anti
+
+
 def build_code(h: Hypergraph) -> SubsystemCode:
     """Gauge, stabilizer and (n, k, r, s) for a colored H1-H4 hypergraph.
 
     Checks that the gauge span equals the centralizer of the cycle-operator
-    span, takes the stabilizer as their intersection and checks the
-    over-determined parameter identities.
+    span (the commutation half by bilinearity, ``_anticommuting_cycles``),
+    takes the stabilizer as their intersection and checks the
+    over-determined parameter identities.  Each generator gets its cycle
+    operator ``op`` here, checked to lie in the stabilizer.
     """
     rep = hypergraph.validate_H(h)
     if not rep.all_ok:
@@ -155,13 +181,24 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     n = h.num_vertices
     gauge = gf2.Basis(x | z << n for x, z in h.link_ops)
     cycles = hypergraph.cycle_space(h)
-    ws = [pauli.cycle_operator(h, sigma) for sigma in cycles.basis]
-    lspan = gf2.Basis(x | z << n for x, z in ws)
+    # One walk per basis cycle sigma_j: W(sigma_j), and bit j of uses[e] for
+    # its edges e (kernel vectors are cycles and link_ops saw every color).
+    edge_ops = [op for _, op in h.edge_masks]
+    uses = [0] * h.num_edges
+    lspan = gf2.Basis()
+    for j, sigma in enumerate(cycles.basis):
+        bit, x, z = 1 << j, 0, 0
+        for e in gf2.bits(sigma):
+            ex, ez = edge_ops[e]
+            x ^= ex
+            z ^= ez
+            uses[e] |= bit
+        lspan.add(x | z << n)
     if lspan.dim != cycles.dim:
         raise GaugeMismatch("cycle operators are not independent")
     # Gauge group = centralizer of the cycle-operator span.
-    for lk, mask in zip(h.links, pauli.anticommuting_masks(h.link_ops, ws)):
-        if mask:
+    for lk, anti in zip(h.links, _anticommuting_cycles(h, edge_ops, uses)):
+        if anti:
             raise GaugeMismatch(
                 f"link {(lk.edge, lk.side)} anticommutes with a cycle operator"
             )
@@ -193,11 +230,13 @@ def build_code(h: Hypergraph) -> SubsystemCode:
             for fc in _completion_loops(h, triv, cycles.basis):
                 found.append((None, fc))
     generators = [
-        Generator(gid, fid, fc.kind, fc.cycle, fc.links)
+        Generator(
+            gid, fid, fc.kind, fc.cycle, fc.links, pauli.cycle_operator(h, fc.cycle)
+        )
         for gid, (fid, fc) in enumerate(found)
     ]
     for g in generators:
-        if not stab.contains(_cycle_vec(h, g.cycle)):
+        if not stab.contains(g.op[0] | g.op[1] << n):
             raise GaugeMismatch(f"generator {g.gid} is not a stabilizer")
     work = triv.copy()
     quotient = tuple(b for b in cycles.basis if work.add(b))
@@ -437,16 +476,6 @@ def nontrivial_cycle_checks(
     return NontrivialReport(len(reps), all_r3, none_in_gauge, trivs_ok, witness)
 
 
-def _face_sigmas(code: SubsystemCode) -> Dict[Tuple[int, int], int]:
-    out: Dict[Tuple[int, int], int] = {}
-    for g in code.generators:
-        if g.face is None:
-            continue
-        which = 1 if g.kind.startswith("sigma1") else 2
-        out[(g.face, which)] = g.cycle
-    return out
-
-
 @dataclass(frozen=True)
 class DependencyReport:
     identities: Tuple[Tuple[str, bool], ...]
@@ -461,8 +490,8 @@ class DependencyReport:
 
 def dependency_check(code: SubsystemCode) -> DependencyReport:
     """Check the product relations among the canonical stabilizer
-    generators, both as GF(2) edge-set identities and as Pauli products,
-    and the count of independent generators against s and its closed form.
+    generators, both as GF(2) edge-set identities and as products of their
+    operators (``Generator.op``), and the count of independent generators against s and its closed form.
     An identity with a term whose face lacks that generator fails, and its
     witness names the face and the term.
 
@@ -472,7 +501,11 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
         raise DependencyViolation("dependency data needs a pipeline-built code")
     pd = code.pipeline
     h = code.hypergraph
-    sig = _face_sigmas(code)
+    sig = {  # (face, 1 or 2) -> its sigma1 or sigma2 generator
+        (g.face, 1 if g.kind.startswith("sigma1") else 2): g
+        for g in code.generators
+        if g.face is not None
+    }
     two_gen = {f for (f, w) in sig if (f, 2) in sig}
     one_gen = {f for (f, w) in sig if (f, 1) in sig and (f, 2) not in sig}
     idents: List[Tuple[str, bool]] = []
@@ -491,10 +524,9 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
             return
         mask = x = z = 0
         for t in terms:
-            mask ^= sig[t]
-            wx, wz = pauli.cycle_operator(h, sig[t])
-            x ^= wx
-            z ^= wz
+            mask ^= sig[t].cycle
+            x ^= sig[t].op[0]
+            z ^= sig[t].op[1]
         ok = mask == 0 and x == z == 0
         idents.append((name, ok))
         if not ok:

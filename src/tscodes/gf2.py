@@ -121,12 +121,13 @@ def kernel(rows: List[int], ncols: int) -> List[int]:
     """Basis of {x : M x = 0} where M has the given rows as bit vectors.
 
     M maps GF(2)^ncols -> GF(2)^len(rows); row_i . x is a parity of an AND.
-    Runs the echelon core on the bit-reversed rows, so pivots are the lowest
-    set columns; each free column c, ascending, gets 1 << c plus the pivot
+    Runs the echelon core on the bit-reversed rows (column c to bit
+    ncols - 1 - c, one shift per set bit), so pivots are the lowest set
+    columns; each free column c, ascending, gets 1 << c plus the pivot
     column of every reduced row with bit c set.
     """
     last, full = ncols - 1, (1 << ncols) - 1
-    ech = Basis(int(f"{r & full:0{ncols}b}"[::-1], 2) for r in rows)
+    ech = Basis(sum(1 << (last - b) for b in bits(r & full)) for r in rows)
     fill: Dict[int, int] = {}
     for piv, row in zip(ech.pivots, ech.rows):
         for b in bits(row ^ (1 << piv)):

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -224,6 +225,11 @@ class Hypergraph:
         return tuple(first.values())
 
     @cached_property
+    def _relaxed_rounds(self) -> Tuple[Optional[int], ...]:
+        """Per link, its relaxed round min(step, 2); None without a step."""
+        return tuple(None if lk.step is None else min(lk.step, 2) for lk in self.links)
+
+    @cached_property
     def link_ops(self) -> Tuple[Tuple[int, int], ...]:
         """The (x, z) operator of every link, from ``pauli.LINK_PAULI``."""
         return tuple(pauli.link_operator(lk.vertices, lk.color) for lk in self.links)
@@ -405,20 +411,18 @@ def validate_H(h: Hypergraph) -> HReport:
         if len(lst) != 3:
             h2 = ConditionReport(False, (v, len(lst)))
             break
-    h3 = ConditionReport(True)
-    h4 = ConditionReport(True)
-    pairs = set()
-    for v, lst in enumerate(inc):
-        for a in lst:
-            for b in lst:
-                if a < b:
-                    pairs.add((a, b))
-    for (a, b) in sorted(pairs):
-        shared = set(h.edges[a].vertices) & set(h.edges[b].vertices)
-        if len(shared) > 1 and h3.ok:
-            h3 = ConditionReport(False, (a, b))
-        if h.edges[a].rank == 3 and h.edges[b].rank == 3 and h4.ok:
-            h4 = ConditionReport(False, (a, b))
+    # Edges a < b meeting at a vertex, with the number of vertices they
+    # share; each witness is the least failing pair.
+    shared: Dict[Tuple[int, int], int] = {}
+    for lst in inc:
+        for pair in combinations(lst, 2):
+            shared[pair] = shared.get(pair, 0) + 1
+    w3 = min((p for p, c in shared.items() if c > 1), default=None)
+    w4 = min(
+        (p for p in shared if h.edges[p[0]].rank == h.edges[p[1]].rank == 3),
+        default=None,
+    )
+    h3, h4 = ConditionReport(w3 is None, w3), ConditionReport(w4 is None, w4)
     proper = ConditionReport(True)
     for v, lst in enumerate(inc):
         cols = [h.edges[i].color for i in lst]
@@ -497,14 +501,10 @@ def _ordered(
     round (min(step, 2)), ascending within a group.  A link without a step
     is left out, so the scheduler's product check rejects the
     decomposition."""
-    first, links = h.first_link, h.links
+    first, rounds = h.first_link, h._relaxed_rounds
     ids = {first[e] for e in edges} | {first[e] + k for e, k in sides}
-    return tuple(
-        sorted(
-            (i for i in ids if links[i].step is not None),
-            key=lambda i: (min(links[i].step, 2), i),
-        )
-    )
+    keyed = sorted((rounds[i], i) for i in ids if rounds[i] is not None)
+    return tuple(i for _, i in keyed)
 
 
 def _side(h: Hypergraph, t: Triangle, a: int, b: int) -> List[Tuple[int, int]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .errors import ColorMissing, GaugeMismatch, NotACycle, SizeMismatch
@@ -143,49 +143,26 @@ def link_operator(vertices: Sequence[int], color: Optional[str]) -> Tuple[int, i
 
 def cycle_operator(h, sigma: int) -> Tuple[int, int]:
     """W(sigma): the (x, z) product of link operators over the edges of a
-    hypercycle (mod phase), from the per-edge masks cached on ``h``."""
-    edges = gf2.bits(sigma & ((1 << h.num_edges) - 1))
-    odd = 0
-    for i in edges:
-        odd ^= h.edge_masks[i][0]
+    hypercycle (mod phase).  One walk over sigma's edges reads the per-edge
+    masks cached on ``h`` and XORs the vertex masks and the operators
+    together; odd incidence raises NotACycle before an uncolored edge (the
+    lowest one) raises ColorMissing."""
+    masks = h.edge_masks
+    odd = x = z = 0
+    uncolored = None
+    for i in gf2.bits(sigma & ((1 << h.num_edges) - 1)):
+        verts, link = masks[i]
+        odd ^= verts
+        if link is not None:
+            x ^= link[0]
+            z ^= link[1]
+        elif uncolored is None:
+            uncolored = i
     if odd:
         raise NotACycle("odd incidence at a vertex")
-    x = z = 0
-    for i in edges:
-        link = h.edge_masks[i][1]
-        if link is None:
-            raise ColorMissing(f"rank-2 edge {h.edges[i].vertices} has no color")
-        x ^= link[0]
-        z ^= link[1]
+    if uncolored is not None:
+        raise ColorMissing(f"rank-2 edge {h.edges[uncolored].vertices} has no color")
     return x, z
-
-
-def anticommuting_masks(
-    ops: Sequence[Tuple[int, int]], against: Sequence[Tuple[int, int]]
-) -> List[int]:
-    """For each (x, z) op, the bitmask of the entries of ``against`` it
-    anticommutes with.
-
-    Per-qubit column masks of ``against`` (its Z parts meet the op's X part
-    and its X parts the op's Z part) cost each op one XOR per qubit of its
-    support instead of one symplectic product per pair.
-    """
-    by_x: Dict[int, int] = {}  # qubit -> entries with Z there
-    by_z: Dict[int, int] = {}  # qubit -> entries with X there
-    for j, (qx, qz) in enumerate(against):
-        for b in gf2.bits(qz):
-            by_x[b] = by_x.get(b, 0) ^ (1 << j)
-        for b in gf2.bits(qx):
-            by_z[b] = by_z.get(b, 0) ^ (1 << j)
-    out: List[int] = []
-    for px, pz in ops:
-        mask = 0
-        for b in gf2.bits(px):
-            mask ^= by_x.get(b, 0)
-        for b in gf2.bits(pz):
-            mask ^= by_z.get(b, 0)
-        out.append(mask)
-    return out
 
 
 def centralizer(span: gf2.Basis, n: int) -> gf2.Basis:

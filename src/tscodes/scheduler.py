@@ -12,12 +12,12 @@ suffice (links sharing a qubit in the b round commute); in the exclusive
 model the b round splits in two so no qubit is touched twice in a time
 step.  ``build_schedule`` sorts each decomposition into time order once
 and checks that sequence once: its signed product is the generator's cycle
-operator with a real sign, computed here and nowhere else and kept in
-``MeasurementSchedule.signs``, and every prefix commutes with the next
-operator.  These checks and the round conflict check run on the (x, z) int
-pairs cached in ``Hypergraph.link_ops``; ``Pauli`` objects appear only at
-the tableau's API edge (one per link and one per generator, built once per
-simulation).
+operator (``Generator.op``, derived in ``build_code``) with a real sign,
+computed here and nowhere else and kept in ``MeasurementSchedule.signs``,
+and every prefix commutes with the next operator.  These checks and the
+round conflict check run on the (x, z) int pairs cached in
+``Hypergraph.link_ops``; ``Pauli`` objects appear only at the tableau's API
+edge (one per link and one per generator, built once per simulation).
 
 Schedules are checked on a column-major stabilizer tableau: a measurement
 finds its anticommuting rows from the columns on its operator's support.
@@ -113,7 +113,7 @@ def build_schedule(
         seq = tuple(sorted(gen.links, key=lambda i: (min(links[i].step, last), i)))
         seq_ops = [ops[i] for i in seq]
         prod, phase = pauli.phase_product(seq_ops)
-        if prod != pauli.cycle_operator(h, gen.cycle) or phase % 2:
+        if prod != gen.op or phase % 2:
             raise NoValidDecomposition(
                 f"decomposition of generator {gen.gid} does not reproduce it"
             )
@@ -221,19 +221,6 @@ class Tableau:
         self.live = (1 << n) - 1
         self.free = self.live << n
         self.recycles = 0  # passes that freed the dead slots
-
-    @property
-    def stab(self) -> List[Pauli]:
-        return [Pauli(self.n, x, z) for x, z in zip(self.sx, self.sz)]
-
-    @property
-    def destab(self) -> List[Pauli]:
-        rows = [[0, 0] for _ in range(self.n)]
-        for part, cols in enumerate((self.dX, self.dZ)):
-            for q, col in enumerate(cols):
-                for s in gf2.bits(col & self.live):
-                    rows[self.row_of[s]][part] |= 1 << q
-        return [Pauli(self.n, x, z) for x, z in rows]
 
     def apply_h(self, q: int) -> None:
         cx, cz, bit = self.cx, self.cz, 1 << q
@@ -462,7 +449,7 @@ def simulate_syndrome(
     """Per random stabilizer state, measure every stabilizer twice through
     its ordered link sequence and XOR-combine the outcomes; the two combined
     values must agree, and a direct measurement of the generator's cycle
-    operator with its ``schedule.signs`` sign must reproduce them.  With
+    operator ``op`` with its ``schedule.signs`` sign must reproduce them.  With
     strict=True the first disagreement raises InconsistentOutcome;
     otherwise the fractions are reported (useful for the adversarial
     broken-schedule fixtures)."""
@@ -472,8 +459,7 @@ def simulate_syndrome(
     n = code.n
     h = code.hypergraph
     direct = [
-        (Pauli(n, *pauli.cycle_operator(h, gen.cycle)), sign)
-        for gen, sign in zip(code.generators, schedule.signs)
+        (Pauli(n, *gen.op), sign) for gen, sign in zip(code.generators, schedule.signs)
     ]
     # The sweep program: every generator's links in order, one Pauli per
     # link (so each decodes its support once), and each generator's slice

@@ -6,13 +6,18 @@ became raw (x, z) int pairs.  They multiply `Pauli` dataclasses one factor
 at a time; the differential tests feed them and the int versions the same
 random sequences and require the same product, i-exponent and first bad
 index.
+
+`anticommuting_masks` is the per-qubit column-mask commutation check that
+`tscodes.analyzer.build_code` ran over the dense cycle operators before it
+read each link's anticommuting cycles by bilinearity; the tests use it as
+the oracle for the link that check names.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from tscodes import pauli
+from tscodes import gf2, pauli
 from tscodes.errors import SizeMismatch
 from tscodes.pauli import Pauli
 
@@ -65,3 +70,31 @@ def first_bad_prefix(ops: Sequence[Pauli]) -> Optional[int]:
             return j
         prefix = prefix.mul(ops[j])
     return None
+
+
+def anticommuting_masks(
+    ops: Sequence[Tuple[int, int]], against: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """For each (x, z) op, the bitmask of the entries of ``against`` it
+    anticommutes with.
+
+    Per-qubit column masks of ``against`` (its Z parts meet the op's X part
+    and its X parts the op's Z part) cost each op one XOR per qubit of its
+    support instead of one symplectic product per pair.
+    """
+    by_x: Dict[int, int] = {}  # qubit -> entries with Z there
+    by_z: Dict[int, int] = {}  # qubit -> entries with X there
+    for j, (qx, qz) in enumerate(against):
+        for b in gf2.bits(qz):
+            by_x[b] = by_x.get(b, 0) ^ (1 << j)
+        for b in gf2.bits(qx):
+            by_z[b] = by_z.get(b, 0) ^ (1 << j)
+    out: List[int] = []
+    for px, pz in ops:
+        mask = 0
+        for b in gf2.bits(px):
+            mask ^= by_x.get(b, 0)
+        for b in gf2.bits(pz):
+            mask ^= by_z.get(b, 0)
+        out.append(mask)
+    return out

@@ -5,6 +5,9 @@ This is the straightforward O(n)-per-measurement tableau that
 measurement scans all rows.  The differential tests drive it and the
 column-mask tableau with identical gates, measurements and random streams
 and require identical outcomes, rows, signs and random-number use.
+
+`stab_of` and `destab_of` read the rows of a column-mask
+`tscodes.scheduler.Tableau` back as `Pauli` lists; only the tests need them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from tscodes import gf2
 from tscodes.errors import InconsistentOutcome
 from tscodes.pauli import Pauli
 
@@ -131,3 +135,18 @@ class ReferenceTableau:
                 if c != t:
                     self.apply_cnot(c, t)
 
+
+def stab_of(t) -> List[Pauli]:
+    """The stabilizer rows of a tableau, from its (x, z) row ints."""
+    return [Pauli(t.n, x, z) for x, z in zip(t.sx, t.sz)]
+
+
+def destab_of(t) -> List[Pauli]:
+    """The destabilizer rows of a column-mask tableau: row ``row_of[s]``
+    has an X / Z part on qubit q iff live slot s is set in dX[q] / dZ[q]."""
+    rows = [[0, 0] for _ in range(t.n)]
+    for part, cols in enumerate((t.dX, t.dZ)):
+        for q, col in enumerate(cols):
+            for s in gf2.bits(col & t.live):
+                rows[t.row_of[s]][part] |= 1 << q
+    return [Pauli(t.n, x, z) for x, z in rows]

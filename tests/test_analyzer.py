@@ -1,9 +1,18 @@
+import dataclasses
+
 import pytest
 
 import reference_contraction
 import reference_distance
+import reference_pauli
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices, pauli
-from tscodes.errors import Degree2Seed, OddDegreeSeed, QuotientTooLarge, UnclassifiedFace
+from tscodes.errors import (
+    Degree2Seed,
+    GaugeMismatch,
+    OddDegreeSeed,
+    QuotientTooLarge,
+    UnclassifiedFace,
+)
 
 
 def test_theorem2_parameters(th2_22, th2_33):
@@ -51,6 +60,107 @@ def test_gauge_is_centralizer_of_cycles(th2_22):
     for sigma in th2_22.cycles.basis:
         w = pauli.Pauli(n, *pauli.cycle_operator(th2_22.hypergraph, sigma))
         assert cent.contains(w.vec())
+
+
+def test_generators_carry_their_cycle_operator(
+    pipeline_codes, tri22_codes, honeycomb_code
+):
+    codes = {**pipeline_codes, **tri22_codes, "colex_hc33": honeycomb_code}
+    for name, code in codes.items():
+        assert code.generators, name
+        for g in code.generators:
+            assert g.op == pauli.cycle_operator(code.hypergraph, g.cycle), (name, g.gid)
+
+
+WITNESS_CODES = ["th2_22", "th3_33", "th2_tri22"]
+
+
+def _positions(h):
+    """Link ids spread over the table, the first rank-2 link and all three
+    sides of the first triangle."""
+    last = len(h.links) - 1
+    tri, rank2 = h.first_link[h.rank3_ids()[0]], h.first_link[h.rank2_ids()[0]]
+    spread = {0, last // 3, last // 2, 2 * last // 3, last}
+    return sorted(spread | {rank2, tri, tri + 1, tri + 2})
+
+
+def _replacements(h, i):
+    """Operators on link i's two qubits other than its own: the identity,
+    X, Y and Z on either qubit, and XX, YY and ZZ."""
+    a, b = (1 << v for v in h.links[i].vertices)
+    ops = [(0, 0)]
+    for q in (a, b, a | b):
+        ops += [(q, 0), (q, q), (0, q)]
+    return [op for op in ops if op != h.link_ops[i]]
+
+
+def _with_link_ops(h, changes):
+    """A fresh copy of h (no cached index) whose link table operators are
+    h's with the entries in ``changes`` (link id -> (x, z)) replaced."""
+    ops = list(h.link_ops)
+    for i, op in changes.items():
+        ops[i] = op
+    fresh = dataclasses.replace(h)
+    fresh.__dict__["link_ops"] = tuple(ops)
+    return fresh, ops
+
+
+@pytest.mark.parametrize("name", WITNESS_CODES)
+def test_commutation_check_names_the_first_flagged_link(
+    name, pipeline_codes, tri22_codes
+):
+    """One or two link operators replaced: build_code names the first link
+    that anticommutes with the cycle operator of some basis cycle, by the
+    pairwise oracle, and names none when the oracle flags none."""
+    code = {**pipeline_codes, **tri22_codes}[name]
+    h = code.hypergraph
+    ws = [pauli.cycle_operator(h, sigma) for sigma in code.cycles.basis]
+    positions = _positions(h)
+    cases = [{i: op} for i in positions for op in _replacements(h, i)]
+    for i, j in zip(positions, positions[1:]):
+        ri, rj = _replacements(h, i), _replacements(h, j)
+        cases += [{i: ri[0], j: rj[1]}, {i: ri[2], j: rj[3]}]
+    flagged = unflagged = 0
+    for changes in cases:
+        fresh, ops = _with_link_ops(h, changes)
+        masks = reference_pauli.anticommuting_masks(ops, ws)
+        first = next((k for k, mask in enumerate(masks) if mask), None)
+        if first is None:
+            unflagged += 1
+            try:
+                analyzer.build_code(fresh)
+            except GaugeMismatch as exc:
+                assert "anticommutes" not in str(exc), changes
+            continue
+        flagged += 1
+        lk = h.links[first]
+        with pytest.raises(GaugeMismatch) as exc:
+            analyzer.build_code(fresh)
+        want = f"link {(lk.edge, lk.side)} anticommutes with a cycle operator"
+        assert str(exc.value) == want, changes
+    assert flagged and unflagged
+
+
+@pytest.mark.parametrize("name", WITNESS_CODES)
+def test_anticommuting_cycles_match_the_pairwise_oracle(
+    name, pipeline_codes, tri22_codes
+):
+    """The per-link masks read by bilinearity equal the pairwise oracle's
+    over the dense cycle operators, for every link, with one link operator
+    replaced at a time."""
+    code = {**pipeline_codes, **tri22_codes}[name]
+    h, basis = code.hypergraph, code.cycles.basis
+    ws = [pauli.cycle_operator(h, sigma) for sigma in basis]
+    uses = [
+        sum(1 << j for j, sigma in enumerate(basis) if sigma >> e & 1)
+        for e in range(h.num_edges)
+    ]
+    edge_ops = [op for _, op in h.edge_masks]
+    for i in _positions(h):
+        for op in _replacements(h, i):
+            fresh, ops = _with_link_ops(h, {i: op})
+            got = list(analyzer._anticommuting_cycles(fresh, edge_ops, uses))
+            assert got == reference_pauli.anticommuting_masks(ops, ws), (i, op)
 
 
 def test_odd_degree_seed_rejected():

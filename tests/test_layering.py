@@ -40,6 +40,14 @@
 - `cli.py` spells each `gen` family and each pipeline name once, as a key of
   its `FAMILIES` or `PIPELINES` table, which both the parser's `choices` and
   the dispatch read; a second list of names does not come back.
+- Each generator's cycle operator is derived once, in `build_code`, and
+  carried as `Generator.op`: `scheduler` never calls `pauli.cycle_operator`,
+  and `dependency_check` multiplies the generators' `op` pairs.  The
+  commutation check reads each link's anticommuting cycles by bilinearity,
+  so the per-qubit `anticommuting_masks` over dense cycle operators does not
+  come back (it is the oracle in `tests/reference_pauli.py`).
+- `gf2.kernel` reverses its rows through their set bits and formats no bit
+  string.
 """
 
 import ast
@@ -62,7 +70,7 @@ RETIRED = {
     "_arbitrary_embedding", "LemmaViolation", "_assert_predicted",
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
-    "_signed_decomposition", "decompose", "DistanceBound",
+    "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -122,14 +130,46 @@ def test_distance_bound_enumerates_no_span():
     assert not bad, "distance_bound names span_vectors: " + "; ".join(bad)
 
 
-def _scheduler_defs():
-    """Top-level function and class definitions of scheduler.py by name."""
-    path = Path(tscodes.__file__).parent / "scheduler.py"
+def _defs(module):
+    """Top-level function and class definitions of a tscodes module by name."""
+    path = Path(tscodes.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     return {
         node.name: node for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+
+
+def _scheduler_defs():
+    return _defs("scheduler")
+
+
+def test_scheduler_reads_generator_operators():
+    bad = [
+        f"{name} line {line}"
+        for name, node in _scheduler_defs().items()
+        for line, ident in _names(node)
+        if ident == "cycle_operator"
+    ]
+    assert not bad, "scheduler calls cycle_operator: " + "; ".join(bad)
+
+
+def test_dependency_check_reads_generator_operators():
+    names = {ident for _, ident in _names(_defs("analyzer")["dependency_check"])}
+    assert "op" in names
+    assert "cycle_operator" not in names
+
+
+def test_kernel_formats_no_bit_strings():
+    fn = _defs("gf2")["kernel"]
+    bad = [
+        f"line {node.lineno}"
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.JoinedStr, ast.FormattedValue))
+        or isinstance(node, ast.Name) and node.id in ("format", "bin", "str")
+        or isinstance(node, ast.Slice) and node.step is not None
+    ]
+    assert not bad, "kernel formats bit strings: " + "; ".join(bad)
 
 
 def test_scheduler_forms_signed_products_once():

@@ -1,10 +1,16 @@
 """Property tests over randomized fixture families."""
 
+import functools
 import itertools
+import re
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_hypergraph
+import reference_pauli
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices, pauli
+from tscodes.errors import ColorMissing, NotACycle
 
 dims = st.tuples(st.integers(2, 4), st.integers(2, 4))
 
@@ -163,7 +169,7 @@ def pauli_list_pairs(draw):
 @settings(max_examples=100, deadline=None)
 def test_anticommuting_masks_match_pairwise_commutes(pair):
     ops, against = pair
-    masks = pauli.anticommuting_masks(
+    masks = reference_pauli.anticommuting_masks(
         [(p.x, p.z) for p in ops], [(q.x, q.z) for q in against]
     )
     assert len(masks) == len(ops)
@@ -182,3 +188,87 @@ def test_intersection_is_the_common_subspace(a, b):
     ua, ub = gf2.span_vectors(gf2.Basis(a).rows), gf2.span_vectors(gf2.Basis(b).rows)
     assert gf2.rank(common) == len(common)
     assert set(gf2.span_vectors(common)) == set(ua) & set(ub)
+
+
+@functools.lru_cache(maxsize=None)
+def _th2_22_hypergraph():
+    c = colex.construct_A(lattices.torus_grid(2, 2))
+    return hg.promote(c, [f for f, (k, _) in enumerate(c.parentage) if k == "v"], "r")
+
+
+def _hypergraph(num_vertices, edges):
+    return hg.Hypergraph(
+        num_vertices,
+        tuple(hg.HEdge(tuple(sorted(vs)), color, ("test", i))
+              for i, (vs, color) in enumerate(edges)),
+    )
+
+
+colors = st.sampled_from([None, "r", "g", "b"])
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """Up to 7 vertices and 10 edges of rank 1 to 4, vertices repeated or
+    not, so edges share any number of vertices and degrees vary."""
+    nv = draw(st.integers(1, 7))
+    vertex_lists = st.lists(st.integers(0, nv - 1), min_size=1, max_size=4)
+    return _hypergraph(nv, draw(st.lists(st.tuples(vertex_lists, colors), max_size=10)))
+
+
+@st.composite
+def perturbed_fixtures(draw):
+    """The th2 2x2 hypergraph with up to three edges moved onto vertices of
+    other edges (so triangles come to share one or two vertices) and
+    possibly an edge repeated, so witnesses sit deep in the pair order."""
+    h = _th2_22_hypergraph()
+    edges = [(e.vertices, e.color) for e in h.edges]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k = (draw(st.integers(0, len(edges) - 1)) for _ in range(3))
+        near = edges[j][0] + edges[k][0]
+        vs = draw(st.lists(st.sampled_from(near), min_size=1, max_size=4))
+        edges[i] = (tuple(vs), draw(colors))
+    if draw(st.booleans()):
+        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
+    return _hypergraph(h.num_vertices, edges)
+
+
+@given(st.one_of(small_hypergraphs(), perturbed_fixtures()))
+@settings(max_examples=300, deadline=None)
+@example(_hypergraph(4, [((0, 1, 2), "b"), ((1, 2, 3), "b"), ((0, 3), "r")]))
+@example(_hypergraph(5, [((0, 1, 2), "b"), ((2, 3, 4), "b"), ((0, 1), "g")]))
+@example(_hypergraph(3, [((0, 0, 1), "b"), ((0, 1), "r"), ((1, 2, 2, 0), None)]))
+def test_validate_H_matches_the_pairwise_scan(h):
+    assert hg.validate_H(h) == reference_hypergraph.validate_H(h)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cycle_operator_reports_odd_incidence_before_the_lowest_uncolored_edge(data):
+    """Any edge set of the th2 2x2 hypergraph with some rank-2 edges
+    uncolored: NotACycle when it is no cycle, else ColorMissing naming its
+    lowest uncolored edge, else the product of its edges' link operators."""
+    h = _th2_22_hypergraph()
+    bare = data.draw(st.sets(st.sampled_from(h.rank2_ids()), max_size=4))
+    h = h.recolored([None if i in bare else e.color for i, e in enumerate(h.edges)])
+    basis = hg.cycle_space(h).basis
+    sigma = functools.reduce(
+        lambda a, b: a ^ b, data.draw(st.lists(st.sampled_from(basis))), 0
+    )
+    if data.draw(st.booleans()):
+        sigma ^= 1 << data.draw(st.integers(0, h.num_edges - 1))
+    edges = gf2.bits(sigma)
+    if not reference_hypergraph.is_cycle(h, sigma):
+        with pytest.raises(NotACycle):
+            pauli.cycle_operator(h, sigma)
+    elif bare & set(edges):
+        want = f"rank-2 edge {h.edges[min(bare & set(edges))].vertices} has no color"
+        with pytest.raises(ColorMissing, match=f"^{re.escape(want)}$"):
+            pauli.cycle_operator(h, sigma)
+    else:
+        x = z = 0
+        for i in edges:
+            ex, ez = pauli.link_operator(h.edges[i].vertices, h.edges[i].color)
+            x ^= ex
+            z ^= ez
+        assert pauli.cycle_operator(h, sigma) == (x, z)
