@@ -171,7 +171,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     over-determined parameter identities.  Each generator gets its cycle
     operator ``op`` here, checked to lie in the stabilizer.
     """
-    rep = hypergraph.validate_H(h)
+    rep = h.validation
     if not rep.all_ok:
         raise GaugeMismatch(f"hypergraph violates H1-H4: {rep.first_failure()}")
     if not rep.coloring_proper.ok or not rep.rank3_monochrome.ok:

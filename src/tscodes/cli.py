@@ -104,7 +104,7 @@ def _custom_code(data: dict, kind: str) -> analyzer.SubsystemCode:
         h = hypergraph.from_colex(colex.from_json_dict(data))
     else:
         h = hypergraph.from_graph(embed_graph.from_json_dict(data))
-    rep = hypergraph.validate_H(h)
+    rep = h.validation
     if not rep.all_ok:
         raise BadParams(f"input violates H1-H4: {rep.first_failure()}")
     if not rep.coloring_proper.ok or not rep.rank3_monochrome.ok:

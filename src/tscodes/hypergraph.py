@@ -231,8 +231,19 @@ class Hypergraph:
 
     @cached_property
     def link_ops(self) -> Tuple[Tuple[int, int], ...]:
-        """The (x, z) operator of every link, from ``pauli.LINK_PAULI``."""
-        return tuple(pauli.link_operator(lk.vertices, lk.color) for lk in self.links)
+        """The (x, z) operator of every link; a rank-2 edge's is its
+        ``edge_masks`` entry (an uncolored one raises in ``link_operator``)."""
+        masks = self.edge_masks
+        return tuple(
+            (masks[lk.edge][1] if lk.side is None else None)
+            or pauli.link_operator(lk.vertices, lk.color)
+            for lk in self.links
+        )
+
+    @cached_property
+    def validation(self) -> "HReport":
+        """``validate_H(self)``, run once (``recolored`` makes a new one)."""
+        return validate_H(self)
 
     def recolored(self, colors: Sequence[Optional[str]]) -> "Hypergraph":
         new_edges = tuple(

@@ -3,15 +3,15 @@
 An operator is a pair of bit-vector ints (x, z): qubit i carries X iff
 x_i = 1, Z iff z_i = 1, Y iff both.  ``hypergraph``, ``analyzer`` and
 ``scheduler`` pass operators as raw (x, z) tuples; ``phase_product`` (the
-signed ordered product) and ``first_bad_prefix`` (the prefix rule) work on
-them.  ``link_operator`` gives each entry of the hypergraph's link table its
-operator (``Hypergraph.link_ops``) from ``LINK_PAULI``, the one color ->
+signed ordered product, for ``build_schedule``'s signs) and
+``first_bad_prefix`` (the prefix rule) work on them; ``link_operator`` reads
+each link's operator (``Hypergraph.link_ops``) off ``LINK_PAULI``, the one color ->
 Pauli table.  Spans are ``gf2.Basis`` objects over 2n-bit vectors laid out as
 x | (z << n); only ``centralizer`` and ``center`` read that layout.  The
 ``Pauli`` dataclass is the API edge: string I/O, ``commutes``, the operators
 ``scheduler.Tableau`` measures (each decodes its ``support`` once) and the
 ``center`` test oracle.  Global phases are dropped except in
-``phase_product``.
+``phase_product`` (``scheduler.Tableau`` keeps its own, in XZ form).
 """
 
 from __future__ import annotations

@@ -25,9 +25,10 @@ Destabilizer rows live in renamed slots of 2n-bit columns, so a random
 measurement costs O(|op| + |pivot|) column XORs plus the stabilizer row
 updates of its anticommuting rows, and not a pass over all n columns; the
 dead slots it leaves are freed by one O(n) pass per n + 1 random
-measurements.  Signs follow from one mask per pivot qubit, chosen by the
-pivot's letter there, and each measured ``Pauli`` decodes its support once
-(``Pauli.support``), since a sweep measures the same links again and again.
+measurements.  Rows keep their phase in XZ form (two bit planes of an
+exponent mod 4), so signs cost one parity per pivot X qubit, and each
+measured ``Pauli`` decodes its support once (``Pauli.support``), since a
+sweep measures the same links again and again.
 Each simulated trial is three ``Tableau.measure_all`` calls: two sweeps,
 each on the concatenated time-ordered link sequences of all generators
 (a syndrome bit is the parity of its generator's slice of the outcomes),
@@ -173,9 +174,12 @@ class Tableau:
     """Stabilizer tableau with destabilizers and sign tracking, stored by
     column (Aaronson-Gottesman's transposed layout).
 
-    cx[q] / cz[q] masks the stabilizer rows with an X / Z part on qubit q;
-    neg masks the stabilizers with sign -1.  Stabilizer rows are also kept
-    as (x, z) ints for the pivot and for deterministic products.
+    cx[q] / cz[q] masks the stabilizer rows with an X / Z part on qubit q.
+    Stabilizer row i is i^e X^x Z^z (XZ form), and the masks e0 / e1 hold
+    bit 0 / bit 1 of each row's e mod 4; a stored row is Hermitian, so its
+    e0 bit is the parity of its Y count (``neg`` reads the Hermitian sign
+    off e).  Rows are also kept as (x, z) ints for the pivot and for
+    deterministic products.
 
     Destabilizer row i lives in slot[i], a bit position of the 2n-bit masks
     dX[q] / dZ[q] (row_of maps a slot back to its row).  Slots in `live`
@@ -188,18 +192,16 @@ class Tableau:
     pass per n + 1 random measurements, and no column grows past 2n bits.
     Destabilizer phases are not tracked.
 
-    The sign of each anticommuting row times the pivot comes from an
-    i-exponent summed over the pivot's qubits, walked in three loops by the
-    pivot's letter.  At qubit q that letter picks one mask of the rows
-    whose letter there anticommutes with it: cz[q] for X, cx[q] for Z,
-    cx[q] ^ cz[q] for Y.  Each such row adds 1 to bit-sliced lo/hi
-    counters, and those that give -1 instead (YX, XZ, ZY) add 2 more, kept
-    as one parity mask.  A deterministic outcome is the sign of the product
-    of the rows whose destabilizers anticommute with the operator: none
-    (the identity), one (its own sign) or ``pauli.phase_product`` of
-    several.  The measured operator's support is decoded once per ``Pauli``
-    object (``Pauli.support``), and outcomes and ``randomize`` draw from
-    the generator exactly as ``randrange`` would.
+    In XZ form a row r times the pivot p is i^(e_r + e_p + 2|z_r & x_p|)
+    X^(x_r ^ x_p) Z^(z_r ^ z_p): the pivot walk XORs cz[q] over the pivot's
+    X qubits into one parity mask, and the exponents of the rows it
+    multiplies are updated once per measurement by mask operations.  H adds
+    2 to e where a row has Y, S adds x_q, CNOT adds nothing.  A
+    deterministic outcome is the sign of the product, in the same form, of
+    the rows whose destabilizers anticommute with the operator.  The
+    measured operator's support is decoded once per ``Pauli`` object
+    (``Pauli.support``), and outcomes and ``randomize`` draw from the
+    generator exactly as ``randrange`` would.
 
     ``measure_all`` is the one measurement kernel: it binds the columns,
     slots and masks to locals once per call and measures a whole sequence,
@@ -213,7 +215,7 @@ class Tableau:
         self.sz: List[int] = [1 << i for i in range(n)]
         self.cx: List[int] = [0] * n
         self.cz: List[int] = [1 << q for q in range(n)]
-        self.neg = 0
+        self.e0 = self.e1 = 0
         self.dX: List[int] = [1 << q for q in range(n)]
         self.dZ: List[int] = [0] * n
         self.slot: List[int] = list(range(n))
@@ -222,9 +224,16 @@ class Tableau:
         self.free = self.live << n
         self.recycles = 0  # passes that freed the dead slots
 
+    @property
+    def neg(self) -> int:
+        """The stabilizers with Hermitian sign -1: a stored row has e = |x & z|
+        mod 2, so its sign bit is e1 ^ bit 1 of |x & z|."""
+        rows = enumerate(zip(self.sx, self.sz))
+        return self.e1 ^ sum(((x & z).bit_count() & 2) << i for i, (x, z) in rows) >> 1
+
     def apply_h(self, q: int) -> None:
         cx, cz, bit = self.cx, self.cz, 1 << q
-        self.neg ^= cx[q] & cz[q]
+        self.e1 ^= cx[q] & cz[q]  # XZ -> ZX = -XZ
         for i in gf2.bits(cx[q] ^ cz[q]):
             self.sx[i] ^= bit
             self.sz[i] ^= bit
@@ -233,7 +242,8 @@ class Tableau:
 
     def apply_s(self, q: int) -> None:
         cx, cz, bit = self.cx, self.cz, 1 << q
-        self.neg ^= cx[q] & cz[q]
+        self.e1 ^= self.e0 & cx[q]  # X -> Y = iXZ: e += 1 where x_q
+        self.e0 ^= cx[q]
         for i in gf2.bits(cx[q]):
             self.sz[i] ^= bit
         cz[q] ^= cx[q]
@@ -243,7 +253,6 @@ class Tableau:
         if c == t:
             raise BadParams(f"CNOT control and target are both qubit {c}")
         cx, cz = self.cx, self.cz
-        self.neg ^= cx[c] & cz[t] & ~(cx[t] ^ cz[c])
         for i in gf2.bits(cx[c]):
             self.sx[i] ^= 1 << t
         for i in gf2.bits(cz[t]):
@@ -273,7 +282,7 @@ class Tableau:
                 raise BadParams(f"measurement sign must be 1 or -1, not {sign!r}")
         sx, sz, cx, cz, dX, dZ = self.sx, self.sz, self.cx, self.cz, self.dX, self.dZ
         slot, row_of = self.slot, self.row_of
-        live, free, neg = self.live, self.free, self.neg
+        live, free, e0, e1 = self.live, self.free, self.e0, self.e1
         draw, full = rng.getrandbits, (1 << 2 * n) - 1
         out: List[int] = []
         try:
@@ -308,51 +317,34 @@ class Tableau:
                     live |= new
                     slot[p0], row_of[s] = s, p0
                     dm = (danti & live) | new
-                    # i-exponents of row * pivot (class docstring): t masks the
-                    # rows anticommuting with the pivot at q, dn the parity of
-                    # their -1s.
-                    lo = hi = dn = 0
-                    walk = px & ~pz  # pivot X
+                    # Parities of |z_r & x_p| and |x_r & z_p| per row r; chk reads
+                    # cx after the X walk, so it starts corrected for Y qubits.
+                    par, chk = 0, anti if (px & pz).bit_count() & 1 else 0
+                    walk = px
                     while walk:
                         bit = walk & -walk
                         walk ^= bit
                         q = bit.bit_length() - 1
-                        xc = cx[q]
-                        t = cz[q] & rest
-                        dn ^= xc & t
-                        cx[q] = xc ^ anti
+                        par ^= cz[q]
+                        cx[q] ^= anti
                         dX[q] ^= dm
-                        hi ^= lo & t
-                        lo ^= t
-                    walk = pz & ~px  # pivot Z
+                    walk = pz
                     while walk:
                         bit = walk & -walk
                         walk ^= bit
                         q = bit.bit_length() - 1
-                        zc = cz[q]
-                        t = cx[q] & rest
-                        dn ^= t & ~zc
-                        cz[q] = zc ^ anti
+                        chk ^= cx[q]
+                        cz[q] ^= anti
                         dZ[q] ^= dm
-                        hi ^= lo & t
-                        lo ^= t
-                    walk = px & pz  # pivot Y
-                    while walk:
-                        bit = walk & -walk
-                        walk ^= bit
-                        q = bit.bit_length() - 1
-                        xc, zc = cx[q], cz[q]
-                        t = (xc ^ zc) & rest
-                        dn ^= zc & t
-                        cx[q] = xc ^ anti
-                        cz[q] = zc ^ anti
-                        dX[q] ^= dm
-                        dZ[q] ^= dm
-                        hi ^= lo & t
-                        lo ^= t
-                    if lo:
+                    if (par ^ chk) & rest:
                         raise InconsistentOutcome("stabilizer rows do not commute")
-                    neg ^= hi ^ dn ^ (rest if (neg >> p0) & 1 else 0)
+                    # e_r += e_p + 2 |z_r & x_p| on the rows in rest
+                    if (e0 >> p0) & 1:
+                        e1 ^= e0 & rest
+                        e0 ^= rest
+                    if (e1 >> p0) & 1:
+                        par ^= rest
+                    e1 ^= par & rest
                     while rest:
                         bit = rest & -rest
                         rest ^= bit
@@ -365,36 +357,32 @@ class Tableau:
                         cx[q] ^= low
                     for q in zs:
                         cz[q] ^= low
-                    neg = (neg & ~low) | (low if outcome ^ flip else 0)
+                    # The pivot row becomes (-1)^(outcome ^ flip) op.
+                    e = (ox & oz).bit_count() + 2 * (outcome ^ flip)
+                    e0 = (e0 & ~low) | (low if e & 1 else 0)
+                    e1 = (e1 & ~low) | (low if e & 2 else 0)
                     out.append(outcome)
                     continue
                 # Deterministic: op is the signed product of the rows
                 # whose destabilizers anticommute with it.
                 m = danti & live
-                if not m:
-                    ax = az = phase = 0
-                else:
+                ax = az = phase = 0
+                while m:
                     bit = m & -m
                     m ^= bit
                     i = row_of[bit.bit_length() - 1]
-                    if not m:
-                        ax, az, phase = sx[i], sz[i], 2 * ((neg >> i) & 1)
-                    else:
-                        rows, rmask = [(sx[i], sz[i])], 1 << i
-                        while m:
-                            bit = m & -m
-                            m ^= bit
-                            i = row_of[bit.bit_length() - 1]
-                            rows.append((sx[i], sz[i]))
-                            rmask |= 1 << i
-                        (ax, az), phase = pauli.phase_product(rows)
-                        phase += 2 * (neg & rmask).bit_count()
-                if ax != ox or az != oz or phase % 2 != 0:
+                    x = sx[i]
+                    phase += ((e0 >> i) & 1) + 2 * ((e1 >> i) & 1)
+                    phase += 2 * (az & x).bit_count()
+                    ax ^= x
+                    az ^= sz[i]
+                phase -= (ox & oz).bit_count()
+                if ax != ox or az != oz or phase & 1:
                     raise InconsistentOutcome("deterministic measurement mismatch")
                 out.append(((phase >> 1) & 1) ^ flip)
         finally:
             self.dX, self.dZ = dX, dZ
-            self.live, self.free, self.neg = live, free, neg
+            self.live, self.free, self.e0, self.e1 = live, free, e0, e1
         return out
 
     def randomize(self, rng: random.Random) -> None:

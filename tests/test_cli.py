@@ -363,6 +363,25 @@ def test_build_custom_recolors_non_b_triangles(tmp_path):
     assert (data["n"], data["k"], data["r"], data["s"]) == (48, 2, 32, 14)
 
 
+@pytest.mark.parametrize("swap, calls", [({}, 1), ({"r": "b", "b": "r"}, 2)])
+def test_build_custom_validates_each_hypergraph_once(
+    tmp_path, monkeypatch, swap, calls
+):
+    """`custom` and `build_code` share one validate_H run per hypergraph: one
+    for a properly colored input, two when the input is recolored first."""
+    h = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2)).hypergraph
+    hjson = tmp_path / "h.json"
+    hjson.write_text(
+        hypergraph.to_json(h.recolored([swap.get(e.color, e.color) for e in h.edges]))
+    )
+    seen, validate = [], hypergraph.validate_H
+    monkeypatch.setattr(
+        hypergraph, "validate_H", lambda h: seen.append(h) or validate(h)
+    )
+    assert run(["build", str(hjson), "--pipeline", "custom"]) == 0
+    assert len(seen) == len({id(h) for h in seen}) == calls
+
+
 def _grid_json():
     from tscodes import embed_graph, lattices
 

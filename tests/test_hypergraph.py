@@ -7,6 +7,7 @@ import reference_hypergraph
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices
 from tscodes.errors import (
     BadFaceSize,
+    ColorMissing,
     MixedColorF,
     NotThreeEdgeColorable,
     UnclassifiedFace,
@@ -204,6 +205,20 @@ def test_link_table_counts(grid22):
     assert all(
         _is_zz(op) for lk, op in zip(h.links, h.link_ops) if lk.side is not None
     )
+
+
+def test_rank2_links_share_their_edge_operator(grid22):
+    """A rank-2 edge's link operator is the one object in ``edge_masks``;
+    an uncolored rank-2 edge has none, and its link raises ColorMissing."""
+    h, _ = th2_hypergraph(grid22)
+    for lk, op in zip(h.links, h.link_ops):
+        if lk.side is None:
+            assert op is h.edge_masks[lk.edge][1]
+    first = h.rank2_ids()[0]
+    bare = h.recolored([None if i == first else e.color for i, e in enumerate(h.edges)])
+    assert bare.edge_masks[first][1] is None
+    with pytest.raises(ColorMissing, match="has no color"):
+        bare.link_ops
 
 
 def test_link_table_single_triangle():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_tableau import ReferenceTableau, destab_of, stab_of
 from tscodes import gf2, pauli
-from tscodes.errors import BadParams, SizeMismatch
+from tscodes.errors import BadParams, InconsistentOutcome, SizeMismatch
 from tscodes.pauli import Pauli
 from tscodes.scheduler import Tableau, _randbelow
 
@@ -64,6 +64,38 @@ def test_tableau_matches_reference(program):
     outcomes = _run(fast, steps, rng_fast, randomize)
     assert outcomes == _run(ref, steps, rng_ref, randomize)
     _assert_same_state(fast, ref, rng_fast, rng_ref)
+
+
+@given(programs())
+@settings(max_examples=300, deadline=None)
+def test_stored_rows_stay_hermitian(program):
+    """In XZ form a row i^e X^x Z^z is Hermitian iff e = |x & z| mod 2:
+    after any gates and signed measurements, every row's e0 bit is the
+    parity of its Y count, and no plane has a bit above row n - 1."""
+    n, seed, randomize, steps = program
+    t = Tableau(n)
+    _run(t, steps, random.Random(seed), randomize)
+    assert t.e0 >> n == t.e1 >> n == 0
+    assert [(t.e0 >> i) & 1 for i in range(n)] == [
+        (x & z).bit_count() & 1 for x, z in zip(t.sx, t.sz)
+    ]
+
+
+@pytest.mark.parametrize("letter", ["Z", "Y"])
+def test_corrupted_column_raises_noncommuting_rows(letter):
+    """Pivot row 0 is Z0 or Y0; a corrupted cx[0] gives row 1 (Z1) an X on
+    qubit 0 that its stored row lacks, so the measurement multiplies row 1
+    by a pivot it anticommutes with.  The Y pivot's check reads cx[0] after
+    the X walk has flipped it."""
+    t = Tableau(2)
+    if letter == "Y":
+        t.apply_h(0)
+        t.apply_s(0)
+    assert stab_of(t)[0].to_string() == letter + "I"
+    t.cx[0] |= 0b10
+    op = Pauli.from_string("XX" if letter == "Z" else "ZZ")
+    with pytest.raises(InconsistentOutcome, match="^stabilizer rows do not commute$"):
+        t.measure(op, 1, random.Random(0))
 
 
 @st.composite
