@@ -8,11 +8,12 @@ cycle-basis vector gives its operator and marks the basis cycles through
 each edge, so G is checked to commute with L by bilinearity, link by link,
 over the edges at the link's two qubits.  Once G is checked to be the
 centralizer of L, the stabilizer (the center of G, whose test oracle is
-``pauli.center``) is G intersected with L, by one GF(2) elimination.  Each
-generator carries its cycle operator (``Generator.op``), derived once; the
+``pauli.center``) is G intersected with L, by one GF(2) elimination.  A
+colex's loop generators come from one pruned cycle walk.  Each generator
+carries its cycle operator (``Generator.op``), derived once; the
 stabilizer, dependency and schedule checks and the simulator read it.  The
-pipelines run the closed-form families and attach each
-closed form as ``predicted``; they do not compare it.  Theorems 2 and 3 are
+pipelines run the closed-form families and attach each closed form as
+``predicted``; they do not compare it.  Theorems 2 and 3 are
 one promotion routine: each builds its colex (the blown-up seed, or the
 blown-up dual of the seed's medial) and lists the faces to promote, the
 plain faces and the seed face each colex face stands for; the routine
@@ -106,42 +107,68 @@ def _cycle_vec(h: Hypergraph, sigma: int) -> int:
     return x | z << h.num_vertices
 
 
-# The largest face-cycle span whose 2^dim vectors the loop search lists.
-LOOP_SPAN_CAP = 18
+def _lightest_loop(h: Hypergraph, triv: gf2.Basis, rep: int) -> Optional[int]:
+    """The lightest simple cycle in rep + span(triv) whose r -> g -> b
+    grouped links pass the prefix rule, lowest edge mask first; or None.
+
+    On XX/YY/ZZ links the rule is local: an XX link commutes with every
+    earlier link, a ZZ link meets an odd X part at both qubits, and a YY
+    link anticommutes with the links before it iff just one of its qubits
+    carries an r cycle edge.  So a cycle passes iff the two cycle edges
+    beside each g edge (its flanks) share a color.  A cycle with no g edge
+    circles a face, so each cycle is walked from its lowest g edge e0 =
+    (u, v), in rounds of growing length: a path is cut once its length plus
+    its BFS distance to u exceeds the round; the least such sum is next."""
+    color, rows = [e.color for e in h.edges], h.incidence_rows()
+    nbrs = [[(e, sum(h.edges[e].vertices) - v, color[e]) for e in h.incident_edges(v)]
+            for v in range(h.num_vertices)]
+    starts = []
+    for e0 in (e for e, c in enumerate(color) if c == "g"):
+        u, v = h.edges[e0].vertices
+        dist, queue = {u: 0}, [u]
+        for x in queue:  # breadth first: the queue grows as it is read
+            for _, y, _ in nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        starts.append((e0, u, v, dist))
+    size, found = 2, []
+    while size and not found:
+        cut = set()
+        for e0, u, v, dist in starts:
+            # (vertex, edge in, next edge's color, e0's flank at u, length, edges)
+            stack = [(v, e0, c, c, 1, 1 << e0) for c in "rb"]
+            while stack:
+                x, last, need, close, steps, mask = stack.pop()
+                if steps + dist[x] > size:
+                    cut.add(steps + dist[x])
+                    continue
+                for e, y, c in nbrs[x]:
+                    if need and c != need or c == "g" and e < e0:
+                        continue
+                    if y == u and c == close and steps + 1 == size:
+                        if triv.contains(mask ^ 1 << e ^ rep):
+                            found.append(mask | 1 << e)
+                    elif not mask & rows[y]:
+                        nxt = color[last] if c == "g" else None
+                        stack.append((y, e, nxt, close, steps + 1, mask | 1 << e))
+        size = min(cut, default=0)
+    return min(found, default=None)
 
 
 def _completion_loops(
     h: Hypergraph, triv: gf2.Basis, cycles: Sequence[int]
-) -> List[hypergraph.FaceCycle]:
-    """Rank-2 loop generators completing the face-cycle span.
-
-    Searches each missing coset for a minimum-weight representative whose
-    r -> g -> b grouped links satisfy the prefix rule, so the loop can join
-    the measurement schedule.  Used for colexes whose stabilizer includes
-    cycles of nontrivial homology (no rank-3 edges), so every candidate is
-    a rank-2 cycle, nonzero as its coset is nontrivial, and its operator is
-    a product of link operators, so it lies in the gauge."""
-    out: List[hypergraph.FaceCycle] = []
-    work = triv.copy()
-    missing = [b for b in cycles if work.add(b)]
-    for rep in missing:
-        if triv.contains(rep):
-            continue
-        if triv.dim > LOOP_SPAN_CAP:
-            raise QuotientTooLarge("face-cycle span too large for loop search")
-        span = gf2.span_vectors(triv.rows)
-        cands = sorted(
-            (rep ^ x for x in span), key=lambda m: (m.bit_count(), m)
-        )
-        for cand in cands:
-            loop = hypergraph.rank2_cycle(h, "loop2", gf2.bits(cand))
-            if pauli.first_bad_prefix([h.link_ops[i] for i in loop.links]) is None:
-                break
-        else:
-            raise GaugeMismatch("no schedulable loop closes the stabilizer span")
-        out.append(loop)
-        triv.add(loop.cycle)
-    return out
+) -> Iterator[hypergraph.FaceCycle]:
+    """Rank-2 loops closing the face-cycle span ``triv`` of a colex with no
+    rank-3 edges to the stabilizer: each missing coset's ``_lightest_loop``,
+    added to ``triv`` as it is found.  A loop is a product of links: gauge."""
+    for rep in cycles:
+        if not triv.contains(rep):
+            cand = _lightest_loop(h, triv, rep)
+            if cand is None:
+                raise GaugeMismatch("no schedulable loop closes the stabilizer span")
+            triv.add(cand)
+            yield hypergraph.rank2_cycle(h, "loop2", gf2.bits(cand))
 
 
 def _anticommuting_cycles(
@@ -225,10 +252,8 @@ def build_code(h: Hypergraph) -> SubsystemCode:
                 found.append((fid, fc))
                 triv.add(fc.cycle)
         if triv.dim < s and not h.rank3_ids():
-            # Cycles of nontrivial homology are stabilizers too; look for
-            # schedulable loop representatives.
-            for fc in _completion_loops(h, triv, cycles.basis):
-                found.append((None, fc))
+            # Cycles of nontrivial homology are stabilizers too.
+            found += [(None, fc) for fc in _completion_loops(h, triv, cycles.basis)]
     generators = [
         Generator(
             gid, fid, fc.kind, fc.cycle, fc.links, pauli.cycle_operator(h, fc.cycle)

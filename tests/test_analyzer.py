@@ -4,6 +4,7 @@ import pytest
 
 import reference_contraction
 import reference_distance
+import reference_loops
 import reference_pauli
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices, pauli
 from tscodes.errors import (
@@ -469,6 +470,59 @@ def test_colex_code_of_square_octagon():
     assert code.k == 0
     assert code.generators_complete
     assert code.s == code.cycles.dim
+
+
+# Colexes whose face-cycle span the listing oracle can still enumerate.
+LOOP_ORACLE_COLEXES = {
+    "honeycomb-3x3": lambda: colex.validate_colex(lattices.honeycomb_torus(3, 3)),
+    "honeycomb-3x6": lambda: colex.validate_colex(lattices.honeycomb_torus(3, 6)),
+    "honeycomb-6x3": lambda: colex.validate_colex(lattices.honeycomb_torus(6, 3)),
+    "lattice-4-8-2x2": lambda: colex.construct_A(lattices.torus_grid(2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_ORACLE_COLEXES))
+def test_loops_match_the_span_listing_oracle(name):
+    """The cycle walk picks the loop the 2^dim listing picks in every coset:
+    the lightest passing vector, lowest edge mask first."""
+    code = analyzer.colex_code(LOOP_ORACLE_COLEXES[name]())
+    faces = gf2.Basis(g.cycle for g in code.generators if g.kind != "loop2")
+    want = reference_loops._completion_loops(
+        code.hypergraph, faces, code.cycles.basis
+    )
+    got = [(g.cycle, g.links) for g in code.generators if g.kind == "loop2"]
+    assert got == [(fc.cycle, fc.links) for fc in want]
+    assert len(got) == 2 and code.generators_complete
+
+
+def test_flank_rule_is_the_prefix_rule(honeycomb_code):
+    """A cycle-space vector's r -> g -> b grouped links pass the prefix rule
+    iff the two cycle edges beside each of its g edges share a color.  On a
+    bipartite colex the g edges whose flanks differ come in even numbers, so
+    the walk's flank check at its start edge only prunes."""
+    h = honeycomb_code.hypergraph
+    vectors = gf2.span_vectors(honeycomb_code.cycles.basis)
+    assert len(vectors) == 1024
+    passing = 0
+    for sigma in vectors:
+        edges = gf2.bits(sigma)
+
+        def flank(v, g):
+            (e,) = [e for e in h.incident_edges(v) if e != g and sigma >> e & 1]
+            return h.edges[e].color
+
+        bad = sum(
+            flank(a, g) != flank(b, g)
+            for g in edges
+            if h.edges[g].color == "g"
+            for a, b in [h.edges[g].vertices]
+        )
+        links = hg.rank2_cycle(h, "loop2", edges).links
+        prefix_ok = pauli.first_bad_prefix([h.link_ops[i] for i in links]) is None
+        assert (bad == 0) == prefix_ok, f"{sigma:#x}"
+        assert bad % 2 == 0, f"{sigma:#x}"
+        passing += prefix_ok
+    assert 1 < passing < 1024
 
 
 def test_pipelines_on_parallel_edge_sphere_seed(predicted):

@@ -189,6 +189,21 @@ def test_schedule_honeycomb_relaxed(tmp_path):
     assert json.loads(out.read_text())["time_steps"] == 3
 
 
+def test_honeycomb_6x6_custom_verifies_and_schedules(tmp_path):
+    # Its face-cycle span has dim 35; the two loops come from the cycle walk.
+    hc, rep = tmp_path / "hc.json", tmp_path / "r.json"
+    assert run(["gen", "honeycomb-torus", "6", "6", "--out", str(hc)]) == 0
+    assert run(["verify", str(hc), "--pipeline", "custom", "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["verified"] is True
+    for model in ("relaxed", "exclusive"):
+        out = tmp_path / f"{model}.json"
+        argv = ["schedule", str(hc), "--pipeline", "custom", "--model", model,
+                "--trials", "3", "--out", str(out)]
+        assert run(argv) == 0
+        sim = json.loads(out.read_text())["simulation"]
+        assert sim["agreement"] == sim["direct_agreement"] == 1.0
+
+
 def test_export_colex_colors(tmp_path):
     hc = tmp_path / "hc.json"
     out = tmp_path / "hc.dot"

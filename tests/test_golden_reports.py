@@ -366,6 +366,20 @@ COLEX_STRUCTURE_GOLDEN = {
         lambda: colex.construct_A(lattices.torus_grid(2, 2)),
         "a6f8931f02cadd1612ebd651905ec7c599aec45d2e305bfc0f0c717cd7192e64",
     ),
+    # Face-cycle spans too large to list (dim 35, 23 and 27); taken from
+    # the pruned cycle walk that finds their loops.
+    "honeycomb-6x6": (
+        lambda: colex.validate_colex(lattices.honeycomb_torus(6, 6)),
+        "12f9707900016a90816b981790446e8d666b32182b0453ac92503df0b9f8f3cb",
+    ),
+    "lattice-4-6-12-2x2": (
+        lambda: colex.construct_A(lattices.triangular_torus(2, 2)),
+        "8af3bf72abb12ea98c60cb186685685620eab800f890099c409a23c5ad62744a",
+    ),
+    "petersen-blowup": (
+        lambda: colex.construct_A(lattices.petersen_graph()),
+        "6d9a441fbd02a71e40d166bf7a873f4324ecd4d67a4a8b0a696d73670be181ce",
+    ),
 }
 
 

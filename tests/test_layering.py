@@ -48,6 +48,12 @@
   come back (it is the oracle in `tests/reference_pauli.py`).
 - `gf2.kernel` reverses its rows through their set bits and formats no bit
   string.
+- A colex's loop generators come from one pruned cycle walk
+  (`analyzer._lightest_loop`, which checks the prefix rule edge by edge as
+  the flank rule), so the retired `LOOP_SPAN_CAP` does not come back, and
+  neither the walk nor `_completion_loops` lists a span (`span_vectors`),
+  gives up on a large one (`QuotientTooLarge`) or tries candidates against
+  `first_bad_prefix`.
 """
 
 import ast
@@ -71,6 +77,7 @@ RETIRED = {
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
     "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
+    "LOOP_SPAN_CAP",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -128,6 +135,17 @@ def test_distance_bound_enumerates_no_span():
     ]
     bad = [f"line {line}" for line, name in _names(fn) if name == "span_vectors"]
     assert not bad, "distance_bound names span_vectors: " + "; ".join(bad)
+
+
+def test_loop_search_walks_cycles():
+    defs = _defs("analyzer")
+    bad = [
+        f"{name} line {line}: {ident}"
+        for name in ("_completion_loops", "_lightest_loop")
+        for line, ident in _names(defs[name])
+        if ident in ("span_vectors", "QuotientTooLarge", "first_bad_prefix")
+    ]
+    assert not bad, "the loop search lists or caps a span: " + "; ".join(bad)
 
 
 def _defs(module):
