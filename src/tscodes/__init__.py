@@ -52,7 +52,6 @@ from .hypergraph import (
 from .pauli import (
     Pauli,
     center,
-    centralizer,
     commutes,
     cycle_operator,
     first_bad_prefix,

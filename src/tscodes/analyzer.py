@@ -6,24 +6,26 @@ the only place that layout appears.  ``Pauli`` is not used here.  G comes
 from the link table's operators (``Hypergraph.link_ops``).  One walk per
 cycle-basis vector gives its operator and marks the basis cycles through
 each edge, so G is checked to commute with L by bilinearity, link by link,
-over the edges at the link's two qubits.  Once G is checked to be the
-centralizer of L, the stabilizer (the center of G, whose test oracle is
-``pauli.center``) is G intersected with L, by one GF(2) elimination.  A
-colex's loop generators come from one pruned cycle walk.  Each generator
-carries its cycle operator (``Generator.op``), derived once; the
-stabilizer, dependency and schedule checks and the simulator read it.  The
-pipelines run the closed-form families and attach each closed form as
-``predicted``; they do not compare it.  Theorems 2 and 3 are
-one promotion routine: each builds its colex (the blown-up seed, or the
-blown-up dual of the seed's medial) and lists the faces to promote, the
-plain faces and the seed face each colex face stands for; the routine
-classes the faces by the seed-face 2-coloring (delta = 1), promotes and
-builds the code.  The third family is the dual expansion of a 2-colex.
-The checks return what they find (flags plus the first failing identity or
-cycle as a witness) and raise only on a usage error, so the caller turns
-their verdicts into a verified flag and an exit code.  The distinctness
-check reads the contracted degrees and, for a 6-valent code, the source
-colex with its promoted edges contracted.
+over the edges at the link's two qubits.  Once G is checked to be C(L),
+the operators commuting with L, the stabilizer S (the center of G, whose
+test oracle is ``pauli.center``) is G intersected with L, by one GF(2)
+elimination, and C(S) = G + L.  A colex's loop generators come from one
+pruned cycle walk.  Each generator carries its cycle operator
+(``Generator.op``), derived once, and the code keeps the operator of each
+quotient cycle (``quotient_ops``) from the cycle-basis walk; the
+stabilizer, dependency, lemma and schedule checks, the exact distance and
+the simulator read them and walk no cycle again.  The pipelines run the
+closed-form families and attach each closed form as ``predicted``; they do
+not compare it.  Theorems 2 and 3 are one promotion routine: each builds
+its colex (the blown-up seed, or the blown-up dual of the seed's medial)
+and lists the faces to promote, the plain faces and the seed face each
+colex face stands for; the routine classes the faces by the seed-face
+2-coloring (delta = 1), promotes and builds the code.  The third family is
+the dual expansion of a 2-colex.  The checks return what they find (flags
+plus the first failing identity or cycle as a witness) and raise only on a
+usage error, so the caller turns their verdicts into a verified flag and
+an exit code.  The distinctness check reads the contracted degrees and,
+for a 6-valent code, the source colex with its promoted edges contracted.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ class SubsystemCode:
     generators: Tuple[Generator, ...]
     trivial: gf2.Basis  # span of the generator cycles; read only
     quotient: Tuple[int, ...]  # cycle-basis vectors extending it to the cycle space
+    quotient_ops: Tuple[int, ...]  # W of each quotient cycle, x | z << n
     predicted: Optional[dict] = None
     pipeline: Optional[PipelineData] = None
 
@@ -101,13 +104,13 @@ class SubsystemCode:
         return self.hypergraph.faces is None
 
 
-def _cycle_vec(h: Hypergraph, sigma: int) -> int:
-    """W(sigma) in the x | z << n layout of the gauge and stabilizer spans."""
-    x, z = pauli.cycle_operator(h, sigma)
-    return x | z << h.num_vertices
-
-
-def _lightest_loop(h: Hypergraph, triv: gf2.Basis, rep: int) -> Optional[int]:
+def _lightest_loop(
+    nbrs: Sequence[Sequence[Tuple[int, int, str]]],
+    starts: Sequence[Tuple[int, int, int, Dict[int, int]]],
+    rows: Sequence[int],
+    triv: gf2.Basis,
+    rep: int,
+) -> Optional[int]:
     """The lightest simple cycle in rep + span(triv) whose r -> g -> b
     grouped links pass the prefix rule, lowest edge mask first; or None.
 
@@ -118,28 +121,17 @@ def _lightest_loop(h: Hypergraph, triv: gf2.Basis, rep: int) -> Optional[int]:
     beside each g edge (its flanks) share a color.  A cycle with no g edge
     circles a face, so each cycle is walked from its lowest g edge e0 =
     (u, v), in rounds of growing length: a path is cut once its length plus
-    its BFS distance to u exceeds the round; the least such sum is next."""
-    color, rows = [e.color for e in h.edges], h.incidence_rows()
-    nbrs = [[(e, sum(h.edges[e].vertices) - v, color[e]) for e in h.incident_edges(v)]
-            for v in range(h.num_vertices)]
-    starts = []
-    for e0 in (e for e, c in enumerate(color) if c == "g"):
-        u, v = h.edges[e0].vertices
-        dist, queue = {u: 0}, [u]
-        for x in queue:  # breadth first: the queue grows as it is read
-            for _, y, _ in nbrs[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        starts.append((e0, u, v, dist))
+    its BFS distance to u exceeds the round; the least such sum is next.
+    ``nbrs``, ``starts`` and the incidence ``rows`` do not depend on the
+    coset: see ``_completion_loops``."""
     size, found = 2, []
     while size and not found:
         cut = set()
         for e0, u, v, dist in starts:
-            # (vertex, edge in, next edge's color, e0's flank at u, length, edges)
-            stack = [(v, e0, c, c, 1, 1 << e0) for c in "rb"]
+            # (vertex, color in, next edge's color, e0's flank at u, length, edges)
+            stack = [(v, "g", c, c, 1, 1 << e0) for c in "rb"]
             while stack:
-                x, last, need, close, steps, mask = stack.pop()
+                x, came, need, close, steps, mask = stack.pop()
                 if steps + dist[x] > size:
                     cut.add(steps + dist[x])
                     continue
@@ -150,8 +142,8 @@ def _lightest_loop(h: Hypergraph, triv: gf2.Basis, rep: int) -> Optional[int]:
                         if triv.contains(mask ^ 1 << e ^ rep):
                             found.append(mask | 1 << e)
                     elif not mask & rows[y]:
-                        nxt = color[last] if c == "g" else None
-                        stack.append((y, e, nxt, close, steps + 1, mask | 1 << e))
+                        nxt = came if c == "g" else None
+                        stack.append((y, c, nxt, close, steps + 1, mask | 1 << e))
         size = min(cut, default=0)
     return min(found, default=None)
 
@@ -161,10 +153,27 @@ def _completion_loops(
 ) -> Iterator[hypergraph.FaceCycle]:
     """Rank-2 loops closing the face-cycle span ``triv`` of a colex with no
     rank-3 edges to the stabilizer: each missing coset's ``_lightest_loop``,
-    added to ``triv`` as it is found.  A loop is a product of links: gauge."""
+    added to ``triv`` as it is found.  A loop is a product of links: gauge.
+    The walk's neighbour table and the BFS distances from each g edge's
+    first vertex are built once, for every coset."""
+    edges = h.edges
+    nbrs = [
+        [(e, sum(edges[e].vertices) - v, edges[e].color) for e in h.incident_edges(v)]
+        for v in range(h.num_vertices)
+    ]
+    starts = []
+    for e0 in (e for e, edge in enumerate(edges) if edge.color == "g"):
+        u, v = edges[e0].vertices
+        dist, queue = {u: 0}, [u]
+        for x in queue:  # breadth first: the queue grows as it is read
+            for _, y, _ in nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        starts.append((e0, u, v, dist))
     for rep in cycles:
         if not triv.contains(rep):
-            cand = _lightest_loop(h, triv, rep)
+            cand = _lightest_loop(nbrs, starts, h.incidence_rows(), triv, rep)
             if cand is None:
                 raise GaugeMismatch("no schedulable loop closes the stabilizer span")
             triv.add(cand)
@@ -196,7 +205,8 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     span (the commutation half by bilinearity, ``_anticommuting_cycles``),
     takes the stabilizer as their intersection and checks the
     over-determined parameter identities.  Each generator gets its cycle
-    operator ``op`` here, checked to lie in the stabilizer.
+    operator ``op`` here, checked to lie in the stabilizer, and the cycle
+    basis walk keeps the operator of each quotient cycle (``quotient_ops``).
     """
     rep = h.validation
     if not rep.all_ok:
@@ -212,7 +222,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     # its edges e (kernel vectors are cycles and link_ops saw every color).
     edge_ops = [op for _, op in h.edge_masks]
     uses = [0] * h.num_edges
-    lspan = gf2.Basis()
+    ops: List[int] = []
     for j, sigma in enumerate(cycles.basis):
         bit, x, z = 1 << j, 0, 0
         for e in gf2.bits(sigma):
@@ -220,7 +230,8 @@ def build_code(h: Hypergraph) -> SubsystemCode:
             x ^= ex
             z ^= ez
             uses[e] |= bit
-        lspan.add(x | z << n)
+        ops.append(x | z << n)
+    lspan = gf2.Basis(ops)
     if lspan.dim != cycles.dim:
         raise GaugeMismatch("cycle operators are not independent")
     # Gauge group = centralizer of the cycle-operator span.
@@ -264,7 +275,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
         if not stab.contains(g.op[0] | g.op[1] << n):
             raise GaugeMismatch(f"generator {g.gid} is not a stabilizer")
     work = triv.copy()
-    quotient = tuple(b for b in cycles.basis if work.add(b))
+    ext = [j for j, b in enumerate(cycles.basis) if work.add(b)]
     return SubsystemCode(
         n=n,
         k=k,
@@ -276,7 +287,8 @@ def build_code(h: Hypergraph) -> SubsystemCode:
         cycles=cycles,
         generators=tuple(generators),
         trivial=triv,
-        quotient=quotient,
+        quotient=tuple(cycles.basis[j] for j in ext),
+        quotient_ops=tuple(ops[j] for j in ext),
     )
 
 
@@ -420,25 +432,19 @@ def colex_code(cx: TwoColex) -> SubsystemCode:
 
 
 def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
+    """The 2^{2k} - 1 nonzero quotient combinations, the one with bit i of
+    its index taking quotient cycle i (the order of ``gf2.span_vectors``)."""
     if not code.generators_complete:
         raise GaugeMismatch(
             "canonical generators do not span the stabilizer; coset "
             "enumeration needs a pipeline-built code"
         )
-    ext = code.quotient
-    q = len(ext)
+    q = len(code.quotient)
     if q != 2 * code.k:
         raise GaugeMismatch(f"quotient dim {q} != 2k = {2 * code.k}")
     if q > cap:
         raise QuotientTooLarge(f"quotient dimension {q} exceeds cap {cap}")
-    reps = []
-    for combo in range(1, 1 << q):
-        v = 0
-        for i in range(q):
-            if (combo >> i) & 1:
-                v ^= ext[i]
-        reps.append(v)
-    return reps
+    return gf2.span_vectors(code.quotient)[1:]
 
 
 def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> Optional[int]:
@@ -480,24 +486,29 @@ def nontrivial_cycle_checks(
 ) -> NontrivialReport:
     """Whether every nontrivial coset representative has a rank-3 edge and
     its cycle operator lies outside the gauge span, and whether trivial
-    cycles land in the stabilizer (the Suchara-Bravyi-Terhal lemma)."""
-    h = code.hypergraph
-    r3 = h.rank3_mask()
+    cycles land in the stabilizer (the Suchara-Bravyi-Terhal lemma).
+
+    W is linear, so a representative's operator is the XOR of the
+    ``quotient_ops`` its index picks, in ``_coset_reps``' order, and the
+    trivial half reads each ``Generator.op``: the generator cycles span the
+    trivial ones.  No cycle is walked."""
+    r3 = code.hypergraph.rank3_mask()
     reps = _coset_reps(code, coset_cap)
+    ops = gf2.span_vectors(code.quotient_ops)[1:]
     witness = None
     all_r3 = none_in_gauge = trivs_ok = True
-    for rep in reps:
+    for rep, w in zip(reps, ops):
         if rep & r3 == 0:
             all_r3 = False
             witness = witness or f"nontrivial cycle {rep:#x} has no rank-3 edge"
-        if code.gauge.contains(_cycle_vec(h, rep)):
+        if code.gauge.contains(w):
             none_in_gauge = False
             witness = witness or f"nontrivial cycle {rep:#x} lies in the gauge"
-    for sigma in code.trivial.rows:
-        w = _cycle_vec(h, sigma)
+    for g in code.generators:
+        w = g.op[0] | g.op[1] << code.n
         if not (code.gauge.contains(w) and code.stabilizer.contains(w)):
             trivs_ok = False
-            witness = witness or f"trivial cycle {sigma:#x} escapes the stabilizer"
+            witness = witness or f"trivial cycle {g.cycle:#x} escapes the stabilizer"
     return NontrivialReport(len(reps), all_r3, none_in_gauge, trivs_ok, witness)
 
 
@@ -650,11 +661,15 @@ EXACT_MAX_DIM = 24
 def exact_distance(code: SubsystemCode) -> Optional[int]:
     """Brute-force min weight over C(S) minus the gauge span; None when the
     instance exceeds the enumeration gate, or when k = 0: then dim C(S) -
-    dim G = 2k = 0, so C(S) = G and no vector lies outside the gauge."""
+    dim G = 2k = 0, so C(S) = G and no vector lies outside the gauge.
+
+    C(S) = G + L, and L is W(trivial cycles) + span(``quotient_ops``) with
+    W(trivial cycles) inside S, so the gauge rows and the quotient operators
+    span C(S)."""
     if code.k == 0 or code.n > EXACT_MAX_N:
         return None
     n = code.n
-    cs = pauli.centralizer(code.stabilizer, n)
+    cs = gf2.Basis([*code.gauge.rows, *code.quotient_ops])
     if cs.dim > EXACT_MAX_DIM:
         return None
     best = None

@@ -96,14 +96,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# input kind -> (the module that reads and renders it, its hypergraph)
+KINDS = {
+    "graph": (embed_graph, hypergraph.from_graph),
+    "colex": (colex, hypergraph.from_colex),
+    "hypergraph": (hypergraph, lambda h: h),
+}
+
+
 def _custom_code(data: dict, kind: str) -> analyzer.SubsystemCode:
     """Any input kind, validated against H1-H4 and colored if needed."""
-    if kind == "hypergraph":
-        h = hypergraph.from_json_dict(data)
-    elif kind == "colex":
-        h = hypergraph.from_colex(colex.from_json_dict(data))
-    else:
-        h = hypergraph.from_graph(embed_graph.from_json_dict(data))
+    module, to_hypergraph = KINDS[kind]
+    h = to_hypergraph(module.from_json_dict(data))
     rep = h.validation
     if not rep.all_ok:
         raise BadParams(f"input violates H1-H4: {rep.first_failure()}")
@@ -237,14 +241,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     data = _load_json(args.input)
-    kind = _sniff(data)
-    if kind == "graph":
-        text = embed_graph.to_dot(embed_graph.from_json_dict(data))
-    elif kind == "colex":
-        text = colex.to_dot(colex.from_json_dict(data))
-    else:
-        text = hypergraph.to_dot(hypergraph.from_json_dict(data))
-    _write(args.out, text)
+    module = KINDS[_sniff(data)][0]
+    _write(args.out, module.to_dot(module.from_json_dict(data)))
     return 0
 
 

@@ -709,24 +709,18 @@ def bridged_structure(h: Hypergraph, fid: int) -> Optional[FaceCycle]:
     for o in sorted(outward):
         if o in seen:
             continue
-        e1 = unique_colored(o, "r")
-        if e1 is None:
-            return None
-        rhat = next(v for v in h.edges[e1].vertices if v != o)
-        e2 = unique_colored(rhat, "b", avoid=e1)
-        if e2 is None:
-            return None
-        rhat2 = next(v for v in h.edges[e2].vertices if v != rhat)
-        e3 = unique_colored(rhat2, "r", avoid=e2)
-        if e3 is None:
-            return None
-        o2 = next(v for v in h.edges[e3].vertices if v != rhat2)
-        if o2 not in outward or o2 in seen:
+        e, end = -1, o
+        for color in "rbr":
+            e = unique_colored(end, color, avoid=e)
+            if e is None:
+                return None
+            end = next(v for v in h.edges[e].vertices if v != end)
+            sigma ^= 1 << e
+            links.append(e)
+        if end not in outward or end in seen:
             return None
         seen.add(o)
-        seen.add(o2)
-        sigma ^= (1 << e1) ^ (1 << e2) ^ (1 << e3)
-        links += (e1, e2, e3)
+        seen.add(end)
         paths += 1
     if paths != corners:
         return None
@@ -769,9 +763,9 @@ def bombin_hypergraph(colex: TwoColex) -> Hypergraph:
     """
     g = colex.graph
     fod = g.face_of_dart()
+    faces_at = [sorted({fod[d] for d in g.rotation[v]}) for v in range(g.num_vertices)]
     corners: Dict[Tuple[int, int], int] = {}
-    for v in range(g.num_vertices):
-        fs = sorted({fod[d] for d in g.rotation[v]})
+    for v, fs in enumerate(faces_at):
         if len(fs) != 3:
             raise UnclassifiedFace(f"vertex {v} does not meet three faces")
         for f in fs:
@@ -794,8 +788,7 @@ def bombin_hypergraph(colex: TwoColex) -> Hypergraph:
                     ("bombin_rank2", e, f),
                 )
             )
-    for v in range(g.num_vertices):
-        fs = sorted({fod[d] for d in g.rotation[v]})
+    for v, fs in enumerate(faces_at):
         edges.append(
             HEdge(
                 tuple(sorted(corners[(v, f)] for f in fs)),

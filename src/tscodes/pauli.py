@@ -7,8 +7,8 @@ signed ordered product, for ``build_schedule``'s signs) and
 ``first_bad_prefix`` (the prefix rule) work on them; ``link_operator`` reads
 each link's operator (``Hypergraph.link_ops``) off ``LINK_PAULI``, the one color ->
 Pauli table.  Spans are ``gf2.Basis`` objects over 2n-bit vectors laid out as
-x | (z << n); only ``centralizer`` and ``center`` read that layout.  The
-``Pauli`` dataclass is the API edge: string I/O, ``commutes``, the operators
+x | (z << n); only ``center`` reads that layout here.  The ``Pauli``
+dataclass is the API edge: string I/O, ``commutes``, the operators
 ``scheduler.Tableau`` measures (each decodes its ``support`` once) and the
 ``center`` test oracle.  Global phases are dropped except in
 ``phase_product`` (``scheduler.Tableau`` keeps its own, in XZ form).
@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .errors import ColorMissing, GaugeMismatch, NotACycle, SizeMismatch
+from .errors import ColorMissing, NotACycle, SizeMismatch
 
 _CHAR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS = {v: k for k, v in _CHAR.items()}
@@ -163,17 +163,6 @@ def cycle_operator(h, sigma: int) -> Tuple[int, int]:
     if uncolored is not None:
         raise ColorMissing(f"rank-2 edge {h.edges[uncolored].vertices} has no color")
     return x, z
-
-
-def centralizer(span: gf2.Basis, n: int) -> gf2.Basis:
-    """All phase-free Paulis commuting with an n-qubit span (both laid out
-    as x | z << n); dim = 2n - dim(span) by symplectic rank-nullity."""
-    low = (1 << n) - 1
-    swapped = [(v >> n) | ((v & low) << n) for v in span.rows]
-    out = gf2.Basis(gf2.kernel(swapped, 2 * n))
-    if out.dim != 2 * n - span.dim:
-        raise GaugeMismatch(f"dim centralizer {out.dim} != 2n - dim span {span.dim}")
-    return out
 
 
 def center(span: gf2.Basis, n: int) -> gf2.Basis:

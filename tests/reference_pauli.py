@@ -11,6 +11,10 @@ index.
 `tscodes.analyzer.build_code` ran over the dense cycle operators before it
 read each link's anticommuting cycles by bilinearity; the tests use it as
 the oracle for the link that check names.
+
+`centralizer` is the symplectic kernel that `tscodes.analyzer.exact_distance`
+took as C(S) before it read C(S) = G + L off the code's gauge rows and
+quotient operators; the tests require both to span the same space.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from tscodes import gf2, pauli
-from tscodes.errors import SizeMismatch
+from tscodes.errors import GaugeMismatch, SizeMismatch
 from tscodes.pauli import Pauli
 
 
@@ -97,4 +101,15 @@ def anticommuting_masks(
         for b in gf2.bits(pz):
             mask ^= by_z.get(b, 0)
         out.append(mask)
+    return out
+
+
+def centralizer(span: gf2.Basis, n: int) -> gf2.Basis:
+    """All phase-free Paulis commuting with an n-qubit span (both laid out
+    as x | z << n); dim = 2n - dim(span) by symplectic rank-nullity."""
+    low = (1 << n) - 1
+    swapped = [(v >> n) | ((v & low) << n) for v in span.rows]
+    out = gf2.Basis(gf2.kernel(swapped, 2 * n))
+    if out.dim != 2 * n - span.dim:
+        raise GaugeMismatch(f"dim centralizer {out.dim} != 2n - dim span {span.dim}")
     return out

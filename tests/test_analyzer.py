@@ -55,7 +55,7 @@ def test_stabilizer_equals_center_oracle(pipeline_codes, honeycomb_code, honeyco
 
 def test_gauge_is_centralizer_of_cycles(th2_22):
     n = th2_22.n
-    cent = pauli.centralizer(th2_22.gauge, n)
+    cent = reference_pauli.centralizer(th2_22.gauge, n)
     # dim C(G) = 2k + s, and every cycle operator lands inside it.
     assert cent.dim == 2 * th2_22.k + th2_22.s
     for sigma in th2_22.cycles.basis:
@@ -342,6 +342,69 @@ def test_nontrivial_cycle_checks(pipeline_codes):
         assert rep.trivials_in_stabilizer
 
 
+@pytest.fixture(scope="module")
+def quotient_codes(pipeline_codes, tri22_codes, honeycomb_code, honeycomb33_colex):
+    return {
+        **pipeline_codes,
+        "th3_tri22": tri22_codes["th3_tri22"],
+        "colex_hc33": honeycomb_code,
+        "bombin_hc33": analyzer.bombin_pipeline(honeycomb33_colex),
+    }
+
+
+def _walked(code, sigma):
+    x, z = pauli.cycle_operator(code.hypergraph, sigma)
+    return x | z << code.n
+
+
+def test_quotient_ops_are_the_walked_operators(quotient_codes):
+    """build_code keeps W of each quotient cycle from its cycle-basis walk,
+    and the lemma's coset operators, XORs of them, are the walked W of each
+    coset representative, in the same order."""
+    for name, code in quotient_codes.items():
+        want = [_walked(code, q) for q in code.quotient]
+        assert list(code.quotient_ops) == want, name
+        if code.generators_complete:
+            reps = analyzer._coset_reps(code, 20)
+            ops = gf2.span_vectors(code.quotient_ops)[1:]
+            assert ops == [_walked(code, rep) for rep in reps], name
+
+
+def test_gauge_and_quotient_ops_span_the_centralizer_of_s(quotient_codes):
+    """C(S) = G + L, read off the gauge rows and the quotient operators,
+    is the symplectic kernel of the stabilizer."""
+    for name, code in quotient_codes.items():
+        got = gf2.Basis([*code.gauge.rows, *code.quotient_ops])
+        want = reference_pauli.centralizer(code.stabilizer, code.n)
+        assert sorted(got.rows) == sorted(want.rows), name
+
+
+def test_post_build_checks_walk_no_cycle(quotient_codes, monkeypatch):
+    """Once built, the lemma and the exact distance read the code's spans
+    and operators: no cycle operator is walked and no kernel is taken."""
+    small = _repetition_code()
+
+    def refuse(*args):
+        raise AssertionError("a post-build check walked a cycle or took a kernel")
+
+    monkeypatch.setattr(pauli, "cycle_operator", refuse)
+    monkeypatch.setattr(gf2, "kernel", refuse)
+    for name, code in quotient_codes.items():
+        if code.k and code.generators_complete:
+            rep = analyzer.nontrivial_cycle_checks(code)
+            assert rep.witness is None and rep.cosets == (1 << 2 * code.k) - 1, name
+        assert analyzer.exact_distance(code) is None, name
+    assert analyzer.exact_distance(small) == 1
+
+
+def test_lemma_witness_names_the_escaping_generator(th2_22):
+    code = dataclasses.replace(th2_22, stabilizer=gf2.Basis())
+    rep = analyzer.nontrivial_cycle_checks(code)
+    assert not rep.trivials_in_stabilizer
+    first = code.generators[0].cycle
+    assert rep.witness == f"trivial cycle {first:#x} escapes the stabilizer"
+
+
 def test_distinctness_matrix(pipeline_codes):
     v = analyzer.distinctness_check(pipeline_codes["th2_22"])
     assert v.six_valent and v.simplified_is_colex and not v.distinct
@@ -408,12 +471,12 @@ def test_exact_distance_gate(th2_22):
     assert analyzer.exact_distance(th2_22) is None
 
 
-def test_exact_distance_small_code():
-    # The two-qubit repetition stabilizer <XX>: C(S) contains weight-1
-    # operators (X on either qubit) outside the gauge span.
+def _repetition_code():
+    """The two-qubit repetition stabilizer <XX> as its own gauge: C(S)
+    contains weight-1 operators (X on either qubit) outside the gauge span."""
     span = gf2.Basis([pauli.Pauli.from_string("XX").vec()])
     stab = pauli.center(span, 2)
-    code = analyzer.SubsystemCode(
+    return analyzer.SubsystemCode(
         n=2,
         k=1,
         r=0,
@@ -425,8 +488,16 @@ def test_exact_distance_small_code():
         generators=(),
         trivial=gf2.Basis(),
         quotient=(),
+        # C(S) = G + L: the operators XI and ZZ complete <XX> to C(S).
+        quotient_ops=(
+            pauli.Pauli.from_string("XI").vec(),
+            pauli.Pauli.from_string("ZZ").vec(),
+        ),
     )
-    assert analyzer.exact_distance(code) == 1
+
+
+def test_exact_distance_small_code():
+    assert analyzer.exact_distance(_repetition_code()) == 1
 
 
 def test_report_json_deterministic(th2_22):

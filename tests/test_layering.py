@@ -54,6 +54,13 @@
   neither the walk nor `_completion_loops` lists a span (`span_vectors`),
   gives up on a large one (`QuotientTooLarge`) or tries candidates against
   `first_bad_prefix`.
+- The checks that run on a built code read what `build_code` derived:
+  the lemma (`nontrivial_cycle_checks`) XORs the quotient cycles'
+  operators (`SubsystemCode.quotient_ops`) and reads each `Generator.op`,
+  and `exact_distance` spans C(S) = G + L from the gauge rows and those
+  operators.  Neither they nor `_coset_reps` call `cycle_operator` or take
+  a kernel, and the retired `_cycle_vec` and `pauli.centralizer` do not
+  come back (the latter is the oracle in `tests/reference_pauli.py`).
 """
 
 import ast
@@ -77,7 +84,7 @@ RETIRED = {
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
     "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
-    "LOOP_SPAN_CAP",
+    "LOOP_SPAN_CAP", "centralizer", "_cycle_vec",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -146,6 +153,17 @@ def test_loop_search_walks_cycles():
         if ident in ("span_vectors", "QuotientTooLarge", "first_bad_prefix")
     ]
     assert not bad, "the loop search lists or caps a span: " + "; ".join(bad)
+
+
+def test_post_build_checks_read_the_code():
+    defs = _defs("analyzer")
+    bad = [
+        f"{name} line {line}: {ident}"
+        for name in ("_coset_reps", "nontrivial_cycle_checks", "exact_distance")
+        for line, ident in _names(defs[name])
+        if ident in ("cycle_operator", "centralizer", "kernel")
+    ]
+    assert not bad, "a post-build check walks cycles: " + "; ".join(bad)
 
 
 def _defs(module):
