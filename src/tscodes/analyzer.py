@@ -26,6 +26,8 @@ plus the first failing identity or cycle as a witness) and raise only on a
 usage error, so the caller turns their verdicts into a verified flag and
 an exit code.  The distinctness check reads the contracted degrees and,
 for a 6-valent code, the source colex with its promoted edges contracted.
+The exact distance is ell's coset search, ``gf2.min_coset_weight``, run on
+doubled qubit weights.
 """
 
 from __future__ import annotations
@@ -652,34 +654,36 @@ def distinctness_check(code: SubsystemCode) -> DistinctnessVerdict:
     return DistinctnessVerdict(True, None, is_colex)
 
 
-# The enumeration gate of exact_distance: at most this many qubits and this
-# dimension of C(S).
+# The gate of exact_distance: at most this many qubits and this dimension of
+# C(S).
 EXACT_MAX_N = 16
 EXACT_MAX_DIM = 24
 
 
 def exact_distance(code: SubsystemCode) -> Optional[int]:
-    """Brute-force min weight over C(S) minus the gauge span; None when the
-    instance exceeds the enumeration gate, or when k = 0: then dim C(S) -
-    dim G = 2k = 0, so C(S) = G and no vector lies outside the gauge.
+    """The min weight over C(S) minus the gauge span; None when the instance
+    exceeds the gate, or when k = 0: then dim C(S) - dim G = 2k = 0, so
+    C(S) = G and no vector lies outside the gauge.
 
-    C(S) = G + L, and L is W(trivial cycles) + span(``quotient_ops``) with
-    W(trivial cycles) inside S, so the gauge rows and the quotient operators
-    span C(S)."""
-    if code.k == 0 or code.n > EXACT_MAX_N:
+    C(S) = G + span(``quotient_ops``), as W(trivial cycles) lies in S, so
+    the quotient operators independent of G pick one vector of each
+    nontrivial coset of G in C(S).  The qubit weight of x | z << n is half
+    the bit count of the linear image (x, z, x ^ z), so the distance is
+    half the least doubled weight over those cosets."""
+    n, k = code.n, code.k
+    if k == 0 or n > EXACT_MAX_N or code.gauge.dim + 2 * k > EXACT_MAX_DIM:
         return None
-    n = code.n
-    cs = gf2.Basis([*code.gauge.rows, *code.quotient_ops])
-    if cs.dim > EXACT_MAX_DIM:
-        return None
-    best = None
     low = (1 << n) - 1
-    for v in gf2.span_vectors(cs.rows):
-        if v == 0 or code.gauge.contains(v):
-            continue
-        w = ((v | v >> n) & low).bit_count()
-        best = w if best is None else min(best, w)
-    return best
+
+    def doubled(v: int) -> int:
+        return v | ((v ^ v >> n) & low) << 2 * n
+
+    work = code.gauge.copy()
+    reps = gf2.span_vectors([op for op in code.quotient_ops if work.add(op)])[1:]
+    best = gf2.min_coset_weight(
+        gf2.Basis(map(doubled, code.gauge.rows)), map(doubled, reps)
+    )
+    return None if best is None else best // 2
 
 
 def code_report(

@@ -6,7 +6,8 @@ the dual of a bipartite graph.  validate_colex 3-colors the faces of any
 trivalent embedding with ``_backtrack_color``, the package's one exact
 colorer (hypergraph.three_edge_color runs it on hyperedges).  The
 constructions read the seed's cached rotation successor/predecessor maps and
-number its darts with ``embed_graph.dart_index``.
+number its darts with ``embed_graph.dart_index``.  recover_bipartite reads
+the bipartite graph along one color off the faces, contracting nothing.
 
 Color conventions are fixed: construct_A assigns f-faces "r", e-faces "g",
 v-faces "b"; an edge always carries the color missing from its two faces.
@@ -297,36 +298,31 @@ class RecoveredBipartite:
 
 
 def recover_bipartite(colex: TwoColex, color: str) -> RecoveredBipartite:
-    """Shrink the faces of the chosen color and return the dual.
+    """The bipartite graph whose dual expansion is the colex, along the
+    chosen color, read off the faces.
 
-    Contracts every edge not carrying the chosen color (each chosen-color
-    face boundary collapses to a point), leaving a 2-face-colorable graph
-    whose dual is bipartite; the two vertex classes of the dual are the faces
-    of the two remaining colors.
+    One vertex per face of the two other colors, in ascending face id, and
+    one edge per edge of the chosen color, joining the two faces beside it;
+    each vertex orders its edges by its face's walk.  An edge's two faces
+    carry the two other colors, so the faces of each color form a class and
+    no edge is a loop.  This is the dual of the colex with every other edge
+    contracted, built without either step.
     """
     g = colex.graph
-    to_contract = [
-        e for e in range(g.num_edges) if colex.edge_color[e] != color
-    ]
-    contracted, _, emap = embed_graph.contract_and_drop_loops(g, to_contract)
-    # Each surviving face descends from a colex face of one remaining color.
-    inv_emap = {new: old for old, new in emap.items()}
-    colex_fod = g.face_of_dart()
-    others = [c for c in COLORS if c != color]
-    face_class: List[int] = []
-    for walk in contracted.faces:
-        cs = {
-            colex.face_color[colex_fod[(inv_emap[e], s)]] for (e, s) in walk
-        }
-        if len(cs) != 1 or cs.issubset({color}):
-            raise MalformedRotation("contracted face has mixed parent colors")
-        face_class.append(others.index(cs.pop()))
-    result = embed_graph.dual(contracted)
-    class0 = tuple(f for f in range(len(face_class)) if face_class[f] == 0)
-    class1 = tuple(f for f in range(len(face_class)) if face_class[f] == 1)
-    if embed_graph.is_bipartite(result) is None:
-        raise MalformedRotation("recovered graph is not bipartite")
-    return RecoveredBipartite(result, (class0, class1), (others[0], others[1]))
+    fod = g.face_of_dart()
+    others = tuple(c for c in COLORS if c != color)
+    kept = [f for f in range(g.num_faces) if colex.face_color[f] != color]
+    vertex = {f: i for i, f in enumerate(kept)}
+    chosen = [e for e in range(g.num_edges) if colex.edge_color[e] == color]
+    eid = {e: i for i, e in enumerate(chosen)}
+    edges = [(vertex[fod[(e, 0)]], vertex[fod[(e, 1)]]) for e in chosen]
+    rotation = [[(eid[e], s) for (e, s) in g.faces[f] if e in eid] for f in kept]
+    classes = tuple(
+        tuple(vertex[f] for f in kept if colex.face_color[f] == c) for c in others
+    )
+    return RecoveredBipartite(
+        embed_graph.build(len(kept), edges, rotation), classes, others
+    )
 
 
 def corollary2_check(colex: TwoColex) -> bool:

@@ -349,8 +349,7 @@ def contract_edges(g: EmbeddedGraph, edge_set: Sequence[int]) -> EmbeddedGraph:
     """Contract the given edges, splicing rotations at each merge.
 
     Raises LoopCreated if some requested edge has become a loop (the edge set
-    contained a cycle); callers that need to collapse whole cycles should use
-    contract_and_drop_loops.
+    contained a cycle).
     """
     targets = sorted(set(edge_set))
     if any(not (0 <= e < g.num_edges) for e in targets):
@@ -365,26 +364,6 @@ def contract_edges(g: EmbeddedGraph, edge_set: Sequence[int]) -> EmbeddedGraph:
         raise ContractionDisconnects("contracted away the whole graph")
     graph, _, _ = work.freeze()
     return graph
-
-
-def contract_and_drop_loops(
-    g: EmbeddedGraph, edge_set: Sequence[int]
-) -> Tuple[EmbeddedGraph, Dict[int, int], Dict[int, int]]:
-    """Contract edges, deleting any that become loops along the way.
-
-    Collapsing a cycle necessarily makes its last edge a loop; dropping the
-    loop keeps chi unchanged.  Returns (graph, vertex map, edge map) where the
-    maps send surviving old ids to new dense ids.
-    """
-    work = _MutableMap(g)
-    pending = sorted(edge_set)
-    for e in pending:
-        u, v = work.edges[e]
-        if u == v:
-            work.delete_edge(e)
-        else:
-            work.contract(e)
-    return work.freeze()
 
 
 def simplify_parallel(g: EmbeddedGraph) -> EmbeddedGraph:

@@ -1,22 +1,34 @@
-"""The triangle contraction that ``analyzer.distinctness_check`` replaced,
-kept as the oracle of a differential test.
+"""The contraction routes that ``analyzer.distinctness_check`` and
+``colex.recover_bipartite`` replaced, kept as the oracles of differential
+tests.
 
-It re-embeds the whole derived graph (each triangle drawn inside its
-promoted face, rotations spliced at every endpoint), contracts the three
-sides of every triangle, then simplifies parallel edges.  It is independent
-of the new path, which contracts the promoted edges of the source colex and
-counts degrees by union-find.  ``derived_embedding`` and the colex-backed
-branch of ``contract_rank3`` are the replaced code's, verbatim.
+The triangle contraction re-embeds the whole derived graph (each triangle
+drawn inside its promoted face, rotations spliced at every endpoint),
+contracts the three sides of every triangle, then simplifies parallel
+edges.  It is independent of the new path, which contracts the promoted
+edges of the source colex and counts degrees by union-find.
+``derived_embedding`` and the colex-backed branch of ``contract_rank3`` are
+the replaced code's, verbatim.
+
+The bipartite recovery contracts every colex edge not of the chosen color
+(dropping the loops that closing a face leaves), classes the surviving
+faces by their parent colors and dualizes; ``recover_bipartite`` reads the
+same graph off the colex faces.  ``contract_and_drop_loops`` (moved from
+``embed_graph``; ``contract_rank3`` calls it too) and
+``recover_bipartite`` are the replaced code's, verbatim.  A seed face that
+meets a vertex twice (the Petersen blow-up) makes a kept edge a loop, which
+``embed_graph.build`` rejects, so this route raises ``LoopEdge`` there.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from tscodes import colex as colex_mod
 from tscodes import embed_graph
-from tscodes.embed_graph import EmbeddedGraph
-from tscodes.errors import UnclassifiedFace
+from tscodes.colex import COLORS, RecoveredBipartite, TwoColex
+from tscodes.embed_graph import EmbeddedGraph, _MutableMap
+from tscodes.errors import MalformedRotation, UnclassifiedFace
 from tscodes.hypergraph import Hypergraph
 
 
@@ -105,7 +117,7 @@ def contract_rank3(h: Hypergraph) -> EmbeddedGraph:
     for k in range(len(h.rank3_ids())):
         base = n_rank2 + 3 * k
         to_contract.extend([base, base + 1, base + 2])
-    contracted, _, _ = embed_graph.contract_and_drop_loops(
+    contracted, _, _ = contract_and_drop_loops(
         demb, to_contract
     )
     return contracted
@@ -121,3 +133,56 @@ def distinctness(h: Hypergraph) -> Tuple[bool, Optional[bool], Tuple[int, ...], 
     simplified = embed_graph.simplify_parallel(contracted)
     is_colex = colex_mod.validate_colex(simplified) is not None
     return True, is_colex, degrees, simplified
+
+
+def contract_and_drop_loops(
+    g: EmbeddedGraph, edge_set: Sequence[int]
+) -> Tuple[EmbeddedGraph, Dict[int, int], Dict[int, int]]:
+    """Contract edges, deleting any that become loops along the way.
+
+    Collapsing a cycle necessarily makes its last edge a loop; dropping the
+    loop keeps chi unchanged.  Returns (graph, vertex map, edge map) where the
+    maps send surviving old ids to new dense ids.
+    """
+    work = _MutableMap(g)
+    pending = sorted(edge_set)
+    for e in pending:
+        u, v = work.edges[e]
+        if u == v:
+            work.delete_edge(e)
+        else:
+            work.contract(e)
+    return work.freeze()
+
+
+def recover_bipartite(colex: TwoColex, color: str) -> RecoveredBipartite:
+    """Shrink the faces of the chosen color and return the dual.
+
+    Contracts every edge not carrying the chosen color (each chosen-color
+    face boundary collapses to a point), leaving a 2-face-colorable graph
+    whose dual is bipartite; the two vertex classes of the dual are the faces
+    of the two remaining colors.
+    """
+    g = colex.graph
+    to_contract = [
+        e for e in range(g.num_edges) if colex.edge_color[e] != color
+    ]
+    contracted, _, emap = contract_and_drop_loops(g, to_contract)
+    # Each surviving face descends from a colex face of one remaining color.
+    inv_emap = {new: old for old, new in emap.items()}
+    colex_fod = g.face_of_dart()
+    others = [c for c in COLORS if c != color]
+    face_class: List[int] = []
+    for walk in contracted.faces:
+        cs = {
+            colex.face_color[colex_fod[(inv_emap[e], s)]] for (e, s) in walk
+        }
+        if len(cs) != 1 or cs.issubset({color}):
+            raise MalformedRotation("contracted face has mixed parent colors")
+        face_class.append(others.index(cs.pop()))
+    result = embed_graph.dual(contracted)
+    class0 = tuple(f for f in range(len(face_class)) if face_class[f] == 0)
+    class1 = tuple(f for f in range(len(face_class)) if face_class[f] == 1)
+    if embed_graph.is_bipartite(result) is None:
+        raise MalformedRotation("recovered graph is not bipartite")
+    return RecoveredBipartite(result, (class0, class1), (others[0], others[1]))

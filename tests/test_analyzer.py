@@ -1,6 +1,8 @@
 import dataclasses
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_contraction
 import reference_distance
@@ -498,6 +500,86 @@ def _repetition_code():
 
 def test_exact_distance_small_code():
     assert analyzer.exact_distance(_repetition_code()) == 1
+    assert reference_distance.exact_distance(_repetition_code()) == 1
+
+
+def _code_of(n, gauge, quotient_ops):
+    """A code with only the spans exact_distance reads: the gauge, its
+    center and the quotient operators, with (k, r, s) from the dimensions."""
+    stab = pauli.center(gauge, n)
+    work = gauge.copy()
+    two_k = sum(work.add(op) for op in quotient_ops)
+    return analyzer.SubsystemCode(
+        n=n,
+        k=two_k // 2,
+        r=(gauge.dim - stab.dim) // 2,
+        s=stab.dim,
+        hypergraph=None,
+        gauge=gauge,
+        stabilizer=stab,
+        cycles=None,
+        generators=(),
+        trivial=gf2.Basis(),
+        quotient=(),
+        quotient_ops=tuple(quotient_ops),
+    )
+
+
+@st.composite
+def gauge_group_codes(draw):
+    """A random gauge group G on at most 8 qubits, with S its center and
+    quotient operators that extend G to C(S), the oracle centralizer of S.
+    G is a random commuting set of up to n independent rows (so S can be
+    large and the distance exceed 1) plus up to two arbitrary rows.  A few
+    combinations of gauge rows and quotient operators go first, so some
+    operators repeat a coset or lie in G, as the quotient operators of a
+    code whose generators miss part of the stabilizer do."""
+    n = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=True))
+    low = (1 << n) - 1
+    commuting = gf2.Basis()
+    size = n - 1 - draw(st.integers(0, n - 1))
+    while commuting.dim < size:
+        v = rng.getrandbits(2 * n)
+        if all(gf2.dot(v, u >> n | (u & low) << n) == 0 for u in commuting.rows):
+            commuting.add(v)
+    wild = [rng.getrandbits(2 * n) for _ in range(draw(st.integers(0, 2)))]
+    gauge = gf2.Basis(commuting.rows + wild)
+    work = gauge.copy()
+    cs = reference_pauli.centralizer(pauli.center(gauge, n), n)
+    ops = [v for v in cs.rows if work.add(v)]
+    rows = [*gauge.rows, *ops]
+    picks = draw(st.lists(st.integers(0, (1 << len(rows)) - 1), max_size=3))
+    extra = [0] * len(picks)
+    for j, p in enumerate(picks):
+        for i in gf2.bits(p):
+            extra[j] ^= rows[i]
+    return _code_of(n, gauge, [*extra, *ops])
+
+
+@settings(max_examples=250, deadline=None)
+@given(gauge_group_codes())
+def test_exact_distance_matches_brute_force(code):
+    assert code.n == code.k + code.r + code.s
+    assert analyzer.exact_distance(code) == reference_distance.exact_distance(code)
+
+
+def test_exact_distance_at_the_gate():
+    """16 qubits and dim C(S) = 24, the largest instance the gate admits:
+    S = Z_0 .. Z_7, gauge qubits 8-13, logical qubits 14 and 15.  Listing
+    C(S) visits 2^24 vectors; the coset search answers at once."""
+    n = 16
+    gauge = gf2.Basis(
+        [1 << n + q for q in range(8)]
+        + [1 << q for q in range(8, 14)]
+        + [1 << n + q for q in range(8, 14)]
+    )
+    code = _code_of(n, gauge, [1 << 14, 1 << n + 14, 1 << 15, 1 << n + 15])
+    assert (code.n, code.k, code.r, code.s) == (16, 2, 6, 8)
+    assert code.gauge.dim + 2 * code.k == analyzer.EXACT_MAX_DIM
+    start = time.perf_counter()
+    assert analyzer.exact_distance(code) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_report_json_deterministic(th2_22):

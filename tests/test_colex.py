@@ -2,14 +2,28 @@ import json
 
 import pytest
 
+import reference_contraction
 from tscodes import colex, embed_graph as eg, lattices
-from tscodes.errors import MissingParentage, NotBipartite
+from tscodes.errors import LoopEdge, MissingParentage, NotBipartite
 
 SEEDS = {
     "theta": lattices.theta_graph(),
     "grid22": lattices.torus_grid(2, 2),
     "grid33": lattices.torus_grid(3, 3),
     "tri22": lattices.triangular_torus(2, 2),
+    "petersen": lattices.petersen_graph(),  # genus 2
+}
+
+COLEXES = {
+    "honeycomb33": colex.validate_colex(lattices.honeycomb_torus(3, 3)),
+    "honeycomb36": colex.validate_colex(lattices.honeycomb_torus(3, 6)),
+    "A_grid22": colex.construct_A(SEEDS["grid22"]),
+    "A_grid33": colex.construct_A(SEEDS["grid33"]),
+    "A_tri22": colex.construct_A(SEEDS["tri22"]),
+    "A_theta": colex.construct_A(SEEDS["theta"]),
+    "A_petersen": colex.construct_A(SEEDS["petersen"]),
+    "c1_grid22": colex.construct_1(lattices.torus_grid(2, 2)),
+    "c1_grid44": colex.construct_1(lattices.torus_grid(4, 4)),
 }
 
 
@@ -134,6 +148,56 @@ def test_recover_all_colors_bipartite(grid22):
     for color in colex.COLORS:
         rec = colex.recover_bipartite(c, color)
         assert eg.is_bipartite(rec.graph) is not None
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_recover_blowup_all_colors_bipartite(name):
+    c = colex.construct_A(SEEDS[name])
+    for color in colex.COLORS:
+        rec = colex.recover_bipartite(c, color)
+        assert rec.graph.chi == c.graph.chi
+        # The classes cover the vertices and every edge joins the two.
+        side = {v: i for i, cls in enumerate(rec.classes) for v in cls}
+        assert len(side) == rec.graph.num_vertices
+        assert all(side[u] != side[v] for u, v in rec.graph.edges)
+
+
+def _class_degrees(rec):
+    return [sorted(rec.graph.degree(v) for v in cls) for cls in rec.classes]
+
+
+@pytest.mark.parametrize(
+    "name, color",
+    [
+        (name, color)
+        for name in COLEXES
+        for color in colex.COLORS
+        if (name, color) != ("A_petersen", "r")
+    ],
+)
+def test_recover_matches_reference_contraction(name, color):
+    # The old route contracts every edge not of the color, reclassifies the
+    # surviving faces and dualizes; the new one reads the colex faces.
+    c = COLEXES[name]
+    old = reference_contraction.recover_bipartite(c, color)
+    new = colex.recover_bipartite(c, color)
+    assert eg.is_isomorphic(new.graph, old.graph)
+    assert new.class_colors == old.class_colors
+    assert _class_degrees(new) == _class_degrees(old)
+
+
+def test_petersen_blowup_recovers_the_subdivision():
+    # A Petersen face meets a vertex twice, so contracting the other colors
+    # turns a kept edge into a loop; read off the faces, the r-recovery is
+    # the Petersen graph with every edge subdivided (the e-faces, degree 2).
+    c = COLEXES["A_petersen"]
+    with pytest.raises(LoopEdge):
+        reference_contraction.recover_bipartite(c, "r")
+    rec = colex.recover_bipartite(c, "r")
+    g = rec.graph
+    assert (g.num_vertices, g.num_edges, g.chi) == (25, 30, -2)
+    assert rec.class_colors == ("g", "b")
+    assert _class_degrees(rec) == [[2] * 15, [3] * 10]
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS))

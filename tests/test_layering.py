@@ -57,10 +57,17 @@
 - The checks that run on a built code read what `build_code` derived:
   the lemma (`nontrivial_cycle_checks`) XORs the quotient cycles'
   operators (`SubsystemCode.quotient_ops`) and reads each `Generator.op`,
-  and `exact_distance` spans C(S) = G + L from the gauge rows and those
+  and `exact_distance` reads C(S) = G + L from the gauge rows and those
   operators.  Neither they nor `_coset_reps` call `cycle_operator` or take
   a kernel, and the retired `_cycle_vec` and `pauli.centralizer` do not
   come back (the latter is the oracle in `tests/reference_pauli.py`).
+- `colex.recover_bipartite` reads the recovered graph off the colex faces:
+  it contracts nothing, takes no dual and runs no bipartiteness check, and
+  the retired `contract_and_drop_loops` does not come back (it is the
+  oracle's, in `tests/reference_contraction.py`).
+- `analyzer.exact_distance` runs the coset search of `gf2.min_coset_weight`
+  on doubled weights and lists only XORs of the quotient operators, never
+  the 2^dim vectors of C(S).
 """
 
 import ast
@@ -84,7 +91,7 @@ RETIRED = {
     "fprime_class", "eface_seed_face", "class_of_eface", "face_build",
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
     "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
-    "LOOP_SPAN_CAP", "centralizer", "_cycle_vec",
+    "LOOP_SPAN_CAP", "centralizer", "_cycle_vec", "contract_and_drop_loops",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -164,6 +171,27 @@ def test_post_build_checks_read_the_code():
         if ident in ("cycle_operator", "centralizer", "kernel")
     ]
     assert not bad, "a post-build check walks cycles: " + "; ".join(bad)
+
+
+def test_recovery_reads_the_faces():
+    names = {ident for _, ident in _names(_defs("colex")["recover_bipartite"])}
+    assert not names & {"contract_and_drop_loops", "dual", "is_bipartite"}
+
+
+def test_exact_distance_searches_cosets():
+    fn = _defs("analyzer")["exact_distance"]
+    calls = [
+        node for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert "min_coset_weight" in {node.func.attr for node in calls}
+    listed = [
+        {ident for arg in node.args for _, ident in _names(arg)}
+        for node in calls
+        if node.func.attr == "span_vectors"
+    ]
+    assert listed and all("quotient_ops" in names for names in listed)
+    assert not any("rows" in names or "gauge" in names for names in listed)
 
 
 def _defs(module):
