@@ -331,8 +331,8 @@ class _MutableMap:
             self.rot[w] = [d for d in self.rot[w] if d[0] != e]
         del self.edges[e]
 
-    def freeze(self) -> Tuple[EmbeddedGraph, Dict[int, int], Dict[int, int]]:
-        """Relabel densely and build; returns (graph, vertex map, edge map)."""
+    def freeze(self) -> EmbeddedGraph:
+        """Relabel densely (surviving ids in ascending order) and build."""
         vmap = {v: i for i, v in enumerate(sorted(self.rot))}
         emap = {e: i for i, e in enumerate(sorted(self.edges))}
         edges = [
@@ -342,7 +342,7 @@ class _MutableMap:
         rotation = [
             [(emap[e], s) for (e, s) in self.rot[v]] for v in sorted(self.rot)
         ]
-        return build(len(vmap), edges, rotation), vmap, emap
+        return build(len(vmap), edges, rotation)
 
 
 def contract_edges(g: EmbeddedGraph, edge_set: Sequence[int]) -> EmbeddedGraph:
@@ -362,8 +362,7 @@ def contract_edges(g: EmbeddedGraph, edge_set: Sequence[int]) -> EmbeddedGraph:
         work.contract(e)
     if not work.rot:
         raise ContractionDisconnects("contracted away the whole graph")
-    graph, _, _ = work.freeze()
-    return graph
+    return work.freeze()
 
 
 def simplify_parallel(g: EmbeddedGraph) -> EmbeddedGraph:
@@ -376,8 +375,7 @@ def simplify_parallel(g: EmbeddedGraph) -> EmbeddedGraph:
             work.delete_edge(e)
         else:
             seen[key] = e
-    graph, _, _ = work.freeze()
-    return graph
+    return work.freeze()
 
 
 def canonical_form(g: EmbeddedGraph) -> Tuple:

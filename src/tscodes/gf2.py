@@ -4,7 +4,8 @@ Vectors are Python ints read as little-endian bit vectors (bit i = coordinate
 i).  Matrices are lists of row ints.  There is one elimination routine, the
 pivot-keyed echelon ``Basis``; ``rank``, ``intersection`` and ``kernel`` all
 run on it.  A reduction costs one XOR per pivot it hits, on ints as wide as
-the vectors.
+the vectors.  Set bits are walked from the top (``bit_length``, then clear
+that bit): ``v & -v`` would cost CPython a two's-complement pass per bit.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ def dot(a: int, b: int) -> int:
 
 
 def bits(v: int) -> List[int]:
-    """Indices of the set bits of v, ascending."""
+    """Indices of the set bits of v, ascending: walked from the top bit
+    down with no negation, then reversed once."""
     out: List[int] = []
     while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
+        q = v.bit_length() - 1
+        out.append(q)
+        v ^= 1 << q
+    out.reverse()
     return out
 
 

@@ -28,7 +28,8 @@ dead slots it leaves are freed by one O(n) pass per n + 1 random
 measurements.  Rows keep their phase in XZ form (two bit planes of an
 exponent mod 4), so signs cost one parity per pivot X qubit, and each
 measured ``Pauli`` decodes its support once (``Pauli.support``), since a
-sweep measures the same links again and again.
+sweep measures the same links again and again.  Per-bit walks step from
+the top set bit, never negating (see ``Tableau``).
 Each simulated trial is three ``Tableau.measure_all`` calls: two sweeps,
 each on the concatenated time-ordered link sequences of all generators
 (a syndrome bit is the parity of its generator's slice of the outcomes),
@@ -201,7 +202,12 @@ class Tableau:
     the rows whose destabilizers anticommute with the operator.  The
     measured operator's support is decoded once per ``Pauli`` object
     (``Pauli.support``), and outcomes and ``randomize`` draw from the
-    generator exactly as ``randrange`` would.
+    generator exactly as ``randrange`` would (an outcome inline, by its
+    rejection rule on ``getrandbits(2)``).  The pivot walks, the rows in
+    `rest` and the deterministic product visit their set bits from the top:
+    ``v & -v`` costs CPython a two's-complement pass per bit.  The pivot (the
+    lowest anticommuting row), its slot (the lowest free one) and the draws
+    are unchanged, so every row, slot, sign and outcome is too.
 
     ``measure_all`` is the one measurement kernel: it binds the columns,
     slots and masks to locals once per call and measures a whole sequence,
@@ -322,17 +328,15 @@ class Tableau:
                     par, chk = 0, anti if (px & pz).bit_count() & 1 else 0
                     walk = px
                     while walk:
-                        bit = walk & -walk
-                        walk ^= bit
-                        q = bit.bit_length() - 1
+                        q = walk.bit_length() - 1
+                        walk ^= 1 << q
                         par ^= cz[q]
                         cx[q] ^= anti
                         dX[q] ^= dm
                     walk = pz
                     while walk:
-                        bit = walk & -walk
-                        walk ^= bit
-                        q = bit.bit_length() - 1
+                        q = walk.bit_length() - 1
+                        walk ^= 1 << q
                         chk ^= cx[q]
                         cz[q] ^= anti
                         dZ[q] ^= dm
@@ -346,12 +350,13 @@ class Tableau:
                         par ^= rest
                     e1 ^= par & rest
                     while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        i = bit.bit_length() - 1
+                        i = rest.bit_length() - 1
+                        rest ^= 1 << i
                         sx[i] ^= px
                         sz[i] ^= pz
-                    outcome = _randbelow(draw, 2)
+                    outcome = draw(2)  # randrange(2)'s rejection rule
+                    while outcome >= 2:
+                        outcome = draw(2)
                     sx[p0], sz[p0] = ox, oz
                     for q in xs:
                         cx[q] ^= low
@@ -359,8 +364,10 @@ class Tableau:
                         cz[q] ^= low
                     # The pivot row becomes (-1)^(outcome ^ flip) op.
                     e = (ox & oz).bit_count() + 2 * (outcome ^ flip)
-                    e0 = (e0 & ~low) | (low if e & 1 else 0)
-                    e1 = (e1 & ~low) | (low if e & 2 else 0)
+                    if (e ^ (e0 >> p0)) & 1:
+                        e0 ^= low
+                    if ((e >> 1) ^ (e1 >> p0)) & 1:
+                        e1 ^= low
                     out.append(outcome)
                     continue
                 # Deterministic: op is the signed product of the rows
@@ -368,9 +375,9 @@ class Tableau:
                 m = danti & live
                 ax = az = phase = 0
                 while m:
-                    bit = m & -m
-                    m ^= bit
-                    i = row_of[bit.bit_length() - 1]
+                    s = m.bit_length() - 1
+                    m ^= 1 << s
+                    i = row_of[s]
                     x = sx[i]
                     phase += ((e0 >> i) & 1) + 2 * ((e1 >> i) & 1)
                     phase += 2 * (az & x).bit_count()

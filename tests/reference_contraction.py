@@ -13,9 +13,11 @@ the replaced code's, verbatim.
 The bipartite recovery contracts every colex edge not of the chosen color
 (dropping the loops that closing a face leaves), classes the surviving
 faces by their parent colors and dualizes; ``recover_bipartite`` reads the
-same graph off the colex faces.  ``contract_and_drop_loops`` (moved from
-``embed_graph``; ``contract_rank3`` calls it too) and
-``recover_bipartite`` are the replaced code's, verbatim.  A seed face that
+same graph off the colex faces.  ``recover_bipartite`` is the replaced
+code's, verbatim.  ``contract_and_drop_loops`` (moved from ``embed_graph``;
+``contract_rank3`` calls it too) is too, except that it builds its vertex
+and edge maps itself, the way ``_MutableMap.freeze`` relabels, since
+``freeze`` returns the graph alone.  A seed face that
 meets a vertex twice (the Petersen blow-up) makes a kept edge a loop, which
 ``embed_graph.build`` rejects, so this route raises ``LoopEdge`` there.
 """
@@ -152,7 +154,10 @@ def contract_and_drop_loops(
             work.delete_edge(e)
         else:
             work.contract(e)
-    return work.freeze()
+    # The maps of ``freeze``'s relabelling: surviving ids, densely, in order.
+    vmap = {v: i for i, v in enumerate(sorted(work.rot))}
+    emap = {e: i for i, e in enumerate(sorted(work.edges))}
+    return work.freeze(), vmap, emap
 
 
 def recover_bipartite(colex: TwoColex, color: str) -> RecoveredBipartite:

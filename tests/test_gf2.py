@@ -67,6 +67,34 @@ def test_basis_matches_reference(program):
 
 
 @st.composite
+def wide_ints(draw):
+    """An int of 0-3000 bits: dense (every bit drawn) or sparse (0-12 set
+    bits), so both long and short walks of set bits occur."""
+    w = draw(st.integers(0, 3000))
+    if w == 0:
+        return 0
+    if draw(st.booleans()):
+        return draw(st.integers(0, (1 << w) - 1))
+    bs = draw(st.lists(st.integers(0, w - 1), max_size=12))
+    return reduce(xor, (1 << b for b in bs), 0)
+
+
+@given(wide_ints())
+@settings(max_examples=300, deadline=None)
+def test_bits_lists_set_bits_ascending(v):
+    # The oracles in reference_pauli and reference_tableau call gf2.bits, so
+    # it is checked here against a bit-by-bit scan that shares no code.
+    assert gf2.bits(v) == [i for i in range(v.bit_length()) if v >> i & 1]
+
+
+def test_bits_edges():
+    assert gf2.bits(0) == []
+    assert gf2.bits(1) == [0]
+    assert gf2.bits(1 << 2999) == [2999]
+    assert gf2.bits((1 << 2880) - 1) == list(range(2880))
+
+
+@st.composite
 def coset_problems(draw):
     """A width up to 40 bits, a basis of dim 0-14 over it and 1-4 vectors;
     with even odds one vector is replaced by a span vector.  The basis rows

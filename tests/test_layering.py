@@ -68,6 +68,11 @@
 - `analyzer.exact_distance` runs the coset search of `gf2.min_coset_weight`
   on doubled weights and lists only XORs of the quotient operators, never
   the 2^dim vectors of C(S).
+- The set-bit walks of `gf2` and `scheduler` step from the top
+  (`q = v.bit_length() - 1; v ^= 1 << q`): no `while` body negates an int,
+  since `v & -v` costs CPython an extra two's-complement pass per bit.  The
+  once-per-measurement picks `anti & -anti` and `free & -free` sit outside
+  any `while` loop.
 """
 
 import ast
@@ -234,6 +239,21 @@ def test_kernel_formats_no_bit_strings():
         or isinstance(node, ast.Slice) and node.step is not None
     ]
     assert not bad, "kernel formats bit strings: " + "; ".join(bad)
+
+
+@pytest.mark.parametrize("module", ["gf2", "scheduler"])
+def test_bit_walks_negate_nothing(module):
+    path = Path(tscodes.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = sorted({
+        f"line {node.lineno}"
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.While)
+        for stmt in loop.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+    })
+    assert not bad, f"unary minus in a while body of {module}: " + "; ".join(bad)
 
 
 def test_scheduler_forms_signed_products_once():
