@@ -31,7 +31,6 @@ from .colex import (
 from .embed_graph import (
     EmbeddedGraph,
     build,
-    contract_edges,
     dual,
     genus,
     is_bipartite,

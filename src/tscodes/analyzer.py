@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import colex as colex_mod
@@ -104,6 +105,11 @@ class SubsystemCode:
         generators come with it: a bombin dual-expansion code builds none,
         and a bare hypergraph, as hypergraph JSON loads, carries none."""
         return self.hypergraph.faces is None
+
+    @cached_property
+    def _coset_listing(self) -> Tuple[int, ...]:
+        """The nonzero vectors of span(quotient), listed on first use."""
+        return tuple(gf2.span_vectors(self.quotient)[1:])
 
 
 def _lightest_loop(
@@ -433,9 +439,10 @@ def colex_code(cx: TwoColex) -> SubsystemCode:
     return build_code(hypergraph.from_colex(cx))
 
 
-def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
+def _coset_reps(code: SubsystemCode, cap: int) -> Tuple[int, ...]:
     """The 2^{2k} - 1 nonzero quotient combinations, the one with bit i of
-    its index taking quotient cycle i (the order of ``gf2.span_vectors``)."""
+    its index taking quotient cycle i (the order of ``gf2.span_vectors``).
+    Checked against ``cap`` on every call, listed once per code."""
     if not code.generators_complete:
         raise GaugeMismatch(
             "canonical generators do not span the stabilizer; coset "
@@ -446,7 +453,7 @@ def _coset_reps(code: SubsystemCode, cap: int) -> List[int]:
         raise GaugeMismatch(f"quotient dim {q} != 2k = {2 * code.k}")
     if q > cap:
         raise QuotientTooLarge(f"quotient dimension {q} exceeds cap {cap}")
-    return gf2.span_vectors(code.quotient)[1:]
+    return code._coset_listing
 
 
 def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> Optional[int]:
@@ -622,20 +629,41 @@ class DistinctnessVerdict:
 
 def simplified_contraction(h: Hypergraph) -> EmbeddedGraph:
     """The triangles shrunk to points and parallel edges simplified, read off
-    the source colex: its promoted edges contracted, then simplified.
+    the source colex.
 
-    Shrinking the hypergraph's triangles would also keep the inner-face
-    edges.  Each (w_i, w_{i+1}) runs parallel to the kept edge between
-    contracted triangles i and i+1, and its id is above every colex id, so
-    simplify_parallel drops exactly those edges and each promoted face
-    closes to the same m-gon: both routes give the same graph up to
-    isomorphism.  Raises UnclassifiedFace without a source colex."""
+    The rank-3 ids are the promoted colex edges (Triangle.edge_id), a color
+    class, so a matching (H4): each (u, v) splices v's rotation into u's
+    where the edge sat, and v becomes u.  Every other edge keeps its ends
+    through that map unless it runs parallel to a lower-id kept edge; ids
+    keep their order, renumbered densely, and a loop makes ``build`` raise
+    LoopEdge.  Shrinking the hypergraph's triangles would also keep each
+    inner-face edge (w_i, w_{i+1}), parallel to the kept edge between
+    triangles i and i+1 and above every colex id, so both routes give the
+    same graph up to isomorphism.  Raises UnclassifiedFace without a source
+    colex."""
     if h.source is None:
         raise UnclassifiedFace("the contraction needs the source colex's embedding")
-    # Rank-3 ids are the promoted colex edges (Triangle.edge_id), a matching
-    # by H4, so contracting them makes no loop.
-    contracted = embed_graph.contract_edges(h.source.graph, h.rank3_ids())
-    return embed_graph.simplify_parallel(contracted)
+    g = h.source.graph
+    rot = [list(circ) for circ in g.rotation]
+    to = list(range(g.num_vertices))
+    promoted = set(h.rank3_ids())
+    for e in promoted:
+        u, v = g.edges[e]
+        ru, rv = rot[u], rot[v]
+        iu, iv = ru.index((e, 0)), rv.index((e, 1))
+        rot[u] = ru[:iu] + rv[iv + 1 :] + rv[:iv] + ru[iu + 1 :]
+        to[v] = u
+    alive = [v for v in range(g.num_vertices) if to[v] == v]
+    dense = {v: i for i, v in enumerate(alive)}
+    to = [dense[w] for w in to]
+    kept: Dict[Tuple[int, int], int] = {}  # sorted new ends -> lowest edge id
+    for e, ends in enumerate(g.edges):
+        if e not in promoted:
+            kept.setdefault(tuple(sorted(to[w] for w in ends)), e)
+    emap = {e: i for i, e in enumerate(kept.values())}
+    edges = [(to[g.edges[e][0]], to[g.edges[e][1]]) for e in emap]
+    rotation = [[(emap[e], s) for e, s in rot[v] if e in emap] for v in alive]
+    return embed_graph.build(len(alive), edges, rotation)
 
 
 def distinctness_check(code: SubsystemCode) -> DistinctnessVerdict:

@@ -8,6 +8,8 @@ reversed dart``.  The rotation successor and predecessor maps, the faces and
 the dart -> face map are derived once per (frozen, so never stale) graph.
 
 Loops are forbidden; parallel edges are allowed (duals and medials need them).
+No general contraction lives here: the one the package needs, of a matching
+of colex edges, splices its rotations in ``analyzer.simplified_contraction``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
-    ContractionDisconnects,
     DisconnectedGraph,
-    LoopCreated,
     LoopEdge,
     MalformedRotation,
     OddChi,
@@ -286,96 +286,6 @@ def is_bipartite(g: EmbeddedGraph) -> Optional[Tuple[List[int], List[int]]]:
         [v for v in range(g.num_vertices) if color[v] == 0],
         [v for v in range(g.num_vertices) if color[v] == 1],
     )
-
-
-class _MutableMap:
-    """Loop-tolerant working form for contractions and deletions."""
-
-    def __init__(self, g: EmbeddedGraph) -> None:
-        self.edges: Dict[int, Tuple[int, int]] = dict(enumerate(g.edges))
-        self.rot: Dict[int, List[Dart]] = {
-            v: list(circ) for v, circ in enumerate(g.rotation)
-        }
-
-    def dart_vertex(self, d: Dart) -> int:
-        return self.edges[d[0]][d[1]]
-
-    def contract(self, e: int) -> int:
-        """Merge the endpoints of e (which must not be a loop); returns the
-        surviving vertex id."""
-        u, v = self.edges[e]
-        if u == v:
-            raise LoopCreated(f"edge {e} is a loop")
-        ru, rv = self.rot[u], self.rot[v]
-        iu = next(i for i, d in enumerate(ru) if d[0] == e)
-        iv = next(i for i, d in enumerate(rv) if d[0] == e)
-        spliced = (
-            ru[:iu]
-            + rv[iv + 1 :]
-            + rv[:iv]
-            + ru[iu + 1 :]
-        )
-        self.rot[u] = spliced
-        del self.rot[v]
-        del self.edges[e]
-        # The darts at v are exactly rv; move each one's side to u.
-        for eid, side in rv:
-            if eid != e:
-                a, b = self.edges[eid]
-                self.edges[eid] = (u, b) if side == 0 else (a, u)
-        return u
-
-    def delete_edge(self, e: int) -> None:
-        u, v = self.edges[e]
-        for w in {u, v}:
-            self.rot[w] = [d for d in self.rot[w] if d[0] != e]
-        del self.edges[e]
-
-    def freeze(self) -> EmbeddedGraph:
-        """Relabel densely (surviving ids in ascending order) and build."""
-        vmap = {v: i for i, v in enumerate(sorted(self.rot))}
-        emap = {e: i for i, e in enumerate(sorted(self.edges))}
-        edges = [
-            (vmap[self.edges[e][0]], vmap[self.edges[e][1]])
-            for e in sorted(self.edges)
-        ]
-        rotation = [
-            [(emap[e], s) for (e, s) in self.rot[v]] for v in sorted(self.rot)
-        ]
-        return build(len(vmap), edges, rotation)
-
-
-def contract_edges(g: EmbeddedGraph, edge_set: Sequence[int]) -> EmbeddedGraph:
-    """Contract the given edges, splicing rotations at each merge.
-
-    Raises LoopCreated if some requested edge has become a loop (the edge set
-    contained a cycle).
-    """
-    targets = sorted(set(edge_set))
-    if any(not (0 <= e < g.num_edges) for e in targets):
-        raise MalformedRotation("edge set references unknown edges")
-    work = _MutableMap(g)
-    for e in targets:
-        u, v = work.edges[e]
-        if u == v:
-            raise LoopCreated(f"contracting edge set turns edge {e} into a loop")
-        work.contract(e)
-    if not work.rot:
-        raise ContractionDisconnects("contracted away the whole graph")
-    return work.freeze()
-
-
-def simplify_parallel(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Drop all but the lowest-id edge of every parallel class."""
-    work = _MutableMap(g)
-    seen: Dict[Tuple[int, int], int] = {}
-    for e in sorted(work.edges):
-        key = tuple(sorted(work.edges[e]))
-        if key in seen:
-            work.delete_edge(e)
-        else:
-            seen[key] = e
-    return work.freeze()
 
 
 def canonical_form(g: EmbeddedGraph) -> Tuple:

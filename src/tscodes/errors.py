@@ -21,14 +21,6 @@ class OddChi(TscodesError):
     pass
 
 
-class LoopCreated(TscodesError):
-    """An edge contraction would have produced a loop."""
-
-
-class ContractionDisconnects(TscodesError):
-    pass
-
-
 class NotBipartite(TscodesError):
     pass
 

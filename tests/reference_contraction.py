@@ -20,6 +20,14 @@ and edge maps itself, the way ``_MutableMap.freeze`` relabels, since
 ``freeze`` returns the graph alone.  A seed face that
 meets a vertex twice (the Petersen blow-up) makes a kept edge a loop, which
 ``embed_graph.build`` rejects, so this route raises ``LoopEdge`` there.
+
+The general contraction both routes run, the loop-tolerant ``_MutableMap``
+with ``contract_edges`` and ``simplify_parallel``, moved here from
+``embed_graph`` verbatim, with the two errors only it raises
+(``LoopCreated``, ``ContractionDisconnects``).
+``analyzer.simplified_contraction`` splices the rotations of the promoted
+colex edges, a matching, itself; contracting those edges and simplifying
+here gives the same graph exactly, the oracle of a differential test.
 """
 
 from __future__ import annotations
@@ -29,9 +37,107 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from tscodes import colex as colex_mod
 from tscodes import embed_graph
 from tscodes.colex import COLORS, RecoveredBipartite, TwoColex
-from tscodes.embed_graph import EmbeddedGraph, _MutableMap
-from tscodes.errors import MalformedRotation, UnclassifiedFace
+from tscodes.embed_graph import Dart, EmbeddedGraph, build
+from tscodes.errors import MalformedRotation, TscodesError, UnclassifiedFace
 from tscodes.hypergraph import Hypergraph
+
+
+class LoopCreated(TscodesError):
+    """An edge contraction would have produced a loop."""
+
+
+class ContractionDisconnects(TscodesError):
+    pass
+
+
+class _MutableMap:
+    """Loop-tolerant working form for contractions and deletions."""
+
+    def __init__(self, g: EmbeddedGraph) -> None:
+        self.edges: Dict[int, Tuple[int, int]] = dict(enumerate(g.edges))
+        self.rot: Dict[int, List[Dart]] = {
+            v: list(circ) for v, circ in enumerate(g.rotation)
+        }
+
+    def dart_vertex(self, d: Dart) -> int:
+        return self.edges[d[0]][d[1]]
+
+    def contract(self, e: int) -> int:
+        """Merge the endpoints of e (which must not be a loop); returns the
+        surviving vertex id."""
+        u, v = self.edges[e]
+        if u == v:
+            raise LoopCreated(f"edge {e} is a loop")
+        ru, rv = self.rot[u], self.rot[v]
+        iu = next(i for i, d in enumerate(ru) if d[0] == e)
+        iv = next(i for i, d in enumerate(rv) if d[0] == e)
+        spliced = (
+            ru[:iu]
+            + rv[iv + 1 :]
+            + rv[:iv]
+            + ru[iu + 1 :]
+        )
+        self.rot[u] = spliced
+        del self.rot[v]
+        del self.edges[e]
+        # The darts at v are exactly rv; move each one's side to u.
+        for eid, side in rv:
+            if eid != e:
+                a, b = self.edges[eid]
+                self.edges[eid] = (u, b) if side == 0 else (a, u)
+        return u
+
+    def delete_edge(self, e: int) -> None:
+        u, v = self.edges[e]
+        for w in {u, v}:
+            self.rot[w] = [d for d in self.rot[w] if d[0] != e]
+        del self.edges[e]
+
+    def freeze(self) -> EmbeddedGraph:
+        """Relabel densely (surviving ids in ascending order) and build."""
+        vmap = {v: i for i, v in enumerate(sorted(self.rot))}
+        emap = {e: i for i, e in enumerate(sorted(self.edges))}
+        edges = [
+            (vmap[self.edges[e][0]], vmap[self.edges[e][1]])
+            for e in sorted(self.edges)
+        ]
+        rotation = [
+            [(emap[e], s) for (e, s) in self.rot[v]] for v in sorted(self.rot)
+        ]
+        return build(len(vmap), edges, rotation)
+
+
+def contract_edges(g: EmbeddedGraph, edge_set: Sequence[int]) -> EmbeddedGraph:
+    """Contract the given edges, splicing rotations at each merge.
+
+    Raises LoopCreated if some requested edge has become a loop (the edge set
+    contained a cycle).
+    """
+    targets = sorted(set(edge_set))
+    if any(not (0 <= e < g.num_edges) for e in targets):
+        raise MalformedRotation("edge set references unknown edges")
+    work = _MutableMap(g)
+    for e in targets:
+        u, v = work.edges[e]
+        if u == v:
+            raise LoopCreated(f"contracting edge set turns edge {e} into a loop")
+        work.contract(e)
+    if not work.rot:
+        raise ContractionDisconnects("contracted away the whole graph")
+    return work.freeze()
+
+
+def simplify_parallel(g: EmbeddedGraph) -> EmbeddedGraph:
+    """Drop all but the lowest-id edge of every parallel class."""
+    work = _MutableMap(g)
+    seen: Dict[Tuple[int, int], int] = {}
+    for e in sorted(work.edges):
+        key = tuple(sorted(work.edges[e]))
+        if key in seen:
+            work.delete_edge(e)
+        else:
+            seen[key] = e
+    return work.freeze()
 
 
 def derived_embedding(h: Hypergraph) -> EmbeddedGraph:
@@ -132,7 +238,7 @@ def distinctness(h: Hypergraph) -> Tuple[bool, Optional[bool], Tuple[int, ...], 
     degrees = tuple(sorted(contracted.degree(v) for v in range(contracted.num_vertices)))
     if any(d != 6 for d in degrees):
         return False, None, degrees, None
-    simplified = embed_graph.simplify_parallel(contracted)
+    simplified = simplify_parallel(contracted)
     is_colex = colex_mod.validate_colex(simplified) is not None
     return True, is_colex, degrees, simplified
 

@@ -445,6 +445,37 @@ def test_distinctness_matches_reference_contraction(pipeline, lattice, m, n):
         assert eg.is_isomorphic(analyzer.simplified_contraction(code.hypergraph), simplified)
 
 
+_SPLICE_CASES = [
+    (pipeline, lattice, m, n)
+    for pipeline in ("theorem2", "theorem3")
+    for lattice, m, n in [
+        ("torus_grid", 2, 2),
+        ("torus_grid", 3, 3),
+        ("torus_grid", 4, 4),
+        ("torus_grid", 6, 6),
+        ("torus_grid", 2, 3),
+        ("triangular_torus", 2, 2),
+        ("triangular_torus", 3, 3),
+    ]
+] + [("from_colex", "honeycomb_torus", 3, 3)]
+
+
+@pytest.mark.parametrize("pipeline, lattice, m, n", _SPLICE_CASES)
+def test_simplified_contraction_matches_general_contraction(pipeline, lattice, m, n):
+    # The splice of the promoted matching against the general loop-tolerant
+    # contraction and parallel-edge simplification: the same graph, ids and
+    # rotations included.  The honeycomb colex has no rank-3 edges.
+    if pipeline == "from_colex":
+        h = hg.from_colex(colex.validate_colex(lattices.honeycomb_torus(m, n)))
+    else:
+        seed = getattr(lattices, lattice)(m, n)
+        h = getattr(analyzer, f"{pipeline}_pipeline")(seed).hypergraph
+    want = reference_contraction.simplify_parallel(
+        reference_contraction.contract_edges(h.source.graph, h.rank3_ids())
+    )
+    assert analyzer.simplified_contraction(h) == want
+
+
 def test_distinctness_needs_source_colex(honeycomb33_colex):
     # A bombin code contracts to a 6-valent graph but carries no colex
     # embedding to simplify; no verdict is read off an arbitrary rotation.

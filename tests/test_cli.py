@@ -321,6 +321,23 @@ def test_coset_cap_below_2k_fails_the_lemma_check(tmp_path, capsys):
     assert report["checks"]["nontrivial_cosets"] == 15
 
 
+def test_full_report_lists_the_coset_representatives_once(monkeypatch):
+    """distance_bound and the lemma check read one listing of the 2^{2k} - 1
+    representatives; the lemma lists their operators besides."""
+    code = analyzer.theorem2_pipeline(lattices.torus_grid(2, 2))
+    listed = []
+    real = gf2.span_vectors
+
+    def spy(rows):
+        listed.append(tuple(rows))
+        return real(rows)
+
+    monkeypatch.setattr(gf2, "span_vectors", spy)
+    report, failed = cli._full_report(code, 20)
+    assert not failed and report["checks"]["nontrivial_cosets"] == 15
+    assert listed == [code.quotient, code.quotient_ops]
+
+
 def test_schedule_takes_no_coset_cap(tmp_path, capsys):
     """schedule never reads --coset-cap, so the option is rejected there as
     a usage error; build and verify keep it."""

@@ -6,6 +6,12 @@
 - The retired derived-graph re-embedding does not come back either: the
   distinctness check reads `hypergraph.contracted_degrees` and contracts
   the source colex's promoted edges (`analyzer.simplified_contraction`).
+  Those edges form a matching, so `simplified_contraction` splices their
+  rotations itself and calls `embed_graph.build` once: the general
+  loop-tolerant `_MutableMap`, `contract_edges` and `simplify_parallel`,
+  and the `LoopCreated` and `ContractionDisconnects` errors only they
+  raised, do not come back (they are the oracle's, in
+  `tests/reference_contraction.py`).
 - `analyzer` and `hypergraph` work on (x, z) int pairs only and never name
   the `Pauli` dataclass, which stays at the API edge.
 - `scheduler` reads no face structure: link decompositions are formed by
@@ -97,6 +103,8 @@ RETIRED = {
     "promoted_info", "DerivedGraph", "DLink", "derived_graph", "link_key",
     "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
     "LOOP_SPAN_CAP", "centralizer", "_cycle_vec", "contract_and_drop_loops",
+    "_MutableMap", "contract_edges", "simplify_parallel", "LoopCreated",
+    "ContractionDisconnects",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 
@@ -181,6 +189,20 @@ def test_post_build_checks_read_the_code():
 def test_recovery_reads_the_faces():
     names = {ident for _, ident in _names(_defs("colex")["recover_bipartite"])}
     assert not names & {"contract_and_drop_loops", "dual", "is_bipartite"}
+
+
+def test_distinctness_splices_the_matching():
+    fn = _defs("analyzer")["simplified_contraction"]
+    calls = [
+        node.func.attr for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert calls.count("build") == 1
+    names = {ident for _, ident in _names(fn)}
+    assert not names & {
+        "_MutableMap", "contract_edges", "simplify_parallel",
+        "contract_and_drop_loops", "contract_rank3", "derived_embedding",
+    }
 
 
 def test_exact_distance_searches_cosets():
