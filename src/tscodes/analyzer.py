@@ -5,8 +5,9 @@ operators) and the stabilizer are ``gf2.Basis`` objects over x | z << n,
 the only place that layout appears.  ``Pauli`` is not used here.  G comes
 from the link table's operators (``Hypergraph.link_ops``).  One walk per
 cycle-basis vector gives its operator and marks the basis cycles through
-each edge, so G is checked to commute with L by bilinearity, link by link,
-over the edges at the link's two qubits.  Once G is checked to be C(L),
+each edge, so G is checked to commute with L by bilinearity over qubits,
+from the basis cycles whose W anticommutes with each single-qubit Pauli on
+each qubit.  Once G is checked to be C(L),
 the operators commuting with L, the stabilizer S (the center of G, whose
 test oracle is ``pauli.center``) is G intersected with L, by one GF(2)
 elimination, and C(S) = G + L.  A colex's loop generators come from one
@@ -188,22 +189,27 @@ def _completion_loops(
             yield hypergraph.rank2_cycle(h, "loop2", gf2.bits(cand))
 
 
+_ANTI = ((), (2, 3), (1, 3), (1, 2))  # per Pauli x | z << 1, those anticommuting
+
+
 def _anticommuting_cycles(
     h: Hypergraph, edge_ops: Sequence[Tuple[int, int]], uses: Sequence[int]
 ) -> Iterator[int]:
     """Per link, the mask of basis cycles whose W it anticommutes with, by
-    bilinearity: the XOR of ``uses[e]`` (the basis cycles through edge e)
-    over the edges at its two vertices, each counted once, whose operator
-    ``edge_ops[e]`` anticommutes with it; no other edge touches its qubits."""
-    inc = h.incident_edges
+    bilinearity over qubits: ``at[v][p]`` XORs ``uses[e]`` (the basis cycles
+    through edge e) over the edges e whose Pauli at qubit v, each qubit of e
+    once, anticommutes with the single-qubit Pauli p = x | z << 1, and a link
+    with Paulis P_a, P_b on its qubits a, b (its ``link_ops`` bits) reads
+    at[a][P_a] ^ at[b][P_b]."""
+    at = [[0] * 4 for _ in range(h.num_vertices)]
+    for e, (ex, ez), use in zip(h.edges, edge_ops, uses):
+        for v in set(e.vertices):
+            for p in _ANTI[(ex >> v & 1) | (ez >> v & 1) << 1]:
+                at[v][p] ^= use
     for lk, (lx, lz) in zip(h.links, h.link_ops):
         a, b = lk.vertices
-        anti = 0
-        for e in {*inc(a), *inc(b)}:
-            ex, ez = edge_ops[e]
-            if ((lx & ez) ^ (lz & ex)).bit_count() & 1:
-                anti ^= uses[e]
-        yield anti
+        pa, pb = lx >> a & 1 | (lz >> a & 1) << 1, lx >> b & 1 | (lz >> b & 1) << 1
+        yield at[a][pa] ^ at[b][pb]
 
 
 def build_code(h: Hypergraph) -> SubsystemCode:
@@ -227,7 +233,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
     gauge = gf2.Basis(x | z << n for x, z in h.link_ops)
     cycles = hypergraph.cycle_space(h)
     # One walk per basis cycle sigma_j: W(sigma_j), and bit j of uses[e] for
-    # its edges e (kernel vectors are cycles and link_ops saw every color).
+    # its edges e (basis vectors are cycles and link_ops saw every color).
     edge_ops = [op for _, op in h.edge_masks]
     uses = [0] * h.num_edges
     ops: List[int] = []
@@ -458,7 +464,9 @@ def _coset_reps(code: SubsystemCode, cap: int) -> Tuple[int, ...]:
 
 def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> Optional[int]:
     """ell: the minimum rank-3 count over nontrivial hypercycles, None when
-    there are no rank-3 edges (the bound is degenerate).
+    there are no rank-3 edges (the bound is degenerate).  It does not bound
+    the dressed distance from below: th2 and th3 on the 2x2 torus grid have
+    ell = 4 and 32 weight-2 dressed logicals each.
 
     Each nontrivial coset representative, restricted to the rank-3 edges,
     is searched against the trivial cycle span projected the same way, by

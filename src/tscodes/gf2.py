@@ -1,11 +1,12 @@
 """GF(2) linear algebra on int bitsets.
 
 Vectors are Python ints read as little-endian bit vectors (bit i = coordinate
-i).  Matrices are lists of row ints.  There is one elimination routine, the
-pivot-keyed echelon ``Basis``; ``rank``, ``intersection`` and ``kernel`` all
-run on it.  A reduction costs one XOR per pivot it hits, on ints as wide as
-the vectors.  Set bits are walked from the top (``bit_length``, then clear
-that bit): ``v & -v`` would cost CPython a two's-complement pass per bit.
+i).  Matrices are lists of row ints (of column ints for ``relations``).  There
+is one elimination routine, the pivot-keyed echelon ``Basis``; ``rank``,
+``intersection``, ``relations`` and ``kernel`` all run on it.  A reduction
+costs one XOR per pivot it hits, on ints as wide as the vectors.  Set bits
+are walked from the top (``bit_length``, then clear that bit): ``v & -v``
+would cost CPython a two's-complement pass per bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from operator import xor
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def dot(a: int, b: int) -> int:
@@ -55,10 +56,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return len(self.top)
-
-    @property
-    def pivots(self) -> List[int]:
-        return list(self.top)
 
     @property
     def rows(self) -> List[int]:
@@ -120,23 +117,30 @@ def intersection(a: Basis, b: Iterable[int]) -> List[int]:
     return Basis(r for piv, r in work.top.items() if piv < w).rows
 
 
+def relations(cols: Sequence[int]) -> List[int]:
+    """Basis of the relations among the columns (the x whose set bits pick
+    columns that XOR to 0), in one sweep: with w = len(cols), column v at
+    index c, ascending, is reduced as (v << w) | (1 << c) against the
+    independent columns so far.  A zero high half leaves the relation, 1 << c
+    plus the earlier independent columns that sum to v, which is unique."""
+    w, ind, out = len(cols), Basis(), []
+    for c, v in enumerate(cols):
+        r = ind.reduce(v << w | 1 << c)
+        (ind.add if r >> w else out.append)(r)
+    return out
+
+
 def kernel(rows: List[int], ncols: int) -> List[int]:
     """Basis of {x : M x = 0} where M has the given rows as bit vectors.
 
     M maps GF(2)^ncols -> GF(2)^len(rows); row_i . x is a parity of an AND.
-    Runs the echelon core on the bit-reversed rows (column c to bit
-    ncols - 1 - c, one shift per set bit), so pivots are the lowest set
-    columns; each free column c, ascending, gets 1 << c plus the pivot
-    column of every reduced row with bit c set.
+    The bits below ncols are transposed into columns for ``relations``.
     """
-    last, full = ncols - 1, (1 << ncols) - 1
-    ech = Basis(sum(1 << (last - b) for b in bits(r & full)) for r in rows)
-    fill: Dict[int, int] = {}
-    for piv, row in zip(ech.pivots, ech.rows):
-        for b in bits(row ^ (1 << piv)):
-            fill[last - b] = fill.get(last - b, 0) | (1 << (last - piv))
-    pivot_cols = {last - piv for piv in ech.pivots}
-    return [(1 << c) | fill.get(c, 0) for c in range(ncols) if c not in pivot_cols]
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        for c in bits(r & (1 << ncols) - 1):
+            cols[c] |= 1 << i
+    return relations(cols)
 
 
 def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:

@@ -123,17 +123,14 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def rank3_ids(self) -> List[int]:
-        return [i for i, e in enumerate(self.edges) if e.rank == 3]
+    def rank3_ids(self) -> Tuple[int, ...]:
+        return self._rank3[0]
 
     def rank2_ids(self) -> List[int]:
         return [i for i, e in enumerate(self.edges) if e.rank == 2]
 
     def rank3_mask(self) -> int:
-        m = 0
-        for i in self.rank3_ids():
-            m |= 1 << i
-        return m
+        return self._rank3[1]
 
     def incident_edges(self, v: int) -> Tuple[int, ...]:
         """Ids of the edges at vertex v, ascending."""
@@ -151,6 +148,11 @@ class Hypergraph:
             for v in e.vertices:
                 rows[v] |= 1 << i
         return tuple(rows)
+
+    @cached_property
+    def _rank3(self) -> Tuple[Tuple[int, ...], int]:
+        ids = tuple(i for i, e in enumerate(self.edges) if e.rank == 3)
+        return ids, sum(1 << i for i in ids)
 
     @cached_property
     def _incident(self) -> Tuple[Tuple[int, ...], ...]:
@@ -486,9 +488,9 @@ class HypercycleSpace:
 
 def cycle_space(h: Hypergraph) -> HypercycleSpace:
     """Nullspace of the incidence map: edge sets with even incidence at
-    every vertex.  One elimination gives the kernel basis, so the incidence
-    rank is read as |E| - dim."""
-    basis = gf2.kernel(h.incidence_rows(), h.num_edges)
+    every vertex, from one ``gf2.relations`` sweep over its columns (the
+    edges' vertex masks), so the incidence rank is read as |E| - dim."""
+    basis = gf2.relations([m for m, _ in h.edge_masks])
     return HypercycleSpace(tuple(basis), len(basis), h.num_edges - len(basis))
 
 
@@ -803,7 +805,7 @@ def to_json_dict(h: Hypergraph) -> dict:
     """JSON form; ``colors`` and ``provenance`` are keyed by position in the
     ``rank2`` list followed by the ``rank3`` list, the ids
     ``from_json_dict`` gives the edges."""
-    order = [h.edges[i] for i in h.rank2_ids() + h.rank3_ids()]
+    order = [h.edges[i] for i in (*h.rank2_ids(), *h.rank3_ids())]
     return {
         "vertices": list(range(h.num_vertices)),
         "rank2": [list(e.vertices) for e in order if e.rank == 2],

@@ -4,7 +4,8 @@ test oracles.
 A set of hyperedges is a hypercycle when it meets every vertex evenly: the
 incidence row of each vertex has an even overlap with it (``is_cycle``,
 kept for the tests that check canonical face cycles).  The package reads
-the cycle space from one kernel elimination instead.
+the cycle space from one sweep over the incidence matrix's columns, the
+edges' vertex masks (``gf2.relations``), instead.
 
 ``validate_H`` is the H1-H4 check as it was before H3 and H4 were read from
 one count of edge pairs per shared vertex: it lists every pair of edges

@@ -166,6 +166,17 @@ def test_anticommuting_cycles_match_the_pairwise_oracle(
             assert got == reference_pauli.anticommuting_masks(ops, ws), (i, op)
 
 
+def test_ell_does_not_bound_the_dressed_distance(th2_22):
+    """ell counts rank-3 edges of nontrivial hypercycles and is no lower
+    bound on the dressed distance: on th2 2x2, X0 X9 (x | z << n with no z
+    part) commutes with S and lies outside G at weight 2, while ell = 4."""
+    code, x0x9 = th2_22, 1 << 0 | 1 << 9
+    for row in code.stabilizer.rows:
+        assert (x0x9 & row >> code.n).bit_count() % 2 == 0
+    assert not code.gauge.contains(x0x9)
+    assert analyzer.distance_bound(code, 20) == 4
+
+
 def test_odd_degree_seed_rejected():
     with pytest.raises(OddDegreeSeed):
         analyzer.theorem2_pipeline(lattices.theta_graph())
@@ -383,7 +394,8 @@ def test_gauge_and_quotient_ops_span_the_centralizer_of_s(quotient_codes):
 
 def test_post_build_checks_walk_no_cycle(quotient_codes, monkeypatch):
     """Once built, the lemma and the exact distance read the code's spans
-    and operators: no cycle operator is walked and no kernel is taken."""
+    and operators: no cycle operator is walked and no kernel or column
+    sweep is taken."""
     small = _repetition_code()
 
     def refuse(*args):
@@ -391,6 +403,7 @@ def test_post_build_checks_walk_no_cycle(quotient_codes, monkeypatch):
 
     monkeypatch.setattr(pauli, "cycle_operator", refuse)
     monkeypatch.setattr(gf2, "kernel", refuse)
+    monkeypatch.setattr(gf2, "relations", refuse)
     for name, code in quotient_codes.items():
         if code.k and code.generators_complete:
             rep = analyzer.nontrivial_cycle_checks(code)

@@ -50,20 +50,31 @@ def test_basis_matches_reference(program):
         else:
             copies.append((fast.copy(), ref.copy()))
         assert fast.dim == ref.dim
-        assert fast.pivots == ref.pivots
+        assert list(fast.top) == ref.pivots
     assert fast.rows == ref.rows
     assert gf2.rank(added) == ref.dim
     assert gf2.kernel(added, w) == reference_gf2.kernel(added, w)
     # Bits at or above ncols are ignored: the reference never pivots on them.
     assert gf2.kernel(added, ncols) == reference_gf2.kernel(added, ncols)
+    # The sweep reads the added vectors as columns: its relations are the
+    # kernel of the transposed matrix, whose row j has bit i when column i
+    # has bit j.
+    transposed = [
+        sum(1 << i for i, v in enumerate(added) if v >> j & 1) for j in range(w)
+    ]
+    assert gf2.relations(added) == reference_gf2.kernel(transposed, len(added))
     assert gf2.intersection(fast, other) == reference_gf2.intersection(ref, other)
-    rows, pivots = list(fast.rows), fast.pivots
+    rows, pivots = list(fast.rows), list(fast.top)
     for fast_copy, ref_copy in copies:
         # Later adds to the original left the copy alone, and vice versa.
-        assert (fast_copy.rows, fast_copy.pivots) == (ref_copy.rows, ref_copy.pivots)
+        assert (fast_copy.rows, list(fast_copy.top)) == (
+            ref_copy.rows, ref_copy.pivots
+        )
         assert fast_copy.add(extra) == ref_copy.add(extra)
-        assert (fast_copy.rows, fast_copy.pivots) == (ref_copy.rows, ref_copy.pivots)
-        assert (fast.rows, fast.pivots) == (rows, pivots)
+        assert (fast_copy.rows, list(fast_copy.top)) == (
+            ref_copy.rows, ref_copy.pivots
+        )
+        assert (fast.rows, list(fast.top)) == (rows, pivots)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import reference_gf2
 import reference_hypergraph
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices
 from tscodes.errors import (
@@ -160,6 +161,32 @@ def test_incident_edges_match_incidence_rows(grid22):
         assert inc == tuple(gf2.bits(row))
         assert inc == tuple(e for e in range(h.num_edges) if v in h.edges[e].vertices)
         assert h.incident_edges(v) is inc  # built once per hypergraph
+
+
+def test_cycle_space_matches_the_reference_kernel(
+    pipeline_codes, tri22_codes, honeycomb33_colex
+):
+    """The sweep over the edges' vertex masks gives the very basis the
+    row-scan kernel of the incidence rows gives, as a list, on promoted,
+    rank-2, bombin and uncolored hypergraphs."""
+    hs = [code.hypergraph for code in pipeline_codes.values()]
+    hs += [code.hypergraph for code in tri22_codes.values()]
+    hs += [
+        hg.from_colex(honeycomb33_colex),
+        hg.bombin_hypergraph(honeycomb33_colex),
+        hg.from_graph(lattices.petersen_graph()),
+    ]
+    for h in hs:
+        want = reference_gf2.kernel(h.incidence_rows(), h.num_edges)
+        assert list(hg.cycle_space(h).basis) == want
+
+
+def test_rank3_ids_and_mask_are_derived_once(grid22):
+    h, _ = th2_hypergraph(grid22)
+    ids = h.rank3_ids()
+    assert ids == tuple(i for i, e in enumerate(h.edges) if e.rank == 3)
+    assert h.rank3_mask() == sum(1 << i for i in ids)
+    assert h.rank3_ids() is ids  # built once per hypergraph
 
 
 def test_incidence_rank_of_plain_connected_graph(honeycomb33_colex):

@@ -52,8 +52,12 @@
   commutation check reads each link's anticommuting cycles by bilinearity,
   so the per-qubit `anticommuting_masks` over dense cycle operators does not
   come back (it is the oracle in `tests/reference_pauli.py`).
-- `gf2.kernel` reverses its rows through their set bits and formats no bit
-  string.
+- The cycle space is one sweep over the incidence matrix's columns:
+  `hypergraph.cycle_space` hands the edges' vertex masks to
+  `gf2.relations` and reads neither `incidence_rows` nor a reduced
+  echelon form (`Basis.rows`), and neither does `relations`.  `gf2.kernel`
+  transposes its rows into columns for the same sweep.  Neither formats a
+  bit string.
 - A colex's loop generators come from one pruned cycle walk
   (`analyzer._lightest_loop`, which checks the prefix rule edge by edge as
   the flank rule), so the retired `LOOP_SPAN_CAP` does not come back, and
@@ -65,7 +69,7 @@
   operators (`SubsystemCode.quotient_ops`) and reads each `Generator.op`,
   and `exact_distance` reads C(S) = G + L from the gauge rows and those
   operators.  Neither they nor `_coset_reps` call `cycle_operator` or take
-  a kernel, and the retired `_cycle_vec` and `pauli.centralizer` do not
+  a kernel or a column sweep (`relations`), and the retired `_cycle_vec` and `pauli.centralizer` do not
   come back (the latter is the oracle in `tests/reference_pauli.py`).
 - `colex.recover_bipartite` reads the recovered graph off the colex faces:
   it contracts nothing, takes no dual and runs no bipartiteness check, and
@@ -181,7 +185,7 @@ def test_post_build_checks_read_the_code():
         f"{name} line {line}: {ident}"
         for name in ("_coset_reps", "nontrivial_cycle_checks", "exact_distance")
         for line, ident in _names(defs[name])
-        if ident in ("cycle_operator", "centralizer", "kernel")
+        if ident in ("cycle_operator", "centralizer", "kernel", "relations")
     ]
     assert not bad, "a post-build check walks cycles: " + "; ".join(bad)
 
@@ -252,15 +256,35 @@ def test_dependency_check_reads_generator_operators():
 
 
 def test_kernel_formats_no_bit_strings():
-    fn = _defs("gf2")["kernel"]
+    defs = _defs("gf2")
     bad = [
-        f"line {node.lineno}"
-        for node in ast.walk(fn)
+        f"{name} line {node.lineno}"
+        for name in ("relations", "kernel")
+        for node in ast.walk(defs[name])
         if isinstance(node, (ast.JoinedStr, ast.FormattedValue))
         or isinstance(node, ast.Name) and node.id in ("format", "bin", "str")
         or isinstance(node, ast.Slice) and node.step is not None
     ]
-    assert not bad, "kernel formats bit strings: " + "; ".join(bad)
+    assert not bad, "the column sweep formats bit strings: " + "; ".join(bad)
+
+
+def test_cycle_space_sweeps_the_columns():
+    fn = _defs("hypergraph")["cycle_space"]
+    calls = [
+        node.func.attr for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert "relations" in calls
+    read = {
+        name: {ident for _, ident in _names(_defs(module)[name])}
+        for module, name in (("hypergraph", "cycle_space"), ("gf2", "relations"))
+    }
+    bad = [
+        f"{name}: {ident}"
+        for name, idents in read.items()
+        for ident in sorted(idents & {"incidence_rows", "_incidence_rows", "rows"})
+    ]
+    assert not bad, "the cycle space reads rows: " + "; ".join(bad)
 
 
 @pytest.mark.parametrize("module", ["gf2", "scheduler"])
