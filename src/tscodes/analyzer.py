@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import colex as colex_mod
 from . import embed_graph, gf2, hypergraph, pauli
@@ -54,8 +54,7 @@ from .errors import (
 from .hypergraph import Hypergraph, HypercycleSpace
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     gid: int
     face: Optional[int]
     kind: str  # sigma1_fprime | sigma1_boundary | sigma2_promoted |
@@ -489,8 +488,7 @@ def distance_bound(code: SubsystemCode, coset_cap: int = 20) -> Optional[int]:
     return gf2.min_coset_weight(proj, (rep & r3 for rep in reps))
 
 
-@dataclass(frozen=True)
-class NontrivialReport:
+class NontrivialReport(NamedTuple):
     cosets: int
     all_have_rank3: bool
     none_in_gauge: bool
@@ -529,8 +527,7 @@ def nontrivial_cycle_checks(
     return NontrivialReport(len(reps), all_r3, none_in_gauge, trivs_ok, witness)
 
 
-@dataclass(frozen=True)
-class DependencyReport:
+class DependencyReport(NamedTuple):
     identities: Tuple[Tuple[str, bool], ...]
     rank: int
     expected_rank: int
@@ -624,8 +621,7 @@ def dependency_check(code: SubsystemCode) -> DependencyReport:
     return DependencyReport(tuple(idents), rank, expected, witness)
 
 
-@dataclass(frozen=True)
-class DistinctnessVerdict:
+class DistinctnessVerdict(NamedTuple):
     six_valent: bool
     witness_vertex: Optional[int]
     simplified_is_colex: Optional[bool]

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import embed_graph
 from .embed_graph import Dart, EmbeddedGraph, dart_index
@@ -32,8 +31,7 @@ from .errors import (
 COLORS = ("r", "g", "b")
 
 
-@dataclass(frozen=True)
-class TwoColex:
+class TwoColex(NamedTuple):
     graph: EmbeddedGraph
     face_color: Tuple[str, ...]
     edge_color: Tuple[str, ...]
@@ -290,8 +288,7 @@ def construct_1(seed: EmbeddedGraph) -> TwoColex:
     )
 
 
-@dataclass(frozen=True)
-class RecoveredBipartite:
+class RecoveredBipartite(NamedTuple):
     graph: EmbeddedGraph
     classes: Tuple[Tuple[int, ...], Tuple[int, ...]]
     class_colors: Tuple[str, str]

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import embed_graph, gf2, pauli
 from .colex import COLORS, TwoColex, _backtrack_color
@@ -55,8 +55,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class HEdge:
+class HEdge(NamedTuple):
     vertices: Tuple[int, ...]  # sorted; length 2 or 3
     color: Optional[str]
     provenance: Tuple
@@ -66,8 +65,7 @@ class HEdge:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """A promoted edge: original endpoints in boundary-walk order plus the
     new inner vertex."""
 
@@ -81,8 +79,7 @@ class Triangle:
         return self.u_second if u == self.u_first else self.u_first
 
 
-@dataclass(frozen=True)
-class FaceRec:
+class FaceRec(NamedTuple):
     """Structure of one parent-colex face inside the hypergraph."""
 
     kind: str  # "promoted" | "plain" | "broken"
@@ -94,8 +91,7 @@ class FaceRec:
     new_vertices: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """A two-body gauge generator: a rank-2 edge (side None) or a side of a
     triangle, 0 (v0, v1), 1 (v1, v2) or 2 (v0, v2).
 
@@ -380,14 +376,12 @@ def promote(
     return Hypergraph(next_vertex, tuple(edges), colex, face_recs)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     ok: bool
     witness: Optional[Tuple] = None
 
 
-@dataclass(frozen=True)
-class HReport:
+class HReport(NamedTuple):
     h1: ConditionReport
     h2: ConditionReport
     h3: ConditionReport
@@ -479,8 +473,7 @@ def three_edge_color(h: Hypergraph) -> Optional[Tuple[str, ...]]:
     return tuple(("b", "g", "r")[c] for c in coloring)
 
 
-@dataclass(frozen=True)
-class HypercycleSpace:
+class HypercycleSpace(NamedTuple):
     basis: Tuple[int, ...]  # edge bitmasks with even incidence everywhere
     dim: int
     incidence_rank: int
@@ -494,8 +487,7 @@ def cycle_space(h: Hypergraph) -> HypercycleSpace:
     return HypercycleSpace(tuple(basis), len(basis), h.num_edges - len(basis))
 
 
-@dataclass(frozen=True)
-class FaceCycle:
+class FaceCycle(NamedTuple):
     """A canonical hypercycle and the link decomposition of its cycle
     operator: ids into ``h.links``, grouped r, g, b (triangle sides with
     their triangle) and ascending within a group."""

@@ -40,9 +40,8 @@ then the direct measurement of every signed generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, compress, pairwise
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import gf2, pauli
 from .analyzer import SubsystemCode
@@ -56,16 +55,14 @@ from .errors import (
 from .pauli import Pauli
 
 
-@dataclass(frozen=True)
-class ScheduledLink:
+class ScheduledLink(NamedTuple):
     link: int
     vertices: Tuple[int, int]
     pauli: str
     stabilizers: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MeasurementSchedule:
+class MeasurementSchedule(NamedTuple):
     model: str  # "relaxed" | "exclusive"
     time_steps: int
     rounds: Tuple[Tuple[ScheduledLink, ...], ...]
@@ -420,8 +417,7 @@ def _randbelow(getrandbits, k: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class SyndromeReport:
+class SyndromeReport(NamedTuple):
     trials: int
     agreement: float
     direct_agreement: float

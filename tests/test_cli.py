@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -573,7 +572,7 @@ def _rotate_first_promoted_sequence(code, model):
     gid = next(g.gid for g in code.generators if g.kind == "sigma2_promoted")
     seqs = list(sched.per_stabilizer)
     seqs[gid] = seqs[gid][-1:] + seqs[gid][:-1]
-    return dataclasses.replace(sched, per_stabilizer=tuple(seqs))
+    return sched._replace(per_stabilizer=tuple(seqs))
 
 
 def test_schedule_names_the_first_inconsistent_generator(tmp_path, capsys, monkeypatch):
@@ -615,8 +614,8 @@ def _swapped_cycles(monkeypatch):
 
     def change(code):
         code.generators = (
-            dataclasses.replace(g0, cycle=g1.cycle),
-            dataclasses.replace(g1, cycle=g0.cycle),
+            g0._replace(cycle=g1.cycle),
+            g1._replace(cycle=g0.cycle),
         ) + code.generators[2:]
 
     _patch_theorem2(monkeypatch, change)

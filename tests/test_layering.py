@@ -83,6 +83,9 @@
   since `v & -v` costs CPython an extra two's-complement pass per bit.  The
   once-per-measurement picks `anti & -anti` and `free & -free` sit outside
   any `while` loop.
+- Value records are `typing.NamedTuple` classes; `@dataclass` stays on the
+  five types that need what a tuple lacks (see
+  `test_dataclasses_only_where_a_tuple_falls_short`).
 """
 
 import ast
@@ -92,7 +95,7 @@ from pathlib import Path
 import pytest
 
 import tscodes
-from tscodes import cli
+from tscodes import analyzer, cli, colex, hypergraph, scheduler
 
 SOURCES = sorted(Path(tscodes.__file__).parent.glob("*.py"))
 INT_ONLY = {"analyzer.py", "hypergraph.py"}
@@ -111,6 +114,16 @@ RETIRED = {
     "ContractionDisconnects",
 }
 TRIANGLE_SIDES = {"side", "origin"}
+DATACLASSES = {"Hypergraph", "EmbeddedGraph", "SubsystemCode", "Pauli", "PipelineData"}
+RECORDS = {
+    analyzer: ("Generator", "NontrivialReport", "DependencyReport", "DistinctnessVerdict"),
+    colex: ("TwoColex", "RecoveredBipartite"),
+    hypergraph: (
+        "HEdge", "Triangle", "FaceRec", "Link", "ConditionReport", "HReport",
+        "HypercycleSpace", "FaceCycle",
+    ),
+    scheduler: ("ScheduledLink", "MeasurementSchedule", "SyndromeReport"),
+}
 
 
 def _names(tree):
@@ -342,3 +355,45 @@ def test_cli_names_each_family_and_pipeline_once():
     assert counts == Counter(names), "names spelled outside their table: " + ", ".join(
         sorted(name for name, c in counts.items() if c > 1)
     )
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (
+        isinstance(target, ast.Name) and target.id == "dataclass"
+        or isinstance(target, ast.Attribute) and target.attr == "dataclass"
+    )
+
+
+def test_dataclasses_only_where_a_tuple_falls_short():
+    """`@dataclass` decorates only these five classes; every other value
+    record is a `typing.NamedTuple`, which builds in under half the time of
+    a frozen dataclass and compiles one method at import where a frozen
+    dataclass compiles six.
+
+    - `Hypergraph` and `EmbeddedGraph` keep `cached_property` values in an
+      instance `__dict__`, which a tuple does not have.
+    - `SubsystemCode` keeps them too, and the pipelines assign its
+      `pipeline` and `predicted` after `build_code` returns it.
+    - `Pauli` caches `support` in its `__dict__`, and tests pin its
+      `dataclasses.astuple` and `FrozenInstanceError`.
+    - `PipelineData` is read field by field with `dataclasses.fields`.
+    """
+    found = {
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+    }
+    assert sorted(name for _, name in found) == sorted(DATACLASSES), sorted(found)
+
+
+def test_value_records_are_named_tuples():
+    bad = [
+        f"{module.__name__}.{name}"
+        for module, names in RECORDS.items()
+        for name in names
+        if not (issubclass(getattr(module, name), tuple) and getattr(module, name)._fields)
+    ]
+    assert not bad, "records that are not NamedTuples: " + ", ".join(bad)

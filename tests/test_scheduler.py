@@ -307,7 +307,7 @@ def _with_steps(code, change):
     ``change(step)``; the session fixture stays as it is."""
     h = copy.copy(code.hypergraph)
     h.__dict__["links"] = tuple(
-        lk if lk.step is None else dataclasses.replace(lk, step=change(lk.step))
+        lk if lk.step is None else lk._replace(step=change(lk.step))
         for lk in code.hypergraph.links
     )
     return dataclasses.replace(code, hypergraph=h)
@@ -325,7 +325,7 @@ def _shared_qubits(code, step):
 
 def test_schedule_rejects_generator_missing_a_link(th2_22):
     gens = list(th2_22.generators)
-    gens[5] = dataclasses.replace(gens[5], links=gens[5].links[:-1])
+    gens[5] = gens[5]._replace(links=gens[5].links[:-1])
     code = dataclasses.replace(th2_22, generators=tuple(gens))
     with pytest.raises(
         NoValidDecomposition,
