@@ -258,7 +258,7 @@ def build_code(h: Hypergraph) -> SubsystemCode:
             f"dim gauge = {gauge.dim} != 2n - dim L = {2 * n - lspan.dim}"
         )
     # G = C(L) makes C(G) = L, so the center of G is G intersected with L.
-    stab = gf2.Basis(gf2.intersection(gauge, lspan.rows))
+    stab = gf2.intersection(gauge, lspan.rows)
     s = stab.dim
     if (gauge.dim - s) % 2 or (lspan.dim - s) % 2:
         raise GaugeMismatch("parameter identities have no integer solution")

@@ -219,15 +219,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         code, sched, trials=args.trials, seed=args.seed, strict=False
     )
     payload = scheduler.schedule_json_dict(sched)
-    payload["simulation"] = {
-        "trials": rep.trials,
-        "agreement": rep.agreement,
-        "direct_agreement": rep.direct_agreement,
-        "idempotent": rep.idempotent,
-        "varying_links": rep.varying_links,
-        "failures": [list(w) for w in rep.failures],
-        "seed": args.seed,
-    }
+    payload["simulation"] = {**rep._asdict(), "seed": args.seed}
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True))
     failed = []
     if not rep.consistent:

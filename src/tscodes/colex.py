@@ -213,21 +213,6 @@ def construct_A(seed: EmbeddedGraph) -> TwoColex:
     )
 
 
-def _dual_face_to_seed_vertex(seed: EmbeddedGraph, dstar: EmbeddedGraph) -> List[int]:
-    """Each face of the dual surrounds exactly one seed vertex.
-
-    Dual edges keep seed edge ids and sides, and the dual face through dual
-    dart (e, s) is exactly the rotation orbit at the seed vertex edges[e][s].
-    """
-    out: List[int] = []
-    for walk in dstar.faces:
-        hits = {seed.edges[e][s] for (e, s) in walk}
-        if len(hits) != 1:
-            raise MalformedRotation("dual face does not surround one vertex")
-        out.append(hits.pop())
-    return out
-
-
 def construct_1(seed: EmbeddedGraph) -> TwoColex:
     """2-colex from a bipartite graph: expand every dual vertex into a face.
 
@@ -244,7 +229,6 @@ def construct_1(seed: EmbeddedGraph) -> TwoColex:
     for v in bip[1]:
         klass[v] = 1
     dstar = embed_graph.dual(seed)
-    face_to_vertex = _dual_face_to_seed_vertex(seed, dstar)
 
     # Colex vertex i is the dual dart with dart_index i; colex edge e < ne is
     # dual edge e, and edge ne + i is the expansion-cycle edge from dart i to
@@ -271,11 +255,10 @@ def construct_1(seed: EmbeddedGraph) -> TwoColex:
             parentage.append(("dualvertex", dstar.dart_vertex(d0)))
             face_color.append("b")
         else:
-            # Which dual face did this come from?  Use the dual dart.
-            e0 = next(e for e in eids if e < ne)
-            s0 = next(s for (e, s) in walk if e == e0)
-            dual_face = dstar.face_of_dart()[(e0, s0)]
-            v_seed = face_to_vertex[dual_face]
+            # Colex dart (e0, s0) is dual dart (e0, s0), and the dual keeps
+            # seed edge ids and sides: its dual face surrounds edges[e0][s0].
+            e0, s0 = next((e, s) for (e, s) in walk if e < ne)
+            v_seed = seed.edges[e0][s0]
             parentage.append((f"class{klass[v_seed]}", v_seed))
             face_color.append("r" if klass[v_seed] == 0 else "g")
     if g.chi != seed.chi:

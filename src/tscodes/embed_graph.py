@@ -134,6 +134,8 @@ def build(
     if num_vertices < 1:
         raise MalformedRotation("a graph needs at least one vertex")
     edges = _as_list(edges, "edges")
+    if not edges:  # no dart, so no face: chi = 1 would be odd
+        raise MalformedRotation("a graph needs at least one edge")
     rotation = [
         _as_list(circ, f"rotation of vertex {v}")
         for v, circ in enumerate(_as_list(rotation, "rotation"))
@@ -189,14 +191,11 @@ def build(
         raise DisconnectedGraph(
             f"only {len(reach)} of {num_vertices} vertices reachable"
         )
-    g = EmbeddedGraph(
+    return EmbeddedGraph(
         num_vertices=num_vertices,
         edges=tuple(edges),
         rotation=tuple(tuple(c) for c in rotation),
     )
-    if g.chi % 2 != 0:
-        raise OddChi(f"chi = {g.chi} is odd")  # unreachable for valid maps
-    return g
 
 
 def genus(g: EmbeddedGraph) -> int:

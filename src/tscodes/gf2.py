@@ -1,10 +1,10 @@
 """GF(2) linear algebra on int bitsets.
 
 Vectors are Python ints read as little-endian bit vectors (bit i = coordinate
-i).  Matrices are lists of row ints (of column ints for ``relations``).  There
-is one elimination routine, the pivot-keyed echelon ``Basis``; ``rank``,
-``intersection``, ``relations`` and ``kernel`` all run on it.  A reduction
-costs one XOR per pivot it hits, on ints as wide as the vectors.  Set bits
+i); ``relations`` reads a matrix as its list of column ints.  There is one
+elimination routine, the pivot-keyed echelon ``Basis``; ``intersection``,
+``relations`` and ``min_coset_weight`` all run on it.  A reduction costs one
+XOR per pivot it hits, on ints as wide as the vectors.  Set bits
 are walked from the top (``bit_length``, then clear that bit): ``v & -v``
 would cost CPython a two's-complement pass per bit.
 """
@@ -100,21 +100,17 @@ class Basis:
         return b
 
 
-def rank(rows: Iterable[int]) -> int:
-    return Basis(rows).dim
-
-
-def intersection(a: Basis, b: Iterable[int]) -> List[int]:
-    """A basis of span(a) intersected with span(b), by Zassenhaus: with w
-    the bit width, rows (u << w) | u for u in a and v << w for v in b share
-    one echelon basis, whose rows with a pivot below w (a zero high half)
-    span the intersection.  Returned in reduced echelon form."""
+def intersection(a: Basis, b: Iterable[int]) -> Basis:
+    """span(a) intersected with span(b), by Zassenhaus: with w the bit
+    width, rows (u << w) | u for u in a and v << w for v in b share one
+    echelon basis, whose rows with a pivot below w (a zero high half) span
+    the intersection."""
     b = list(b)
     w = max([a.mask.bit_length()] + [v.bit_length() for v in b])
     work = Basis((u << w) | u for u in a.top.values())
     for v in b:
         work.add(v << w)
-    return Basis(r for piv, r in work.top.items() if piv < w).rows
+    return Basis(r for piv, r in work.top.items() if piv < w)
 
 
 def relations(cols: Sequence[int]) -> List[int]:
@@ -128,19 +124,6 @@ def relations(cols: Sequence[int]) -> List[int]:
         r = ind.reduce(v << w | 1 << c)
         (ind.add if r >> w else out.append)(r)
     return out
-
-
-def kernel(rows: List[int], ncols: int) -> List[int]:
-    """Basis of {x : M x = 0} where M has the given rows as bit vectors.
-
-    M maps GF(2)^ncols -> GF(2)^len(rows); row_i . x is a parity of an AND.
-    The bits below ncols are transposed into columns for ``relations``.
-    """
-    cols = [0] * ncols
-    for i, r in enumerate(rows):
-        for c in bits(r & (1 << ncols) - 1):
-            cols[c] |= 1 << i
-    return relations(cols)
 
 
 def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:

@@ -7,10 +7,10 @@ signed ordered product, for ``build_schedule``'s signs) and
 ``first_bad_prefix`` (the prefix rule) work on them; ``link_operator`` reads
 each link's operator (``Hypergraph.link_ops``) off ``LINK_PAULI``, the one color ->
 Pauli table.  Spans are ``gf2.Basis`` objects over 2n-bit vectors laid out as
-x | (z << n); only ``center`` reads that layout here.  The ``Pauli``
-dataclass is the API edge: string I/O, ``commutes``, the operators
-``scheduler.Tableau`` measures (each decodes its ``support`` once) and the
-``center`` test oracle.  Global phases are dropped except in
+x | (z << n); ``center``, the test oracle for the stabilizer, works on
+those raw rows.  The ``Pauli`` dataclass is the API edge: string I/O,
+``commutes`` and the operators ``scheduler.Tableau`` measures (each decodes
+its ``support`` once).  Global phases are dropped except in
 ``phase_product`` (``scheduler.Tableau`` keeps its own, in XZ form).
 """
 
@@ -169,27 +169,19 @@ def center(span: gf2.Basis, n: int) -> gf2.Basis:
     """span intersected with its centralizer (x | z << n layout): the
     radical of the symplectic form restricted to the span.
 
-    Builds the full Gram matrix of the span, so it serves as the test oracle
-    for ``analyzer.build_code``, which intersects the gauge span with the
-    cycle-operator span instead."""
-    rows = span.rows
-    k = len(rows)
-    gram: List[int] = []
-    for i in range(k):
-        row = 0
-        pi = Pauli.from_vec(n, rows[i])
-        for j in range(k):
-            pj = Pauli.from_vec(n, rows[j])
-            if not commutes(pi, pj):
-                row |= 1 << j
-        gram.append(row)
-    # Transpose-free: gram is symmetric over GF(2).
-    coeffs = gf2.kernel(gram, k)
+    Gram row i has bit j when rows i and j anticommute: one ``gf2.dot`` of
+    row i with row j half-swapped (x and z exchanged).  The Gram matrix is
+    symmetric, so its rows are its columns, and their ``gf2.relations`` are
+    the coefficients of the radical.  Builds the full matrix, so it serves
+    as the test oracle for ``analyzer.build_code``, which intersects the
+    gauge span with the cycle-operator span instead."""
+    rows, low = span.rows, (1 << n) - 1
+    swapped = [v >> n | (v & low) << n for v in rows]
+    gram = [sum(gf2.dot(v, u) << j for j, u in enumerate(swapped)) for v in rows]
     out = gf2.Basis()
-    for c in coeffs:
+    for c in gf2.relations(gram):
         v = 0
-        for j in range(k):
-            if (c >> j) & 1:
-                v ^= rows[j]
+        for j in gf2.bits(c):
+            v ^= rows[j]
         out.add(v)
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import reference_gf2
 from tscodes import gf2, pauli
 from tscodes.errors import GaugeMismatch, SizeMismatch
 from tscodes.pauli import Pauli
@@ -109,7 +110,7 @@ def centralizer(span: gf2.Basis, n: int) -> gf2.Basis:
     as x | z << n); dim = 2n - dim(span) by symplectic rank-nullity."""
     low = (1 << n) - 1
     swapped = [(v >> n) | ((v & low) << n) for v in span.rows]
-    out = gf2.Basis(gf2.kernel(swapped, 2 * n))
+    out = gf2.Basis(reference_gf2.kernel(swapped, 2 * n))
     if out.dim != 2 * n - span.dim:
         raise GaugeMismatch(f"dim centralizer {out.dim} != 2n - dim span {span.dim}")
     return out

@@ -36,7 +36,7 @@ def test_criterion_1_parameter_identities(pipeline_codes, honeycomb_code):
         links = [
             pauli.link_operator(lk.vertices, lk.color) for lk in code.hypergraph.links
         ]
-        gauge_dim = gf2.rank(pauli.Pauli(n, *op).vec() for op in links)
+        gauge_dim = gf2.Basis(pauli.Pauli(n, *op).vec() for op in links).dim
         cent_dim = 2 * n - gauge_dim
         s = pauli.center(code.gauge, n).dim
         elapsed = time.monotonic() - start

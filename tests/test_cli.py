@@ -425,6 +425,10 @@ def _without_rotation_of_vertex_0():
     return data
 
 
+def _edgeless_vertex():
+    return {"vertices": [0], "edges": [], "rotation": {"0": []}}
+
+
 def _with_three_int_dart():
     data = _grid_json()
     data["rotation"]["0"][0] = data["rotation"]["0"][0] + [0]
@@ -443,15 +447,26 @@ def _with_three_int_dart():
          "MalformedRotation"),
         ("custom", lambda: {"vertices": [], "rank2": [], "rank3": []},
          "MalformedRotation"),
+        ("theorem2", _edgeless_vertex, "MalformedRotation"),
     ],
     ids=["no-rank3", "vertex-out-of-range", "rotation-missing-vertex",
-         "three-int-dart", "empty-graph", "empty-hypergraph"],
+         "three-int-dart", "empty-graph", "empty-hypergraph", "edgeless-vertex"],
 )
 def test_build_malformed_input_exits_2(tmp_path, capsys, pipeline, make, error):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(make()))
     assert run(["build", str(path), "--pipeline", pipeline]) == 2
     assert f"error: {error}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "schedule", "export"])
+def test_edgeless_vertex_is_malformed(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_edgeless_vertex()))
+    assert run([command, str(path)]) == 2
+    assert "error: MalformedRotation: a graph needs at least one edge" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,40 @@ def test_construct_1_round_trip(seed):
     assert eg.is_isomorphic(rec.graph, seed)
 
 
+def _dipole():
+    """Two vertices joined by three parallel edges on the sphere."""
+    return eg.build(2, [(0, 1)] * 3, [[(0, 0), (1, 0), (2, 0)], [(2, 1), (1, 1), (0, 1)]])
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        lattices.torus_grid(2, 2),
+        lattices.torus_grid(4, 4),
+        lattices.torus_grid(2, 6),
+        lattices.honeycomb_torus(3, 3),
+        lattices.honeycomb_torus(2, 5),
+        lattices.honeycomb_torus(4, 6),
+        _dipole(),
+    ],
+    ids=["grid22", "grid44", "grid26", "honeycomb33", "honeycomb25", "honeycomb46",
+         "dipole"],
+)
+def test_dual_faces_surround_one_seed_vertex(seed):
+    """The dual keeps edge ids and sides, so every dart (e, s) of a dual face
+    sits at that face's one seed vertex edges[e][s]; construct_1 reads a
+    surviving face's parent vertex off any one of its dual darts."""
+    dstar = eg.dual(seed)
+    assert dstar.num_faces == seed.num_vertices
+    for walk in dstar.faces:
+        assert len({seed.edges[e][s] for e, s in walk}) == 1
+    c = colex.construct_1(seed)
+    for walk, (kind, parent) in zip(c.graph.faces, c.parentage):
+        if kind != "dualvertex":
+            darts = [(e, s) for e, s in walk if e < dstar.num_edges]
+            assert darts and {seed.edges[e][s] for e, s in darts} == {parent}
+
+
 def test_construct_1_rejects_non_bipartite():
     with pytest.raises(NotBipartite):
         colex.construct_1(lattices.torus_grid(3, 3))

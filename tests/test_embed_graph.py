@@ -72,6 +72,9 @@ def test_malformed_entry_rejected_and_named(edges, rotation, entry):
         (2, [(0, 1)], 7, "rotation is not a list: 7"),
         (2, 7, [[(0, 0)], [(0, 1)]], "edges is not a list: 7"),
         ("2", [(0, 1)], [[(0, 0)], [(0, 1)]], "vertex count '2' is not an int"),
+        (0, [], [], "a graph needs at least one vertex"),
+        # No darts, so no face: chi = 1 would be odd.
+        (1, [], [[]], "a graph needs at least one edge"),
     ],
 )
 def test_malformed_argument_rejected_and_named(num_vertices, edges, rotation, named):

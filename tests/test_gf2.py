@@ -12,8 +12,8 @@ from tscodes import gf2
 @st.composite
 def programs(draw):
     """A width, a list of add / reduce / rows / copy steps over sparse
-    (1-4 set bits) or dense vectors of that width, a second row set, one
-    more vector and a kernel column count up to the width."""
+    (1-4 set bits) or dense vectors of that width, a second row set and one
+    more vector."""
     w = draw(st.integers(1, 200))
     if draw(st.booleans()):
         vec = st.lists(st.integers(0, w - 1), min_size=1, max_size=4).map(
@@ -29,13 +29,13 @@ def programs(draw):
     )
     steps = draw(st.lists(step, max_size=60))
     other = draw(st.lists(vec, max_size=20))
-    return w, steps, other, draw(vec), draw(st.integers(0, w))
+    return w, steps, other, draw(vec)
 
 
 @given(programs())
 @settings(max_examples=300, deadline=None)
 def test_basis_matches_reference(program):
-    w, steps, other, extra, ncols = program
+    w, steps, other, extra = program
     fast, ref = gf2.Basis(), reference_gf2.Basis()
     added, copies = [], []
     for step in steps:
@@ -52,10 +52,6 @@ def test_basis_matches_reference(program):
         assert fast.dim == ref.dim
         assert list(fast.top) == ref.pivots
     assert fast.rows == ref.rows
-    assert gf2.rank(added) == ref.dim
-    assert gf2.kernel(added, w) == reference_gf2.kernel(added, w)
-    # Bits at or above ncols are ignored: the reference never pivots on them.
-    assert gf2.kernel(added, ncols) == reference_gf2.kernel(added, ncols)
     # The sweep reads the added vectors as columns: its relations are the
     # kernel of the transposed matrix, whose row j has bit i when column i
     # has bit j.
@@ -63,7 +59,7 @@ def test_basis_matches_reference(program):
         sum(1 << i for i, v in enumerate(added) if v >> j & 1) for j in range(w)
     ]
     assert gf2.relations(added) == reference_gf2.kernel(transposed, len(added))
-    assert gf2.intersection(fast, other) == reference_gf2.intersection(ref, other)
+    assert gf2.intersection(fast, other).rows == reference_gf2.intersection(ref, other)
     rows, pivots = list(fast.rows), list(fast.top)
     for fast_copy, ref_copy in copies:
         # Later adds to the original left the copy alone, and vice versa.

@@ -55,9 +55,13 @@
 - The cycle space is one sweep over the incidence matrix's columns:
   `hypergraph.cycle_space` hands the edges' vertex masks to
   `gf2.relations` and reads neither `incidence_rows` nor a reduced
-  echelon form (`Basis.rows`), and neither does `relations`.  `gf2.kernel`
-  transposes its rows into columns for the same sweep.  Neither formats a
-  bit string.
+  echelon form (`Basis.rows`), and neither does `relations`, which formats
+  no bit string.  The retired `gf2.kernel` (rows transposed into columns for
+  the same sweep) does not come back, and `gf2` defines no `rank`: a span's
+  rank is its `Basis.dim`.
+- `pauli.center`, the stabilizer's test oracle, works on the span's raw
+  rows: it builds no `Pauli` (no `commutes` or `from_vec` per pair) and
+  hands its symmetric Gram matrix to `gf2.relations` as columns.
 - A colex's loop generators come from one pruned cycle walk
   (`analyzer._lightest_loop`, which checks the prefix rule edge by edge as
   the flank rule), so the retired `LOOP_SPAN_CAP` does not come back, and
@@ -111,7 +115,7 @@ RETIRED = {
     "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
     "LOOP_SPAN_CAP", "centralizer", "_cycle_vec", "contract_and_drop_loops",
     "_MutableMap", "contract_edges", "simplify_parallel", "LoopCreated",
-    "ContractionDisconnects",
+    "ContractionDisconnects", "kernel",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 DATACLASSES = {"Hypergraph", "EmbeddedGraph", "SubsystemCode", "Pauli", "PipelineData"}
@@ -269,16 +273,29 @@ def test_dependency_check_reads_generator_operators():
 
 
 def test_kernel_formats_no_bit_strings():
-    defs = _defs("gf2")
     bad = [
-        f"{name} line {node.lineno}"
-        for name in ("relations", "kernel")
-        for node in ast.walk(defs[name])
+        f"relations line {node.lineno}"
+        for node in ast.walk(_defs("gf2")["relations"])
         if isinstance(node, (ast.JoinedStr, ast.FormattedValue))
         or isinstance(node, ast.Name) and node.id in ("format", "bin", "str")
         or isinstance(node, ast.Slice) and node.step is not None
     ]
     assert not bad, "the column sweep formats bit strings: " + "; ".join(bad)
+
+
+def test_center_works_on_raw_rows():
+    fn = _defs("pauli")["center"]
+    names = {ident for _, ident in _names(fn)}
+    assert not names & {"Pauli", "commutes", "from_vec"}
+    calls = [
+        node.func.attr for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert "relations" in calls
+
+
+def test_gf2_defines_no_rank():
+    assert "rank" not in _defs("gf2")
 
 
 def test_cycle_space_sweeps_the_columns():

@@ -70,7 +70,7 @@ def test_promoted_hypergraphs_satisfy_H(mn, triangular):
     assert rep.all_ok and rep.coloring_proper.ok and rep.rank3_monochrome.ok
     # The rank read off the kernel agrees with a separate elimination.
     cs = hg.cycle_space(h)
-    assert cs.incidence_rank == gf2.rank(h.incidence_rows())
+    assert cs.incidence_rank == gf2.Basis(h.incidence_rows()).dim
     assert cs.dim == h.num_edges - cs.incidence_rank
 
 
@@ -184,9 +184,9 @@ vectors = st.lists(st.integers(0, 2**7 - 1), max_size=6)
 @given(vectors, vectors)
 @settings(max_examples=100, deadline=None)
 def test_intersection_is_the_common_subspace(a, b):
-    common = gf2.intersection(gf2.Basis(a), b)
+    common = gf2.intersection(gf2.Basis(a), b).rows
     ua, ub = gf2.span_vectors(gf2.Basis(a).rows), gf2.span_vectors(gf2.Basis(b).rows)
-    assert gf2.rank(common) == len(common)
+    assert gf2.Basis(common).dim == len(common)
     assert set(gf2.span_vectors(common)) == set(ua) & set(ub)
 
 
