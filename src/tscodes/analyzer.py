@@ -1,17 +1,18 @@
 """Assemble subsystem codes from hypergraphs and verify the parameter theory.
 
-Operators are raw (x, z) int pairs; the spans G (gauge), L (cycle
-operators) and the stabilizer are ``gf2.Basis`` objects over x | z << n,
-the only place that layout appears.  ``Pauli`` is not used here.  G comes
-from the link table's operators (``Hypergraph.link_ops``).  One walk per
-cycle-basis vector gives its operator and marks the basis cycles through
-each edge, so G is checked to commute with L by bilinearity over qubits,
-from the basis cycles whose W anticommutes with each single-qubit Pauli on
-each qubit.  Once G is checked to be C(L),
-the operators commuting with L, the stabilizer S (the center of G, whose
-test oracle is ``pauli.center``) is G intersected with L, by one GF(2)
-elimination, and C(S) = G + L.  A colex's loop generators come from one
-pruned cycle walk.  Each generator carries its cycle operator
+Operators are raw (x, z) int pairs; the spans G (gauge) and S (stabilizer)
+are ``gf2.Basis`` objects over x | z << n, the only place that layout
+appears, and L is spanned by the basis cycles' operators.  ``Pauli`` is not
+used here.  G comes from the link table's operators
+(``Hypergraph.link_ops``).  One walk per cycle-basis vector gives its
+operator and marks the basis cycles through each edge, so G is checked to
+commute with L by bilinearity over qubits, from the basis cycles whose W
+anticommutes with each single-qubit Pauli on each qubit.  Once G is checked
+to be C(L), the operators commuting with L, S (the center of G, whose test
+oracle is ``pauli.center``) is L intersected with C(L), the radical of L:
+the kernel of the Gram matrix of L's basis, which only rank-3 edges fill,
+picks it out of L, and C(S) = G + L.  A colex's loop generators come from
+one pruned cycle walk.  Each generator carries its cycle operator
 (``Generator.op``), derived once, and the code keeps the operator of each
 quotient cycle (``quotient_ops``) from the cycle-basis walk; the
 stabilizer, dependency, lemma and schedule checks, the exact distance and
@@ -24,10 +25,10 @@ colex face stands for; the routine classes the faces by the seed-face
 2-coloring (delta = 1), promotes and builds the code.  The third family is
 the dual expansion of a 2-colex.  The checks return what they find (flags
 plus the first failing identity or cycle as a witness) and raise only on a
-usage error, so the caller turns their verdicts into a verified flag and
-an exit code.  The distinctness check reads the contracted degrees and,
-for a 6-valent code, the source colex with its promoted edges contracted.
-The exact distance is ell's coset search, ``gf2.min_coset_weight``, run on
+usage error, so the caller turns their verdicts into a verified flag and an
+exit code.  The distinctness check reads the contracted degrees and, for a
+6-valent code, the source colex with its promoted edges contracted.  The
+exact distance is ell's coset search, ``gf2.min_coset_weight``, run on
 doubled qubit weights.
 """
 
@@ -35,7 +36,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import colex as colex_mod
@@ -193,33 +195,40 @@ _ANTI = ((), (2, 3), (1, 3), (1, 2))  # per Pauli x | z << 1, those anticommutin
 
 def _anticommuting_cycles(
     h: Hypergraph, edge_ops: Sequence[Tuple[int, int]], uses: Sequence[int]
-) -> Iterator[int]:
-    """Per link, the mask of basis cycles whose W it anticommutes with, by
-    bilinearity over qubits: ``at[v][p]`` XORs ``uses[e]`` (the basis cycles
-    through edge e) over the edges e whose Pauli at qubit v, each qubit of e
-    once, anticommutes with the single-qubit Pauli p = x | z << 1, and a link
-    with Paulis P_a, P_b on its qubits a, b (its ``link_ops`` bits) reads
-    at[a][P_a] ^ at[b][P_b]."""
+) -> Tuple[List[int], Dict[int, int]]:
+    """Per link, and per rank-3 edge for its ZZZ, the mask of basis cycles
+    whose W it anticommutes with, by bilinearity over qubits: ``at[v][p]``
+    XORs ``uses[e]`` (the basis cycles through edge e) over the edges e whose
+    Pauli at qubit v, each qubit of e once, anticommutes with the
+    single-qubit Pauli p = x | z << 1, and a link with Paulis P_a, P_b on its
+    qubits a, b (its ``link_ops`` bits) reads at[a][P_a] ^ at[b][P_b]."""
     at = [[0] * 4 for _ in range(h.num_vertices)]
     for e, (ex, ez), use in zip(h.edges, edge_ops, uses):
         for v in set(e.vertices):
             for p in _ANTI[(ex >> v & 1) | (ez >> v & 1) << 1]:
                 at[v][p] ^= use
+    links = []
     for lk, (lx, lz) in zip(h.links, h.link_ops):
         a, b = lk.vertices
         pa, pb = lx >> a & 1 | (lz >> a & 1) << 1, lx >> b & 1 | (lz >> b & 1) << 1
-        yield at[a][pa] ^ at[b][pb]
+        links.append(at[a][pa] ^ at[b][pb])
+    zzz = {}
+    for e in h.rank3_ids():
+        a, b, c = h.edges[e].vertices
+        zzz[e] = at[a][2] ^ at[b][2] ^ at[c][2]
+    return links, zzz
 
 
 def build_code(h: Hypergraph) -> SubsystemCode:
     """Gauge, stabilizer and (n, k, r, s) for a colored H1-H4 hypergraph.
 
-    Checks that the gauge span equals the centralizer of the cycle-operator
-    span (the commutation half by bilinearity, ``_anticommuting_cycles``),
-    takes the stabilizer as their intersection and checks the
-    over-determined parameter identities.  Each generator gets its cycle
-    operator ``op`` here, checked to lie in the stabilizer, and the cycle
-    basis walk keeps the operator of each quotient cycle (``quotient_ops``).
+    Checks that the cycle operators are independent and that the gauge span
+    equals their span's centralizer (the commutation half by bilinearity,
+    ``_anticommuting_cycles``), takes the stabilizer as the radical of the
+    cycle-operator span and checks the over-determined parameter identities.
+    Each generator gets its cycle operator ``op`` here, checked to lie in
+    the stabilizer, and the cycle basis walk keeps the operator of each
+    quotient cycle (``quotient_ops``).
     """
     rep = h.validation
     if not rep.all_ok:
@@ -244,26 +253,33 @@ def build_code(h: Hypergraph) -> SubsystemCode:
             z ^= ez
             uses[e] |= bit
         ops.append(x | z << n)
-    lspan = gf2.Basis(ops)
-    if lspan.dim != cycles.dim:
+    links, zzz = _anticommuting_cycles(h, edge_ops, uses)
+    # Gram row j: the W anticommuting with W(sigma_j).  Only sigma_j's rank-3
+    # edges count: the links, rank-2 edges among them, commute with every W
+    # (checked below).  A relation among the W (product I) is a Gram relation.
+    gram = [0] * len(ops)
+    for e, anti in zzz.items():
+        for j in gf2.bits(uses[e]):
+            gram[j] ^= anti
+    null = gf2.relations(gram)
+    stab = gf2.Basis(reduce(xor, (ops[j] for j in gf2.bits(c))) for c in null)
+    if stab.dim != len(null):
         raise GaugeMismatch("cycle operators are not independent")
     # Gauge group = centralizer of the cycle-operator span.
-    for lk, anti in zip(h.links, _anticommuting_cycles(h, edge_ops, uses)):
+    for lk, anti in zip(h.links, links):
         if anti:
             raise GaugeMismatch(
                 f"link {(lk.edge, lk.side)} anticommutes with a cycle operator"
             )
-    if gauge.dim != 2 * n - lspan.dim:
+    if gauge.dim != 2 * n - len(ops):
         raise GaugeMismatch(
-            f"dim gauge = {gauge.dim} != 2n - dim L = {2 * n - lspan.dim}"
+            f"dim gauge = {gauge.dim} != 2n - dim L = {2 * n - len(ops)}"
         )
-    # G = C(L) makes C(G) = L, so the center of G is G intersected with L.
-    stab = gf2.intersection(gauge, lspan.rows)
-    s = stab.dim
-    if (gauge.dim - s) % 2 or (lspan.dim - s) % 2:
+    s = stab.dim  # G = C(L) makes the radical of L the center of G
+    if (gauge.dim - s) % 2 or (len(ops) - s) % 2:
         raise GaugeMismatch("parameter identities have no integer solution")
     r = (gauge.dim - s) // 2
-    k = (lspan.dim - s) // 2  # dim C(gauge) = dim L here
+    k = (len(ops) - s) // 2  # dim C(gauge) = dim L here
     if n != k + r + s:
         raise GaugeMismatch(f"n = {n} != k+r+s = {k + r + s}")
 

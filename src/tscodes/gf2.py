@@ -2,11 +2,11 @@
 
 Vectors are Python ints read as little-endian bit vectors (bit i = coordinate
 i); ``relations`` reads a matrix as its list of column ints.  There is one
-elimination routine, the pivot-keyed echelon ``Basis``; ``intersection``,
-``relations`` and ``min_coset_weight`` all run on it.  A reduction costs one
-XOR per pivot it hits, on ints as wide as the vectors.  Set bits
-are walked from the top (``bit_length``, then clear that bit): ``v & -v``
-would cost CPython a two's-complement pass per bit.
+elimination routine, the pivot-keyed echelon ``Basis``; ``relations`` and
+``min_coset_weight`` run on it.  A reduction costs one XOR per pivot it
+hits, on ints as wide as the vectors.  Set bits are walked from the top
+(``bit_length``, then clear that bit): ``v & -v`` would cost CPython a
+two's-complement pass per bit.
 """
 
 from __future__ import annotations
@@ -100,19 +100,6 @@ class Basis:
         return b
 
 
-def intersection(a: Basis, b: Iterable[int]) -> Basis:
-    """span(a) intersected with span(b), by Zassenhaus: with w the bit
-    width, rows (u << w) | u for u in a and v << w for v in b share one
-    echelon basis, whose rows with a pivot below w (a zero high half) span
-    the intersection."""
-    b = list(b)
-    w = max([a.mask.bit_length()] + [v.bit_length() for v in b])
-    work = Basis((u << w) | u for u in a.top.values())
-    for v in b:
-        work.add(v << w)
-    return Basis(r for piv, r in work.top.items() if piv < w)
-
-
 def relations(cols: Sequence[int]) -> List[int]:
     """Basis of the relations among the columns (the x whose set bits pick
     columns that XOR to 0), in one sweep: with w = len(cols), column v at
@@ -133,7 +120,7 @@ def min_coset_weight(basis: Basis, vectors: Iterable[int]) -> Optional[int]:
     Exact, by the Brouwer-Zimmermann search over disjoint information sets
     (Zimmermann 1996; Grassl 2006).  Each set is the pivots of an echelon
     form whose pivots avoid the earlier sets, from eliminating
-    ((row & free) << w) | row as ``intersection`` does; the sets end at the
+    ((row & free) << w) | row, Zassenhaus style; the sets end at the
     first form not full rank on the free columns.  A vector reduced against
     such a form has no pivot bit, so adding r of its rows gives a coset
     vector of weight r on the set plus the weight of their tails' XOR off

@@ -17,7 +17,8 @@ its ``support`` once).  Global phases are dropped except in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -172,16 +173,11 @@ def center(span: gf2.Basis, n: int) -> gf2.Basis:
     Gram row i has bit j when rows i and j anticommute: one ``gf2.dot`` of
     row i with row j half-swapped (x and z exchanged).  The Gram matrix is
     symmetric, so its rows are its columns, and their ``gf2.relations`` are
-    the coefficients of the radical.  Builds the full matrix, so it serves
-    as the test oracle for ``analyzer.build_code``, which intersects the
-    gauge span with the cycle-operator span instead."""
+    the coefficients of the radical.  Run on the gauge span, it is the test
+    oracle for ``analyzer.build_code``, whose Gram matrix is the cycle
+    operators' and filled from their rank-3 edges only."""
     rows, low = span.rows, (1 << n) - 1
     swapped = [v >> n | (v & low) << n for v in rows]
     gram = [sum(gf2.dot(v, u) << j for j, u in enumerate(swapped)) for v in rows]
-    out = gf2.Basis()
-    for c in gf2.relations(gram):
-        v = 0
-        for j in gf2.bits(c):
-            v ^= rows[j]
-        out.add(v)
-    return out
+    picks = gf2.relations(gram)
+    return gf2.Basis(reduce(xor, (rows[j] for j in gf2.bits(c))) for c in picks)

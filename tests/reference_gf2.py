@@ -4,6 +4,10 @@ oracle of a differential test.
 ``Basis`` keeps a fully reduced echelon basis by scanning every row on each
 reduce and back-substituting on each insert; ``kernel`` eliminates column by
 column.  Simple and slow, and independent of the pivot-keyed core.
+``intersection`` is the Zassenhaus elimination that gave the stabilizer as
+the gauge span intersected with the cycle-operator span before
+``tscodes.analyzer.build_code`` read it off the Gram matrix of the cycle
+operators; the tests compare the two.
 """
 
 from __future__ import annotations

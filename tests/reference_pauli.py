@@ -10,7 +10,8 @@ index.
 `anticommuting_masks` is the per-qubit column-mask commutation check that
 `tscodes.analyzer.build_code` ran over the dense cycle operators before it
 read each link's anticommuting cycles by bilinearity; the tests use it as
-the oracle for the link that check names.
+the oracle for the link that check names and for the masks of each link
+and each rank-3 edge's ZZZ that the Gram matrix is built from.
 
 `centralizer` is the symplectic kernel that `tscodes.analyzer.exact_distance`
 took as C(S) before it read C(S) = G + L off the code's gauge rows and

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_contraction
 import reference_distance
+import reference_gf2
 import reference_loops
 import reference_pauli
 from tscodes import analyzer, colex, embed_graph as eg, gf2, hypergraph as hg, lattices, pauli
@@ -41,18 +42,48 @@ def test_parameter_identities(pipeline_codes, honeycomb_code):
         assert code.stabilizer.dim == code.s
 
 
+def _faceless_code(num_vertices, pairs):
+    """build_code on a bare rank-2 hypergraph, 3-edge-colored first, as the
+    ``custom`` pipeline colors an uncolored input."""
+    h = hg.Hypergraph(
+        num_vertices, tuple(hg.HEdge(p, None, ("test", i)) for i, p in enumerate(pairs))
+    )
+    return analyzer.build_code(h.recolored(hg.three_edge_color(h)))
+
+
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
 def test_stabilizer_equals_center_oracle(pipeline_codes, honeycomb_code, honeycomb33_colex):
-    # build_code intersects the gauge span with the cycle-operator span; the
-    # Gram-matrix radical pauli.center must give the same reduced basis.
+    # build_code reads the stabilizer off the Gram kernel of the cycle
+    # operators; the gauge span's Gram radical (pauli.center) and the
+    # Zassenhaus intersection of the gauge and cycle-operator spans
+    # (reference_gf2.intersection) must give the same reduced basis.
     codes = dict(pipeline_codes)
-    tri = lattices.triangular_torus(2, 2)
+    tri, grid44 = lattices.triangular_torus(2, 2), lattices.torus_grid(4, 4)
     codes["th2_tri22"] = analyzer.theorem2_pipeline(tri)
     codes["th3_tri22"] = analyzer.theorem3_pipeline(tri)
+    codes["th2_44"] = analyzer.theorem2_pipeline(grid44)
+    codes["th3_44"] = analyzer.theorem3_pipeline(grid44)
     codes["bombin_hc33"] = analyzer.bombin_pipeline(honeycomb33_colex)
+    codes["bombin_hc66"] = analyzer.bombin_pipeline(
+        colex.validate_colex(lattices.honeycomb_torus(6, 6))
+    )
     codes["colex_hc33"] = honeycomb_code
+    codes["custom_k4"] = _faceless_code(4, K4)
+    codes["custom_prism"] = _faceless_code(6, PRISM)
     for name, code in codes.items():
-        oracle = pauli.center(code.gauge, code.n)
-        assert sorted(code.stabilizer.rows) == sorted(oracle.rows), name
+        h, want = code.hypergraph, sorted(code.stabilizer.rows)
+        assert sorted(pauli.center(code.gauge, code.n).rows) == want, name
+        ops = [pauli.cycle_operator(h, sigma) for sigma in code.cycles.basis]
+        lspan = [x | z << code.n for x, z in ops]
+        common = reference_gf2.intersection(reference_gf2.Basis(code.gauge.rows), lspan)
+        assert sorted(common) == want, name
+        if name.startswith("custom"):
+            # No rank-3 edge: the Gram matrix is zero and S is all of L.
+            assert not h.rank3_ids() and code.k == 0, name
+            assert code.s == code.cycles.dim == len(want), name
 
 
 def test_gauge_is_centralizer_of_cycles(th2_22):
@@ -114,10 +145,14 @@ def test_commutation_check_names_the_first_flagged_link(
 ):
     """One or two link operators replaced: build_code names the first link
     that anticommutes with the cycle operator of some basis cycle, by the
-    pairwise oracle, and names none when the oracle flags none."""
+    pairwise oracle.  When the oracle flags none, the gauge lies in C(L), so
+    it is C(L) iff its dimension is 2n - dim L: then the code builds with
+    the unchanged parameters and stabilizer, which is read off L, and
+    otherwise the dimension check names the shortfall."""
     code = {**pipeline_codes, **tri22_codes}[name]
-    h = code.hypergraph
+    h, n = code.hypergraph, code.n
     ws = [pauli.cycle_operator(h, sigma) for sigma in code.cycles.basis]
+    stab = sorted(code.stabilizer.rows)
     positions = _positions(h)
     cases = [{i: op} for i in positions for op in _replacements(h, i)]
     for i, j in zip(positions, positions[1:]):
@@ -129,11 +164,17 @@ def test_commutation_check_names_the_first_flagged_link(
         masks = reference_pauli.anticommuting_masks(ops, ws)
         first = next((k for k, mask in enumerate(masks) if mask), None)
         if first is None:
+            gauge_dim = gf2.Basis(x | z << n for x, z in ops).dim
             unflagged += 1
-            try:
+            if gauge_dim == code.gauge.dim:
+                built = analyzer.build_code(fresh)
+                assert built.params() == code.params(), changes
+                assert sorted(built.stabilizer.rows) == stab, changes
+                continue
+            with pytest.raises(GaugeMismatch) as exc:
                 analyzer.build_code(fresh)
-            except GaugeMismatch as exc:
-                assert "anticommutes" not in str(exc), changes
+            want = f"dim gauge = {gauge_dim} != 2n - dim L = {2 * n - len(ws)}"
+            assert str(exc.value) == want, changes
             continue
         flagged += 1
         lk = h.links[first]
@@ -148,9 +189,9 @@ def test_commutation_check_names_the_first_flagged_link(
 def test_anticommuting_cycles_match_the_pairwise_oracle(
     name, pipeline_codes, tri22_codes
 ):
-    """The per-link masks read by bilinearity equal the pairwise oracle's
-    over the dense cycle operators, for every link, with one link operator
-    replaced at a time."""
+    """The masks read by bilinearity equal the pairwise oracle's over the
+    dense cycle operators: per link, with one link operator replaced at a
+    time, and per rank-3 edge for its ZZZ, which no replacement touches."""
     code = {**pipeline_codes, **tri22_codes}[name]
     h, basis = code.hypergraph, code.cycles.basis
     ws = [pauli.cycle_operator(h, sigma) for sigma in basis]
@@ -159,11 +200,16 @@ def test_anticommuting_cycles_match_the_pairwise_oracle(
         for e in range(h.num_edges)
     ]
     edge_ops = [op for _, op in h.edge_masks]
+    rank3 = h.rank3_ids()
+    zzz_ops = [(0, sum(1 << v for v in h.edges[e].vertices)) for e in rank3]
+    want_zzz = dict(zip(rank3, reference_pauli.anticommuting_masks(zzz_ops, ws)))
+    assert rank3 and any(want_zzz.values())
     for i in _positions(h):
         for op in _replacements(h, i):
             fresh, ops = _with_link_ops(h, {i: op})
-            got = list(analyzer._anticommuting_cycles(fresh, edge_ops, uses))
-            assert got == reference_pauli.anticommuting_masks(ops, ws), (i, op)
+            links, zzz = analyzer._anticommuting_cycles(fresh, edge_ops, uses)
+            assert links == reference_pauli.anticommuting_masks(ops, ws), (i, op)
+            assert zzz == want_zzz, (i, op)
 
 
 def test_ell_does_not_bound_the_dressed_distance(th2_22):

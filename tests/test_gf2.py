@@ -12,8 +12,7 @@ from tscodes import gf2
 @st.composite
 def programs(draw):
     """A width, a list of add / reduce / rows / copy steps over sparse
-    (1-4 set bits) or dense vectors of that width, a second row set and one
-    more vector."""
+    (1-4 set bits) or dense vectors of that width, and one more vector."""
     w = draw(st.integers(1, 200))
     if draw(st.booleans()):
         vec = st.lists(st.integers(0, w - 1), min_size=1, max_size=4).map(
@@ -28,14 +27,13 @@ def programs(draw):
         st.just(("copy",)),
     )
     steps = draw(st.lists(step, max_size=60))
-    other = draw(st.lists(vec, max_size=20))
-    return w, steps, other, draw(vec)
+    return w, steps, draw(vec)
 
 
 @given(programs())
 @settings(max_examples=300, deadline=None)
 def test_basis_matches_reference(program):
-    w, steps, other, extra = program
+    w, steps, extra = program
     fast, ref = gf2.Basis(), reference_gf2.Basis()
     added, copies = [], []
     for step in steps:
@@ -59,7 +57,6 @@ def test_basis_matches_reference(program):
         sum(1 << i for i, v in enumerate(added) if v >> j & 1) for j in range(w)
     ]
     assert gf2.relations(added) == reference_gf2.kernel(transposed, len(added))
-    assert gf2.intersection(fast, other).rows == reference_gf2.intersection(ref, other)
     rows, pivots = list(fast.rows), list(fast.top)
     for fast_copy, ref_copy in copies:
         # Later adds to the original left the copy alone, and vice versa.

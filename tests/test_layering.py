@@ -62,6 +62,12 @@
 - `pauli.center`, the stabilizer's test oracle, works on the span's raw
   rows: it builds no `Pauli` (no `commutes` or `from_vec` per pair) and
   hands its symmetric Gram matrix to `gf2.relations` as columns.
+- `analyzer.build_code` reads the stabilizer off the Gram matrix of the
+  cycle operators, filled from their rank-3 edges by
+  `_anticommuting_cycles`, as the XORs its `gf2.relations` pick; it builds
+  no second `Basis` over the cycle operators, and the retired Zassenhaus
+  `gf2.intersection` does not come back (it is the oracle's, in
+  `tests/reference_gf2.py`).
 - A colex's loop generators come from one pruned cycle walk
   (`analyzer._lightest_loop`, which checks the prefix rule edge by edge as
   the flank rule), so the retired `LOOP_SPAN_CAP` does not come back, and
@@ -115,7 +121,7 @@ RETIRED = {
     "_signed_decomposition", "decompose", "DistanceBound", "anticommuting_masks",
     "LOOP_SPAN_CAP", "centralizer", "_cycle_vec", "contract_and_drop_loops",
     "_MutableMap", "contract_edges", "simplify_parallel", "LoopCreated",
-    "ContractionDisconnects", "kernel",
+    "ContractionDisconnects", "kernel", "intersection",
 }
 TRIANGLE_SIDES = {"side", "origin"}
 DATACLASSES = {"Hypergraph", "EmbeddedGraph", "SubsystemCode", "Pauli", "PipelineData"}
@@ -292,6 +298,22 @@ def test_center_works_on_raw_rows():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     ]
     assert "relations" in calls
+
+
+def test_stabilizer_is_read_off_the_gram():
+    calls = [
+        node for node in ast.walk(_defs("analyzer")["build_code"])
+        if isinstance(node, ast.Call)
+    ]
+    called = {ident for node in calls for _, ident in _names(node.func)}
+    assert {"_anticommuting_cycles", "relations"} <= called
+    bad = [
+        f"line {node.lineno}" for node in calls
+        if "Basis" in {ident for _, ident in _names(node.func)} and any(
+            isinstance(arg, ast.Name) and arg.id == "ops" for arg in node.args
+        )
+    ]
+    assert not bad, "build_code spans the cycle operators: " + "; ".join(bad)
 
 
 def test_gf2_defines_no_rank():
