@@ -19,17 +19,18 @@ round conflict check run on the (x, z) int pairs cached in
 ``Hypergraph.link_ops``; ``Pauli`` objects appear only at the tableau's API
 edge (one per link and one per generator, built once per simulation).
 
-Schedules are checked on a column-major stabilizer tableau: a measurement
-finds its anticommuting rows from the columns on its operator's support.
-Destabilizer rows live in renamed slots of 2n-bit columns, so a random
-measurement costs O(|op| + |pivot|) column XORs plus the stabilizer row
-updates of its anticommuting rows, and not a pass over all n columns; the
-dead slots it leaves are freed by one O(n) pass per n + 1 random
-measurements.  Rows keep their phase in XZ form (two bit planes of an
-exponent mod 4), so signs cost one parity per pivot X qubit, and each
-measured ``Pauli`` decodes its support once (``Pauli.support``), since a
-sweep measures the same links again and again.  Per-bit walks step from
-the top set bit, never negating (see ``Tableau``).
+Schedules are checked on a column-major stabilizer tableau that packs
+each qubit's columns into one int per Pauli part: the stabilizer column in
+the low n bits, the destabilizer rows in renamed slots of the 2n bits
+above.  A measurement XORs one int per support qubit to find its
+anticommuting stabilizers and destabilizers at once; a random one costs
+two list operations per pivot bit plus its anticommuting rows' updates,
+not a pass over all n columns, and one O(n) pass per n + 1 random
+measurements frees the dead slots.  Rows keep their phase in XZ form (two
+bit planes of an exponent mod 4), so signs cost one parity per pivot X
+qubit, and each measured ``Pauli`` decodes its support once
+(``Pauli.support``), as a sweep measures the same links again and again.
+Per-bit walks step from the top set bit, never negating (see ``Tableau``).
 Each simulated trial is three ``Tableau.measure_all`` calls: two sweeps,
 each on the concatenated time-ordered link sequences of all generators
 (a syndrome bit is the parity of its generator's slice of the outcomes),
@@ -172,30 +173,36 @@ class Tableau:
     """Stabilizer tableau with destabilizers and sign tracking, stored by
     column (Aaronson-Gottesman's transposed layout).
 
-    cx[q] / cz[q] masks the stabilizer rows with an X / Z part on qubit q.
-    Stabilizer row i is i^e X^x Z^z (XZ form), and the masks e0 / e1 hold
-    bit 0 / bit 1 of each row's e mod 4; a stored row is Hermitian, so its
-    e0 bit is the parity of its Y count (``neg`` reads the Hermitian sign
-    off e).  Rows are also kept as (x, z) ints for the pivot and for
-    deterministic products.
+    xcol[q] / zcol[q] packs qubit q's column of one Pauli part into a 3n-bit
+    int: its low n bits (``mask``) are the stabilizer rows with an X / Z part
+    on qubit q, and bit n + s is destabilizer slot s.  Stabilizer row i is
+    i^e X^x Z^z (XZ form), and the masks e0 / e1 hold bit 0 / bit 1 of each
+    row's e mod 4; a stored row is Hermitian, so its e0 bit is the parity of
+    its Y count (``neg`` reads the Hermitian sign off e).  Rows are also
+    kept as (x, z) ints for the pivot and for deterministic products.
 
-    Destabilizer row i lives in slot[i], a bit position of the 2n-bit masks
-    dX[q] / dZ[q] (row_of maps a slot back to its row).  Slots in `live`
-    hold the n rows; `free` slots are zero in every column; the rest are
-    dead and hold stale bits.  A random measurement moves the pivot's
-    destabilizer to the lowest free slot and kills its old one, so it costs
-    O(|pivot|) column XORs instead of clearing a row from all n columns.
-    When no slot is free, one pass masks every column with `live`, which
-    frees the n + 1 dead slots (`recycles` counts these passes): one O(n)
-    pass per n + 1 random measurements, and no column grows past 2n bits.
-    Destabilizer phases are not tracked.
+    Destabilizer row i lives in slot[i] < 2n (row_of maps a slot back to its
+    row).  Slots in the 2n-bit mask `live` hold the n rows; `free` slots are
+    zero in every column; the rest are dead and hold stale bits.  A random
+    measurement moves the pivot's destabilizer to the lowest free slot and
+    kills its old one, so it costs O(|pivot|) column XORs instead of
+    clearing a row from all n columns.  When no slot is free, one pass masks
+    every column with ``mask | live << n``, freeing the n + 1 dead slots
+    (`recycles` counts these passes): one O(n) pass per n + 1 random
+    measurements, and no column grows past 3n bits.  No destabilizer phase.
 
-    In XZ form a row r times the pivot p is i^(e_r + e_p + 2|z_r & x_p|)
-    X^(x_r ^ x_p) Z^(z_r ^ z_p): the pivot walk XORs cz[q] over the pivot's
-    X qubits into one parity mask, and the exponents of the rows it
-    multiplies are updated once per measurement by mask operations.  H adds
-    2 to e where a row has Y, S adds x_q, CNOT adds nothing.  A
-    deterministic outcome is the sign of the product, in the same form, of
+    The support walk XORs one int per qubit and splits it into `anti` (low
+    n bits) and `danti` (the slots).  Each pivot X bit q costs two list
+    operations, ``par ^= zcol[q]`` and ``xcol[q] ^= upd``, with `upd` built
+    once per measurement: `anti`, and above it the live slots of `danti`
+    and the new slot; pivot Z bits mirror them.  In XZ form a row r times the pivot p is
+    i^(e_r + e_p + 2|z_r & x_p|) X^(x_r ^ x_p) Z^(z_r ^ z_p), so `par` is
+    that parity per row, and the exponents of the rows the pivot multiplies
+    are updated once per measurement by mask operations.  H swaps xcol[q]
+    and zcol[q] and adds 2 to e where a row has Y; S is ``zcol[q] ^=
+    xcol[q]`` and adds x_q; CNOT(c, t) is ``xcol[t] ^= xcol[c]`` and
+    ``zcol[c] ^= zcol[t]`` and adds nothing; each also updates `sx` / `sz`.
+    A deterministic outcome is the sign of the product, in the same form, of
     the rows whose destabilizers anticommute with the operator.  The
     measured operator's support is decoded once per ``Pauli`` object
     (``Pauli.support``), and outcomes and ``randomize`` draw from the
@@ -216,11 +223,10 @@ class Tableau:
         self.n = n
         self.sx: List[int] = [0] * n
         self.sz: List[int] = [1 << i for i in range(n)]
-        self.cx: List[int] = [0] * n
-        self.cz: List[int] = [1 << q for q in range(n)]
+        self.mask = (1 << n) - 1  # the stabilizer half of a column
+        self.xcol: List[int] = [1 << (n + q) for q in range(n)]
+        self.zcol: List[int] = [1 << q for q in range(n)]
         self.e0 = self.e1 = 0
-        self.dX: List[int] = [1 << q for q in range(n)]
-        self.dZ: List[int] = [0] * n
         self.slot: List[int] = list(range(n))
         self.row_of: List[int] = list(range(n)) * 2
         self.live = (1 << n) - 1
@@ -235,35 +241,31 @@ class Tableau:
         return self.e1 ^ sum(((x & z).bit_count() & 2) << i for i, (x, z) in rows) >> 1
 
     def apply_h(self, q: int) -> None:
-        cx, cz, bit = self.cx, self.cz, 1 << q
-        self.e1 ^= cx[q] & cz[q]  # XZ -> ZX = -XZ
-        for i in gf2.bits(cx[q] ^ cz[q]):
+        xcol, zcol, bit = self.xcol, self.zcol, 1 << q
+        self.e1 ^= xcol[q] & zcol[q] & self.mask  # XZ -> ZX = -XZ
+        for i in gf2.bits((xcol[q] ^ zcol[q]) & self.mask):
             self.sx[i] ^= bit
             self.sz[i] ^= bit
-        cx[q], cz[q] = cz[q], cx[q]
-        self.dX[q], self.dZ[q] = self.dZ[q], self.dX[q]
+        xcol[q], zcol[q] = zcol[q], xcol[q]
 
     def apply_s(self, q: int) -> None:
-        cx, cz, bit = self.cx, self.cz, 1 << q
-        self.e1 ^= self.e0 & cx[q]  # X -> Y = iXZ: e += 1 where x_q
-        self.e0 ^= cx[q]
-        for i in gf2.bits(cx[q]):
+        x, bit = self.xcol[q] & self.mask, 1 << q
+        self.e1 ^= self.e0 & x  # X -> Y = iXZ: e += 1 where x_q
+        self.e0 ^= x
+        for i in gf2.bits(x):
             self.sz[i] ^= bit
-        cz[q] ^= cx[q]
-        self.dZ[q] ^= self.dX[q]
+        self.zcol[q] ^= self.xcol[q]
 
     def apply_cnot(self, c: int, t: int) -> None:
         if c == t:
             raise BadParams(f"CNOT control and target are both qubit {c}")
-        cx, cz = self.cx, self.cz
-        for i in gf2.bits(cx[c]):
+        xcol, zcol = self.xcol, self.zcol
+        for i in gf2.bits(xcol[c] & self.mask):
             self.sx[i] ^= 1 << t
-        for i in gf2.bits(cz[t]):
+        for i in gf2.bits(zcol[t] & self.mask):
             self.sz[i] ^= 1 << c
-        cx[t] ^= cx[c]
-        cz[c] ^= cz[t]
-        self.dX[t] ^= self.dX[c]
-        self.dZ[c] ^= self.dZ[t]
+        xcol[t] ^= xcol[c]
+        zcol[c] ^= zcol[t]
 
     def measure(self, op: Pauli, sign: int, rng: random.Random) -> int:
         """Measure (+-1) * op; returns the outcome bit (0 for the +1
@@ -283,7 +285,7 @@ class Tableau:
                 raise SizeMismatch(f"{op.n}-qubit operator on a {n}-qubit tableau")
             if sign not in (1, -1):
                 raise BadParams(f"measurement sign must be 1 or -1, not {sign!r}")
-        sx, sz, cx, cz, dX, dZ = self.sx, self.sz, self.cx, self.cz, self.dX, self.dZ
+        sx, sz, xcol, zcol, mask = self.sx, self.sz, self.xcol, self.zcol, self.mask
         slot, row_of = self.slot, self.row_of
         live, free, e0, e1 = self.live, self.free, self.e0, self.e1
         draw, full = rng.getrandbits, (1 << 2 * n) - 1
@@ -294,13 +296,12 @@ class Tableau:
                 ox, oz = op.x, op.z
                 xs, zs = op.support
                 # stabilizer rows / destabilizer slots anticommuting with op
-                anti = danti = 0
+                acc = 0
                 for q in xs:
-                    anti ^= cz[q]
-                    danti ^= dZ[q]
+                    acc ^= zcol[q]
                 for q in zs:
-                    anti ^= cx[q]
-                    danti ^= dX[q]
+                    acc ^= xcol[q]
+                anti, danti = acc & mask, acc >> n
                 if anti:
                     low = anti & -anti
                     p0 = low.bit_length() - 1
@@ -310,8 +311,9 @@ class Tableau:
                     # and multiplies the other anticommuting destabilizers.
                     live ^= 1 << slot[p0]
                     if not free:
-                        dX = [col & live for col in dX]
-                        dZ = [col & live for col in dZ]
+                        keep = mask | live << n
+                        xcol = [col & keep for col in xcol]
+                        zcol = [col & keep for col in zcol]
                         free = full ^ live
                         self.recycles += 1
                     new = free & -free
@@ -319,24 +321,22 @@ class Tableau:
                     free ^= new
                     live |= new
                     slot[p0], row_of[s] = s, p0
-                    dm = (danti & live) | new
+                    upd = anti | ((danti & live) | new) << n
                     # Parities of |z_r & x_p| and |x_r & z_p| per row r; chk reads
-                    # cx after the X walk, so it starts corrected for Y qubits.
+                    # xcol after the X walk, so it starts corrected for Y qubits.
                     par, chk = 0, anti if (px & pz).bit_count() & 1 else 0
                     walk = px
                     while walk:
                         q = walk.bit_length() - 1
                         walk ^= 1 << q
-                        par ^= cz[q]
-                        cx[q] ^= anti
-                        dX[q] ^= dm
+                        par ^= zcol[q]
+                        xcol[q] ^= upd
                     walk = pz
                     while walk:
                         q = walk.bit_length() - 1
                         walk ^= 1 << q
-                        chk ^= cx[q]
-                        cz[q] ^= anti
-                        dZ[q] ^= dm
+                        chk ^= xcol[q]
+                        zcol[q] ^= upd
                     if (par ^ chk) & rest:
                         raise InconsistentOutcome("stabilizer rows do not commute")
                     # e_r += e_p + 2 |z_r & x_p| on the rows in rest
@@ -356,9 +356,9 @@ class Tableau:
                         outcome = draw(2)
                     sx[p0], sz[p0] = ox, oz
                     for q in xs:
-                        cx[q] ^= low
+                        xcol[q] ^= low
                     for q in zs:
-                        cz[q] ^= low
+                        zcol[q] ^= low
                     # The pivot row becomes (-1)^(outcome ^ flip) op.
                     e = (ox & oz).bit_count() + 2 * (outcome ^ flip)
                     if (e ^ (e0 >> p0)) & 1:
@@ -385,7 +385,7 @@ class Tableau:
                     raise InconsistentOutcome("deterministic measurement mismatch")
                 out.append(((phase >> 1) & 1) ^ flip)
         finally:
-            self.dX, self.dZ = dX, dZ
+            self.xcol, self.zcol = xcol, zcol
             self.live, self.free, self.e0, self.e1 = live, free, e0, e1
         return out
 

@@ -143,10 +143,11 @@ def stab_of(t) -> List[Pauli]:
 
 def destab_of(t) -> List[Pauli]:
     """The destabilizer rows of a column-mask tableau: row ``row_of[s]``
-    has an X / Z part on qubit q iff live slot s is set in dX[q] / dZ[q]."""
+    has an X / Z part on qubit q iff live slot s is set in the destabilizer
+    half (``col >> n``) of xcol[q] / zcol[q]."""
     rows = [[0, 0] for _ in range(t.n)]
-    for part, cols in enumerate((t.dX, t.dZ)):
+    for part, cols in enumerate((t.xcol, t.zcol)):
         for q, col in enumerate(cols):
-            for s in gf2.bits(col & t.live):
+            for s in gf2.bits((col >> t.n) & t.live):
                 rows[t.row_of[s]][part] |= 1 << q
     return [Pauli(t.n, x, z) for x, z in rows]

@@ -93,6 +93,11 @@
   since `v & -v` costs CPython an extra two's-complement pass per bit.  The
   once-per-measurement picks `anti & -anti` and `free & -free` sit outside
   any `while` loop.
+- The tableau packs each qubit's stabilizer and destabilizer columns into
+  one int per Pauli part (`Tableau.xcol` / `zcol`), so the four separate
+  column lists `cx`, `cz`, `dX` and `dZ` do not come back in `scheduler`,
+  and each pivot-walk `while` body of `measure_all` subscripts exactly two
+  column lists: one read for the parity and one update.
 - Value records are `typing.NamedTuple` classes; `@dataclass` stays on the
   five types that need what a tuple lacks (see
   `test_dataclasses_only_where_a_tuple_falls_short`).
@@ -124,6 +129,7 @@ RETIRED = {
     "ContractionDisconnects", "kernel", "intersection",
 }
 TRIANGLE_SIDES = {"side", "origin"}
+SPLIT_COLUMNS = {"cx", "cz", "dX", "dZ"}
 DATACLASSES = {"Hypergraph", "EmbeddedGraph", "SubsystemCode", "Pauli", "PipelineData"}
 RECORDS = {
     analyzer: ("Generator", "NontrivialReport", "DependencyReport", "DistinctnessVerdict"),
@@ -177,6 +183,8 @@ def test_layering(path):
             bad.append(f"line {line}: face structure {name} in the scheduler")
         if name in TRIANGLE_SIDES and path.name == "scheduler.py":
             bad.append(f"line {line}: triangle side {name} in the scheduler")
+        if name in SPLIT_COLUMNS and path.name == "scheduler.py":
+            bad.append(f"line {line}: split column list {name} in the scheduler")
     assert not bad, f"{path.name}: " + "; ".join(sorted(set(bad)))
 
 
@@ -352,6 +360,26 @@ def test_bit_walks_negate_nothing(module):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
     })
     assert not bad, f"unary minus in a while body of {module}: " + "; ".join(bad)
+
+
+def test_pivot_walks_touch_two_columns():
+    (fn,) = [
+        node for node in ast.walk(_scheduler_defs()["Tableau"])
+        if isinstance(node, ast.FunctionDef) and node.name == "measure_all"
+    ]
+    walks = [
+        loop for loop in ast.walk(fn)
+        if isinstance(loop, ast.While) and ast.unparse(loop.test) == "walk"
+    ]
+    assert len(walks) == 2
+    for loop in walks:
+        subscripted = sorted(
+            ast.unparse(node.value)
+            for stmt in loop.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Subscript)
+        )
+        assert subscripted == ["xcol", "zcol"], f"line {loop.lineno}: {subscripted}"
 
 
 def test_scheduler_forms_signed_products_once():

@@ -83,16 +83,16 @@ def test_stored_rows_stay_hermitian(program):
 
 @pytest.mark.parametrize("letter", ["Z", "Y"])
 def test_corrupted_column_raises_noncommuting_rows(letter):
-    """Pivot row 0 is Z0 or Y0; a corrupted cx[0] gives row 1 (Z1) an X on
-    qubit 0 that its stored row lacks, so the measurement multiplies row 1
-    by a pivot it anticommutes with.  The Y pivot's check reads cx[0] after
-    the X walk has flipped it."""
+    """Pivot row 0 is Z0 or Y0; a corrupted stabilizer half of xcol[0] gives
+    row 1 (Z1) an X on qubit 0 that its stored row lacks, so the measurement
+    multiplies row 1 by a pivot it anticommutes with.  The Y pivot's check
+    reads xcol[0] after the X walk has flipped it."""
     t = Tableau(2)
     if letter == "Y":
         t.apply_h(0)
         t.apply_s(0)
     assert stab_of(t)[0].to_string() == letter + "I"
-    t.cx[0] |= 0b10
+    t.xcol[0] |= 0b10
     op = Pauli.from_string("XX" if letter == "Z" else "ZZ")
     with pytest.raises(InconsistentOutcome, match="^stabilizer rows do not commute$"):
         t.measure(op, 1, random.Random(0))
@@ -119,14 +119,34 @@ def long_programs(draw):
 
 
 def _check_slots(tab):
-    """Columns stay within the 2n slots, free slots are zero everywhere, and
-    slot / row_of is a bijection between the rows and the n live slots."""
+    """Destabilizer halves stay within the 2n slots, free slots are zero
+    everywhere, and slot / row_of is a bijection between the rows and the n
+    live slots."""
     n, full = tab.n, (1 << 2 * tab.n) - 1
-    assert all(0 <= col <= full for col in tab.dX + tab.dZ)
-    assert not any(col & tab.free for col in tab.dX + tab.dZ)
+    halves = [col >> n for col in tab.xcol + tab.zcol]
+    assert all(0 <= col <= full for col in halves)
+    assert not any(col & tab.free for col in halves)
     assert tab.live & tab.free == 0 and tab.live.bit_count() == n
     assert sum(1 << s for s in tab.slot) == tab.live
     assert [tab.row_of[s] for s in tab.slot] == list(range(n))
+
+
+@given(long_programs())
+@settings(max_examples=60, deadline=None)
+def test_columns_are_the_transposed_rows(program):
+    """After every step, the stabilizer half (low n bits) of xcol[q] /
+    zcol[q] masks exactly the rows whose sx / sz has qubit q, and the
+    destabilizer halves stay below 2n bits with no bit in a free slot.  A
+    corrupted column fails here even when it changes no outcome."""
+    n, seed, steps = program
+    t, rng = Tableau(n), random.Random(seed)
+    for step in steps:
+        _run(t, [step], rng, False)
+        for cols, rows in ((t.xcol, t.sx), (t.zcol, t.sz)):
+            assert [col & t.mask for col in cols] == [
+                sum(((r >> q) & 1) << i for i, r in enumerate(rows)) for q in range(n)
+            ]
+        _check_slots(t)
 
 
 def _random_outcome(ref, step):
